@@ -33,7 +33,6 @@ from .errors import (
     NoPairAvailable,
     OutOfRangeQ,
     OutOfRangeS,
-    OutOfRangeSigma,
 )
 
 INF = math.inf

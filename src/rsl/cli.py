@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -56,7 +57,10 @@ def read_config(path: str) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The argument parser; `config` values become the flags' defaults, so
+    a flag given on the command line, in any form, wins over them."""
+    config = config or {}
     ap = argparse.ArgumentParser(prog="rsl", description=__doc__)
     ap.add_argument("--config", help="key = value file; flags override")
     ap.add_argument("--output", help="output directory (or RSL_OUTPUT_DIR)")
@@ -65,12 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--threads", type=int, help="cap BLAS worker threads")
     ap.add_argument("--validate-only", action="store_true",
                     help="report config violations without running")
+    ap.set_defaults(**{k: v for k, v in config.items()
+                       if k in ("output", "run_id", "seed", "threads", "validate_only")})
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, **flags):
         p = sub.add_parser(name)
         for fname, kw in flags.items():
             p.add_argument(f"--{fname}", **kw)
+        p.set_defaults(**{k: v for k, v in config.items() if k in flags})
         return p
 
     common_symbol = {"symbol": dict(default="schrodinger"), "n": dict(type=int, default=2)}
@@ -364,14 +371,10 @@ def _dispatch(args) -> RunReport:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.config:
-        cfg = read_config(args.config)
-        for key, val in cfg.items():
-            if hasattr(args, key) and f"--{key.replace('_', '-')}" not in (argv or sys.argv):
-                cur = getattr(args, key)
-                setattr(args, key, type(cur)(val) if cur is not None else val)
+        # argparse converts string defaults with each flag's own type
+        args = build_parser(read_config(args.config)).parse_args(argv)
     if args.threads:
         import os
 

@@ -23,7 +23,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .admissibility import (
-    gap_condition,
     is_radial_schrodinger_admissible,
     is_radial_wave_admissible,
     parse_exponent,

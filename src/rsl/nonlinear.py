@@ -377,9 +377,8 @@ def _picard_solve_wave(
     vals = phys[:, 1:] if grid.r[0] <= 0 else phys
     fld = SpaceTimeField(
         pgrid, vals, problem.n, source="duhamel",
-        freq=(grid.freq, coeff_u),
+        freq=(grid.freq, coeff_u), freq_velocity=coeff_v,
     )
-    object.__setattr__(fld, "freq_velocity", coeff_v)
     return fld, trace
 
 
@@ -387,7 +386,7 @@ def wave_scattering_state(field: SpaceTimeField, s_w: float) -> ScatteringDiagno
     """Free-group pullback of the (u, u_t) pair; deviation in the product
     norm H^{s_w}-dot x H^{s_w - 1}-dot."""
     fgrid, coeff_u = field.freq
-    coeff_v = getattr(field, "freq_velocity")
+    coeff_v = field.freq_velocity
     t = field.grid.t_nodes
     s = fgrid.nodes
     devs = []

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .bessel import radial_kernel
 from .dispersion import DispersionSymbol
@@ -51,6 +50,7 @@ class SpaceTimeField:
     n: int
     source: str = "direct"
     freq: Optional[tuple] = None  # (FrequencyGrid, coeff matrix) when available
+    freq_velocity: Optional[np.ndarray] = None  # d/dt coefficients (wave solutions)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -163,7 +163,7 @@ def main_error_split(
     # main kernel: s^(n-1) (sr)^(-(n-2)/2) * sqrt(2/(pi sr)) cos(sr - beta)
     amp = (s ** (n - 1))[:, None] * x ** (-nu) * np.sqrt(2.0 / (np.pi * x))
     kern_main = amp * np.cos(x - beta)
-    kern_err = (s ** (n - 1))[:, None] * x ** (-nu) * special.jv(nu, x) - kern_main
+    kern_err = (s ** (n - 1))[:, None] * radial_kernel(n, x) - kern_main
     mult = np.exp(1j * np.outer(grid.t_nodes, symbol.phi(s))) * (vals * w)[None, :]
     main = SpaceTimeField(grid, mult @ kern_main, n, source="main_term")
     err = SpaceTimeField(grid, mult @ kern_err, n, source="error_term")

@@ -84,3 +84,15 @@ def test_config_file_roundtrip(tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "cfg" / "report.json").read_text())
     assert rep["config"]["n"] == 3
+
+
+def test_flag_equals_form_beats_config(tmp_path):
+    # `--k=-1` is the form negative values need; it must win over `k = 2`
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 2\nq = 4\n")
+    code = main(["--config", str(cfg), "--output", str(tmp_path), "--run-id", "neg",
+                 "constants", "--equation", "klein_gordon", "--n", "2", "--k=-1"])
+    assert code == 0
+    rep = json.loads((tmp_path / "neg" / "report.json").read_text())
+    assert rep["config"]["k"] == -1
+    assert rep["config"]["q"] == "4"
