@@ -63,7 +63,7 @@ from .nonlinear import (
     picard_solve,
     scattering_state,
 )
-from .norms import MixedNormSpec, adaptive_window, mixed_norm, sobolev_norm
+from .norms import MixedNormSpec, mixed_norm, sobolev_norm
 from .propagator import (
     ForcingSeries,
     SpaceTimeField,

@@ -14,6 +14,7 @@ like r^{-(n+1)/2}, which is what drives every outer-annulus bound downstream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,8 +207,14 @@ def hankel_phase_coeffs(n: int, x_min: float = 1.0, degree: int = 20) -> np.ndar
     exact and nearly degree-0 for odd n, where H1_(n-2)/2 is elementary).
     The separable powers (x_min/(rs))^p are what let the outer-region field
     sampler evaluate one chirp-Z transform per power instead of a dense
-    kernel matrix.
+    kernel matrix.  The fit runs once per (n, x_min, degree); the returned
+    array is shared and read-only.
     """
+    return _hankel_phase_coeffs(n, x_min, degree)
+
+
+@functools.lru_cache(maxsize=None)
+def _hankel_phase_coeffs(n: int, x_min: float, degree: int) -> np.ndarray:
     nu = (n - 2) / 2.0
     m = 4000
     w = (np.cos(np.pi * (np.arange(m) + 0.5) / m) + 1.0) / 2.0
@@ -229,5 +236,7 @@ def hankel_phase_coeffs(n: int, x_min: float = 1.0, degree: int = 20) -> np.ndar
     full_err = max_err(b)
     for p in range(1, b.size):
         if max_err(b[:p]) <= max(2.0 * full_err, 2e-11):
-            return b[:p]
+            b = b[:p]
+            break
+    b.flags.writeable = False
     return b

@@ -43,17 +43,31 @@ def _q(txt):
     return adm.parse_exponent(txt)
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def read_config(path: str) -> dict:
+    """`key = value` lines ('#' starts a comment) as a dict of strings;
+    `validate_only` is parsed to a bool.  Raises ConfigError."""
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     out = {}
-    with open(path) as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line: {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = val.strip()
+    if "validate_only" in out:
+        flag = out["validate_only"].lower()
+        if flag not in _BOOLEANS:
+            raise ConfigError(f"validate_only must be true/false/yes/no/1/0, got {flag!r}")
+        out["validate_only"] = _BOOLEANS[flag]
     return out
 
 
@@ -66,11 +80,10 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     ap.add_argument("--output", help="output directory (or RSL_OUTPUT_DIR)")
     ap.add_argument("--run-id", help="subdirectory name; default: <command>-<time>")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, help="cap BLAS worker threads")
     ap.add_argument("--validate-only", action="store_true",
                     help="report config violations without running")
     ap.set_defaults(**{k: v for k, v in config.items()
-                       if k in ("output", "run_id", "seed", "threads", "validate_only")})
+                       if k in ("output", "run_id", "seed", "validate_only")})
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, **flags):
@@ -372,22 +385,19 @@ def _dispatch(args) -> RunReport:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.config:
-        # argparse converts string defaults with each flag's own type
-        args = build_parser(read_config(args.config)).parse_args(argv)
-    if args.threads:
-        import os
-
-        os.environ["OMP_NUM_THREADS"] = str(args.threads)
-    violations = validate(args)
-    if args.validate_only:
-        print(json.dumps({"violations": violations}, indent=2))
-        return 2 if violations else 0
-    if violations:
-        print(json.dumps({"error": "invalid config", "violations": violations}), file=sys.stderr)
-        return 2
     t0 = time.time()
     try:
+        if args.config:
+            # argparse converts string defaults with each flag's own type
+            args = build_parser(read_config(args.config)).parse_args(argv)
+        violations = validate(args)
+        if args.validate_only:
+            print(json.dumps({"violations": violations}, indent=2))
+            return 2 if violations else 0
+        if violations:
+            print(json.dumps({"error": "invalid config", "violations": violations}),
+                  file=sys.stderr)
+            return 2
         report = _dispatch(args)
     except RslError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)

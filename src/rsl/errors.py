@@ -33,10 +33,6 @@ class DomainNotCovered(RslError):
     """A norm was requested over a domain not covered by the field's grid."""
 
 
-class NonConvergent(RslError):
-    """Adaptive time window failed to saturate (expected in sharpness runs)."""
-
-
 class OutOfRangeQ(RslError):
     """Lebesgue exponent q outside the validity range of the requested estimate."""
 

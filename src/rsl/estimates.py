@@ -40,14 +40,15 @@ from .errors import (
 from .fastfield import (
     DEFAULT_SAMPLER,
     BandFieldSampler,
-    BandNormResult,
     SamplerConfig,
     band_norm_adaptive,
+    band_plan,
     czt_points,
+    octave_ladder,
 )
 from .grids import band_edges, trapezoid_weights
 from .propagator import ForcingSeries, duhamel
-from .transform import sphere_area
+from .transform import canonical_band_amplitude, sphere_area
 
 
 # --------------------------------------------------------------------------
@@ -110,20 +111,6 @@ class GrowthReport:
 # data policies
 # --------------------------------------------------------------------------
 
-def canonical_band_amplitude(n: int, k: int) -> Callable:
-    """Unit-L^2 band datum psi_k(s) s^(-(n-1)/2) / Z (flat in the measure)."""
-    lo, hi = band_edges(k)
-    s_ref = np.linspace(lo, hi, 8001)
-    z2 = sphere_area(n) * np.trapezoid(dyadic_cutoff(k, s_ref) ** 2, s_ref)
-    z = float(np.sqrt(z2))
-
-    def amp(s, _k=k, _n=n, _z=z):
-        s = np.asarray(s, dtype=float)
-        return dyadic_cutoff(_k, s) * s ** (-(_n - 1) / 2.0) / _z
-
-    return amp
-
-
 def random_band_amplitude(n: int, k: int, rng: np.random.Generator, controls: int = 12) -> Callable:
     """Random smooth band datum: complex Gaussian control points interpolated
     across the band, tapered by psi_k, normalized to unit L^2."""
@@ -148,7 +135,6 @@ def random_band_amplitude(n: int, k: int, rng: np.random.Generator, controls: in
 class DataPolicy:
     kind: str = "canonical"
     seed: int = 0
-    trials: int = 1
 
 
 # --------------------------------------------------------------------------
@@ -328,18 +314,6 @@ def _band_quad(k: int, points_per_unit_phase: float, budget: float, n_min: int =
     return s, w
 
 
-def _octave_times(T: float, dt0: float, cap: int = 64) -> np.ndarray:
-    first = min(16.0 * dt0, T)
-    pieces = [np.linspace(0.0, first, max(int(first / dt0) + 2, 17))]
-    lo = first
-    while lo < T * (1 - 1e-12):
-        hi = min(2 * lo, T)
-        npt = max(min(int((hi - lo) / dt0) + 2, cap + 1), 17)
-        pieces.append(np.linspace(lo, hi, npt)[1:])
-        lo = hi
-    return np.concatenate(pieces)
-
-
 def smoothing_lemma_check(
     symbol: DispersionSymbol,
     k: int,
@@ -359,9 +333,7 @@ def smoothing_lemma_check(
     dphi_spread = abs(float(symbol.phi(np.asarray(hi))) - float(symbol.phi(np.asarray(lo))))
     m = regime_exponents(symbol, k).m
     T = 512.0 / max(dphi_spread, 1e-12)
-    dt0 = 2 * np.pi / (8.0 * max(dphi_spread, 1e-12))
-    t = _octave_times(T, dt0)
-    wt = trapezoid_weights(t)
+    t, wt, _ = octave_ladder(T, 2 * np.pi / (8.0 * max(dphi_spread, 1e-12)), 64)
     s, ws = _band_quad(k, 1.2, T * symbol.sup_dphi(lo, hi))
     cut = dyadic_cutoff(k, s)
     phase = np.exp(-1j * np.outer(t, symbol.phi(s)))
@@ -395,8 +367,6 @@ def smoothing_lemma_check(
 def strichartz_l6_check(
     symbol: DispersionSymbol,
     k_range: Sequence[int],
-    trials: int = 1,
-    seed: int = 0,
     config: SamplerConfig = DEFAULT_SAMPLER,
 ) -> ExponentFit:
     """1-D L^6_{t,r} norm of int psi_k phi_data e^{i(rs - t phi(s))} ds per
@@ -409,44 +379,30 @@ def strichartz_l6_check(
         reg = regime_exponents(symbol, k)
         T = 48.0 * 2.0 ** (-reg.alpha * k) if reg.alpha else 48.0
         dphi_spread = abs(float(symbol.phi(np.asarray(hi))) - float(symbol.phi(np.asarray(lo))))
-        dt0 = 2 * np.pi / (6.0 * max(dphi_spread, 1e-12))
-        t_nodes = _octave_times(T, dt0)
-        wt = trapezoid_weights(t_nodes)
-        # carrier extraction (see fastfield): resolve only the residual rate
-        # and follow the transported window r in t [vmin, vmax] +- tails
-        s_probe = np.linspace(lo, hi, 513)
-        dp = symbol.dphi(s_probe)
-        vmin, vmax = float(np.min(dp)), float(np.max(dp))
-        c1 = 0.5 * (vmin + vmax)
-        sc = 0.5 * (lo + hi)
-        c0 = float(symbol.phi(np.asarray(sc))) - c1 * sc
-        kappa = 0.9 * config.policy.max_phase_step
-        ns = int(np.ceil((hi - lo) * max(T * 0.5 * (vmax - vmin), 1.0) / kappa)) + 512
-        s = np.linspace(lo, hi, ns)
-        ds = s[1] - s[0]
-        ws = trapezoid_weights(s)
-        g = dyadic_cutoff(k, s)
-        z = float(np.sqrt(np.sum(ws * np.abs(g) ** 2)))
-        g = g / z
-        rho = symbol.phi(s) - (c0 + c1 * s)
+        t_nodes, wt, _ = octave_ladder(T, 2 * np.pi / (6.0 * max(dphi_spread, 1e-12)), 64)
+        # carrier extraction: resolve only the residual rate and follow the
+        # transported window r in t [vmin, vmax] +- tails
+        plan = band_plan(symbol, k, T, config.policy)
+        g = dyadic_cutoff(k, plan.s)
+        g = g / float(np.sqrt(np.sum(plan.ws * np.abs(g) ** 2)))
         dr = np.pi / (config.dr_frac * hi)
         tail = 60.0 * 2.0 ** (-k)
-        m_pts = int(np.ceil((T * (vmax - vmin) + 2 * tail) / dr)) + 1
+        m_pts = int(np.ceil((T * (plan.vmax - plan.vmin) + 2 * tail) / dr)) + 1
         acc = 0.0
         for t, w in zip(t_nodes, wt):
             # J(t, r) = int g e^{i(r s - t phi)} ds = e^{-i t c0} x CZT in the
             # shifted variable u = r - t c1; stationary points live at
             # r = t phi', so the window tracks u in t [vmin - c1, vmax - c1]
-            c = g * ws * np.exp(-1j * t * rho)
-            u0 = t * (vmin - c1) - tail
-            vals = czt_points(c, s[0], ds, u0, dr, m_pts, +1.0)
+            c = g * plan.ws * np.exp(-1j * t * plan.rho)
+            u0 = t * (plan.vmin - plan.c1) - tail
+            vals = czt_points(c, plan.s[0], plan.ds, u0, dr, m_pts, +1.0)
             # (t, r) -> (-t, -r) symmetry for real band data
             acc += 2.0 * w * np.sum(np.abs(vals) ** 6) * dr
         logs.append(math.log2(acc ** (1.0 / 6.0)))
     k0 = max(k_range)
     reg = regime_exponents(symbol, k0)
     predicted = 1.0 / 3.0 - reg.alpha / 6.0
-    return fit_line(list(k_range), logs, predicted, {"trials": trials, "seed": seed})
+    return fit_line(list(k_range), logs, predicted)
 
 
 def maximal_check(
@@ -844,9 +800,7 @@ def conjecture_probe(
     sampler = BandFieldSampler(symbol, n, 0, amp, T, config, r_window=(0.0, R_max * 1.05))
     om = sphere_area(n)
     r_all = np.concatenate([sampler.r_in, sampler.r_out])
-    w_in, w_out = sampler._r_weights((2.0, R_max))
-    w_all = np.concatenate([w_in, w_out])
-    meas = w_all * r_all ** (n - 1)
+    meas = np.concatenate(sampler.radial_measure((2.0, R_max)))
     cuts = [np.searchsorted(r_all, float(R)) for R in R_values]
     powers = np.zeros(len(R_values))
     for t, wt in zip(sampler.t, sampler.wt):

@@ -17,8 +17,9 @@ range at r_c = x_min / s_min:
 
 Frequency nodes are uniform with trapezoid weights; the integrand is smooth
 and compactly supported in the band, so the rule is spectrally accurate once
-the node step resolves the time phase:  ds * T * sup|phi'| <= 0.9 * policy
-phase step.  The time grid is octave-structured, matching how dispersive
+the node step resolves the time phase left after carrier extraction
+(`band_plan`):  ds * T * max|phi' - c1| <= 0.9 * policy phase step.  The time
+grid is octave-structured (`octave_ladder`), matching how dispersive
 envelopes slow down, and norm contributions per time octave are recorded so
 window saturation can be judged and geometric tails extrapolated.
 """
@@ -26,7 +27,7 @@ window saturation can be judged and geometric tails extrapolated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,11 +70,68 @@ def czt_points(c: np.ndarray, s0: float, ds: float, r0: float, dr: float, m: int
     n = c.shape[-1]
     if plan is None:
         plan = CZT(n, m, w=np.exp(1j * sign * dr * ds), a=1.0)
-    shifted = c * np.exp(1j * sign * r0 * (s0 + ds * np.arange(n)))[None, :] \
-        if c.ndim == 2 else c * np.exp(1j * sign * r0 * (s0 + ds * np.arange(n)))
-    out = plan(shifted, axis=-1)
+    out = plan(c * np.exp(1j * sign * r0 * (s0 + ds * np.arange(n))), axis=-1)
     j_phase = np.exp(1j * sign * np.arange(m) * dr * s0)
     return out * j_phase
+
+
+@dataclass(frozen=True)
+class BandPlan:
+    """Carrier and carrier-residual frequency grid of one dyadic band.
+
+    With c1 the Chebyshev center of phi' over the band (range [vmin, vmax]),
+    t phi(s) = t (c0 + c1 s) + t rho(s); the affine part is an exact chirp-Z
+    window shift, so the uniform grid s (step ds, trapezoid weights ws) only
+    has to resolve the residual rate T * max|phi' - c1| (a huge saving for
+    nearly-nondispersive bands such as the massive symbols at high k)."""
+
+    c0: float
+    c1: float
+    vmin: float
+    vmax: float
+    s: np.ndarray
+    ds: float
+    ws: np.ndarray
+    rho: np.ndarray
+
+
+def band_plan(symbol: DispersionSymbol, k: int, T: float, policy: QuadraturePolicy) -> BandPlan:
+    """The band-k carrier (from a 513-point phi' probe) and the residual grid
+    for times |t| <= T: ds * T * max|phi' - c1| <= 0.9 * policy phase step."""
+    slo, shi = band_edges(k)
+    dp = symbol.dphi(np.linspace(slo, shi, 513))
+    vmin, vmax = float(np.min(dp)), float(np.max(dp))
+    c1 = 0.5 * (vmin + vmax)
+    sc = 0.5 * (slo + shi)
+    c0 = float(symbol.phi(np.asarray(sc))) - c1 * sc
+    kappa = 0.9 * policy.max_phase_step
+    ns = int(np.ceil((shi - slo) * max(T * 0.5 * (vmax - vmin), 1.0) / kappa)) + 512
+    if ns > policy.refinement_limit * policy.panel_order:
+        raise QuadratureUnderresolved(f"band {k}: {ns} nodes exceed refinement limit")
+    s = np.linspace(slo, shi, ns)
+    ds = s[1] - s[0]
+    ws = np.full(ns, ds)
+    ws[0] *= 0.5
+    ws[-1] *= 0.5
+    return BandPlan(c0, c1, vmin, vmax, s, ds, ws, symbol.phi(s) - (c0 + c1 * s))
+
+
+def octave_ladder(T: float, dt0: float, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Octave-structured time nodes on [0, T], matching how dispersive
+    envelopes slow down: a first piece [0, 16 dt0] at step dt0, then octaves
+    [lo, 2 lo] of at most cap + 1 (at least 17) nodes each.  Returns the
+    nodes, their trapezoid weights and each node's octave index."""
+    first = min(16.0 * dt0, T)
+    pieces = [np.linspace(0.0, first, max(int(first / dt0) + 2, 17))]
+    lo = first
+    while lo < T * (1 - 1e-12):
+        hi = min(2.0 * lo, T)
+        npt = max(min(int((hi - lo) / dt0) + 2, cap + 1), 17)
+        pieces.append(np.linspace(lo, hi, npt)[1:])
+        lo = hi
+    t = np.concatenate(pieces)
+    edges = np.asarray([p[-1] for p in pieces])
+    return t, trapezoid_weights(t), np.searchsorted(edges, t, side="left")
 
 
 class BandFieldSampler:
@@ -93,30 +151,12 @@ class BandFieldSampler:
         self.config = config
         slo, shi = band_edges(k)
         sup_dp = symbol.sup_dphi(slo, shi)
-        # Carrier extraction: with c1 the Chebyshev center of phi' over the
-        # band, t phi(s) = t (c0 + c1 s) + t rho(s); the affine part is an
-        # exact chirp-Z window shift, so the frequency grid only has to
-        # resolve the residual rate T * max|phi' - c1| (a huge saving for
-        # nearly-nondispersive bands such as the massive symbols at high k).
-        s_probe = np.linspace(slo, shi, 513)
-        dp = symbol.dphi(s_probe)
-        vmin, vmax = float(np.min(dp)), float(np.max(dp))
-        self.c1 = 0.5 * (vmin + vmax)
-        sc = 0.5 * (slo + shi)
-        self.c0 = float(symbol.phi(np.asarray(sc))) - self.c1 * sc
-        env_rate = T * 0.5 * (vmax - vmin)
+        plan = band_plan(symbol, k, T, config.policy)
+        self.c0, self.c1, self.s, self.ds, self.rho = plan.c0, plan.c1, plan.s, plan.ds, plan.rho
+        ns, ws = self.s.size, plan.ws
         kappa = 0.9 * config.policy.max_phase_step
-        ns = int(np.ceil((shi - slo) * max(env_rate, 1.0) / kappa)) + 512
-        if ns > config.policy.refinement_limit * config.policy.panel_order:
-            raise QuadratureUnderresolved(f"band {k}: {ns} nodes exceed refinement limit")
-        self.s = np.linspace(slo, shi, ns)
-        self.ds = self.s[1] - self.s[0]
-        ws = np.full(ns, self.ds)
-        ws[0] *= 0.5
-        ws[-1] *= 0.5
         self.g = np.asarray(amplitude(self.s), dtype=complex)
         self.c_base = self.g * ws
-        self.rho = symbol.phi(self.s) - (self.c0 + self.c1 * self.s)
         self.mass_true = sphere_area(n) * float(
             np.sum(ws * np.abs(self.g) ** 2 * self.s ** (n - 1))
         )
@@ -143,7 +183,7 @@ class BandFieldSampler:
             # is sized by the time horizon after which transport has emptied
             # the inner region (the field there is then negligible by
             # non-stationary phase, enforced via `t_inner_max`)
-            self.t_inner_max = (self.r_c + 100.0 * 2.0 ** (-k)) / max(vmin, 1e-9)
+            self.t_inner_max = (self.r_c + 100.0 * 2.0 ** (-k)) / max(plan.vmin, 1e-9)
             t_in = min(T, self.t_inner_max)
             ns_in = int(np.ceil((shi - slo) * max(t_in * sup_dp, 1.0) / kappa)) + 64
             self.s_in = np.linspace(slo, shi, ns_in)
@@ -183,21 +223,8 @@ class BandFieldSampler:
         # octave time grid on [0, T] (amplitude real => |F| even in t)
         dphi_spread = abs(float(symbol.phi(np.asarray(shi))) - float(symbol.phi(np.asarray(slo))))
         dt0 = 2.0 * np.pi / (config.dt_frac * max(dphi_spread, 1e-30))
-        pieces = []
-        first = min(16.0 * dt0, T)
-        pieces.append(np.linspace(0.0, first, max(int(first / dt0) + 2, 17)))
-        lo = first
-        while lo < T * (1 - 1e-12):
-            hi = min(2.0 * lo, T)
-            npt = max(min(int((hi - lo) / dt0) + 2, config.nt_octave_cap + 1), 17)
-            pieces.append(np.linspace(lo, hi, npt)[1:])
-            lo = hi
-        self.t = np.concatenate(pieces)
-        self.wt = trapezoid_weights(self.t)
-        # octave labels for increment bookkeeping
-        edges = [p[-1] for p in pieces]
-        self.octave_of = np.searchsorted(np.asarray(edges), self.t, side="left")
-        self.n_octaves = len(pieces)
+        self.t, self.wt, self.octave_of = octave_ladder(T, dt0, config.nt_octave_cap)
+        self.n_octaves = int(self.octave_of[-1]) + 1
 
     # -- field access -------------------------------------------------------
 
@@ -230,44 +257,36 @@ class BandFieldSampler:
     def mass_at(self, t: float) -> float:
         """omega int |F(t,.)|^2 r^(n-1) dr over the sampled radius range."""
         f_in, f_out = self.field_at(t)
-        om = sphere_area(self.n)
-        w_in, w_out = self._r_weights(None)
-        tot = 0.0
-        if f_in.size:
-            tot += np.sum(w_in * np.abs(f_in) ** 2 * self.r_in ** (self.n - 1))
-        if f_out.size:
-            tot += np.sum(w_out * np.abs(f_out) ** 2 * self.r_out ** (self.n - 1))
-        return om * float(tot)
+        m_in, m_out = self.radial_measure()
+        tot = np.sum(m_in * np.abs(f_in) ** 2) + np.sum(m_out * np.abs(f_out) ** 2)
+        return sphere_area(self.n) * float(tot)
 
     # -- norms ---------------------------------------------------------------
 
-    def _r_weights(self, region: Optional[tuple]):
-        """(w_in, w_out) radial quadrature weights, optionally region-masked.
+    def radial_measure(self, region: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray]:
+        """(m_in, m_out): radial quadrature weights times r^(n-1) on the inner
+        and outer radius nodes, zero outside region = (lo, hi) if given.
 
         The inner block carries its Gauss-Legendre weights.  On the uniform
         outer grid the full-span rule is composite Simpson (odd node count by
         construction); a genuine sub-range mask falls back to trapezoid on
         the surviving nodes."""
-        w_in = self.w_in.copy() if self.r_in.size else np.empty(0)
+        w_in = self.w_in
+        w_out = np.full(self.r_out.size, self.dr * 2.0 / 3.0)
         if self.r_out.size:
-            w_out = np.full(self.r_out.size, self.dr * 2.0 / 3.0)
             w_out[1:-1:2] = self.dr * 4.0 / 3.0
             w_out[0] = w_out[-1] = self.dr / 3.0
-        else:
-            w_out = np.empty(0)
         if region is not None:
             lo, hi = region
-            if self.r_in.size:
-                w_in = np.where((self.r_in >= lo) & (self.r_in < hi), w_in, 0.0)
-            if self.r_out.size:
-                mask = (self.r_out >= lo) & (self.r_out < hi)
-                if not mask.all():
-                    w_out = np.where(mask, self.dr, 0.0)
-                    idx = np.nonzero(mask)[0]
-                    if idx.size:
-                        w_out[idx[0]] *= 0.5
-                        w_out[idx[-1]] *= 0.5
-        return w_in, w_out
+            w_in = np.where((self.r_in >= lo) & (self.r_in < hi), w_in, 0.0)
+            mask = (self.r_out >= lo) & (self.r_out < hi)
+            if not mask.all():
+                w_out = np.where(mask, self.dr, 0.0)
+                idx = np.nonzero(mask)[0]
+                if idx.size:
+                    w_out[idx[0]] *= 0.5
+                    w_out[idx[-1]] *= 0.5
+        return w_in * self.r_in ** (self.n - 1), w_out * self.r_out ** (self.n - 1)
 
     def norms(self, pairs: Sequence[tuple], region: Optional[tuple] = None) -> dict:
         """Mixed norms over |t| <= T and the radius region.
@@ -276,14 +295,11 @@ class BandFieldSampler:
         math.inf).  Returns {pair: (norm, per_octave_qpowers)}.
         """
         om = sphere_area(self.n)
-        w_in, w_out = self._r_weights(region)
-        mi = w_in * self.r_in ** (self.n - 1) if self.r_in.size else w_in
-        mo = w_out * self.r_out ** (self.n - 1) if self.r_out.size else w_out
+        mi, mo = self.radial_measure(region)
         acc = {p: np.zeros(self.n_octaves) for p in pairs}
         for t, wt, oct_i in zip(self.t, self.wt, self.octave_of):
             f_in, f_out = self.field_at(t)
-            a_in = np.abs(f_in) if f_in.size else f_in.real
-            a_out = np.abs(f_out) if f_out.size else f_out.real
+            a_in, a_out = np.abs(f_in), np.abs(f_out)
             for q, r in pairs:
                 if math.isinf(r):
                     inner = max(
@@ -291,12 +307,7 @@ class BandFieldSampler:
                         a_out.max() if a_out.size else 0.0,
                     )
                 else:
-                    tot = 0.0
-                    if a_in.size:
-                        tot += np.sum(a_in**r * mi)
-                    if a_out.size:
-                        tot += np.sum(a_out**r * mo)
-                    inner = (om * tot) ** (1.0 / r)
+                    inner = (om * (np.sum(a_in**r * mi) + np.sum(a_out**r * mo))) ** (1.0 / r)
                 # factor 2: even extension to t < 0
                 acc[(q, r)][oct_i] += 2.0 * wt * inner**q
         return {p: (float(np.sum(v) ** (1.0 / p[0])), v) for p, v in acc.items()}

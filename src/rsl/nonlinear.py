@@ -219,9 +219,7 @@ def picard_solve(
         grid = build_solver_grid(problem.n, band, problem.p, T, _time_grid_for(problem, band, T))
     s = grid.freq.nodes
     omega = problem.omega(s)
-    h0 = np.asarray(problem.data.fn(s), dtype=complex) if problem.data.fn is not None else np.interp(
-        s, problem.data.grid.nodes, problem.data.values.real
-    ) + 1j * np.interp(s, problem.data.grid.nodes, problem.data.values.imag)
+    h0 = problem.data.at(s)
     t = grid.t
     linear = np.exp(1j * np.outer(t, omega)) * h0[None, :]
     qr = (float(pairs.q), float(pairs.r))
@@ -304,15 +302,8 @@ def _picard_solve_wave(
     t = grid.t
     dt = t[1] - t[0]
 
-    def sample(profile):
-        if profile.fn is not None:
-            return np.asarray(profile.fn(s), dtype=complex)
-        return np.interp(s, profile.grid.nodes, profile.values.real) + 1j * np.interp(
-            s, profile.grid.nodes, profile.values.imag
-        )
-
-    h0 = sample(problem.data)
-    h1 = sample(problem.data_velocity) if problem.data_velocity is not None else np.zeros_like(h0)
+    h0 = problem.data.at(s)
+    h1 = problem.data_velocity.at(s) if problem.data_velocity is not None else np.zeros_like(h0)
     cos_t = np.cos(np.outer(t, s))
     sinc_t = np.sin(np.outer(t, s)) / s[None, :]
     lin_u = cos_t * h0[None, :] + sinc_t * h1[None, :]

@@ -1,5 +1,4 @@
-"""Mixed space-time Lebesgue norms, homogeneous Sobolev norms, and the
-adaptive time-window rule.
+"""Mixed space-time Lebesgue norms and homogeneous Sobolev norms.
 
 Radial integrals carry the full spherical measure omega_{n-1} r^(n-1) dr so
 reported numbers are genuine R^n norms.  Domain restriction works by node
@@ -12,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import DomainNotCovered, NonConvergent
+from .errors import DomainNotCovered
 from .propagator import SpaceTimeField
 from .transform import RadialProfile, sphere_area
 
@@ -89,73 +88,3 @@ def sobolev_norm(profile: RadialProfile, s: float) -> float:
     g = profile.grid
     val = np.sum(g.weights * np.abs(profile.values) ** 2 * g.nodes ** (2.0 * s + profile.n - 1))
     return float(np.sqrt(sphere_area(profile.n) * val))
-
-
-@dataclass(frozen=True)
-class WindowResult:
-    T: float
-    norm: float
-    converged: bool
-    nonconvergent: bool
-    increments: tuple
-    extrapolated: Optional[float] = None
-
-
-def adaptive_window(
-    field_source: Callable,
-    spec: Optional[MixedNormSpec] = None,
-    tol: float = 1e-2,
-    T0: float = 16.0,
-    max_doublings: int = 6,
-    growth_threshold: float = 0.9,
-    strict: bool = False,
-) -> WindowResult:
-    """Double the time window until the norm increment over the last doubling
-    is <= tol * norm.
-
-    `field_source(T)` returns either the norm over window T directly, or a
-    SpaceTimeField covering [-T, T] (then `spec` selects the norm).  When the
-    relative increments stop below tol the run converged.  When successive
-    increment ratios stay above `growth_threshold` while the tolerance is
-    unmet, the growth does not saturate (log-divergence signature) and the
-    result is flagged NONCONVERGENT (raised if strict=True).  A geometric
-    tail estimate extrapolated from the final ratio is attached when the
-    ratios decay.
-    """
-    if spec is not None and math.isinf(spec.q):
-        raise ValueError("adaptive window needs q < inf")
-
-    def measure(T):
-        out = field_source(T)
-        if isinstance(out, SpaceTimeField):
-            if spec is None:
-                raise ValueError("a MixedNormSpec is required for field sources")
-            return mixed_norm(out, spec)
-        return float(out)
-
-    T = T0
-    norms = [measure(T)]
-    increments = []
-    for _ in range(max_doublings):
-        T *= 2.0
-        norms.append(measure(T))
-        inc = norms[-1] - norms[-2]
-        increments.append(inc)
-        base = norms[-1] if norms[-1] > 0 else 1.0
-        if abs(inc) <= tol * base:
-            return WindowResult(T, norms[-1], True, False, tuple(increments))
-    ratios = [
-        increments[i + 1] / increments[i]
-        for i in range(len(increments) - 1)
-        if increments[i] > 0
-    ]
-    tail_ratio = ratios[-1] if ratios else 1.0
-    nonconv = tail_ratio >= growth_threshold or not ratios
-    extrap = None
-    if not nonconv and increments and 0 < tail_ratio < 1:
-        extrap = norms[-1] + increments[-1] * tail_ratio / (1.0 - tail_ratio)
-    if nonconv and strict:
-        raise NonConvergent(
-            f"window increments not saturating (last ratio {tail_ratio:.3f})"
-        )
-    return WindowResult(T, norms[-1], False, nonconv, tuple(increments), extrap)

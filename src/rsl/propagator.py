@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bessel import radial_kernel
+from .cutoffs import dyadic_cutoff
 from .dispersion import DispersionSymbol
 from .errors import QuadratureUnderresolved, SplitDomainError
 from .grids import (
@@ -104,16 +105,7 @@ def _integration_grid(
         lo, hi = band_edges(k)
         budget = t_max * symbol.sup_dphi(lo, hi) + r_max
         fg = band_grid(k, budget, policy)
-        if profile.fn is not None:
-            vals = np.asarray(profile.fn(fg.nodes), dtype=complex)
-        else:
-            vals = np.interp(fg.nodes, profile.grid.nodes, profile.values.real) + 1j * np.interp(
-                fg.nodes, profile.grid.nodes, profile.values.imag
-            )
-        from .cutoffs import dyadic_cutoff
-
-        vals = vals * dyadic_cutoff(k, fg.nodes)
-        return fg, vals
+        return fg, profile.at(fg.nodes) * dyadic_cutoff(k, fg.nodes)
     # un-projected path: integrate on the profile's own grid, checking resolution
     fg = profile.grid
     lo, hi = fg.span
@@ -253,8 +245,6 @@ def duhamel(
     fg = forcing.grid
     vals = forcing.values
     if k is not None:
-        from .cutoffs import dyadic_cutoff
-
         vals = vals * dyadic_cutoff(k, fg.nodes)[None, :]
     lo, hi = fg.span
     budget = float(np.max(np.abs(t))) * symbol.sup_dphi(lo, hi) + float(np.max(grid.r_nodes))

@@ -34,7 +34,14 @@ from scipy import special
 from .bessel import radial_kernel
 from .cutoffs import dyadic_cutoff
 from .errors import QuadratureUnderresolved
-from .grids import DEFAULT_POLICY, FrequencyGrid, QuadraturePolicy
+from .grids import (
+    DEFAULT_POLICY,
+    FrequencyGrid,
+    QuadraturePolicy,
+    band_edges,
+    trapezoid_weights,
+    uniform_grid,
+)
 
 
 def sphere_area(n: int) -> float:
@@ -65,6 +72,14 @@ class RadialProfile:
             raise ValueError("profile values must be finite")
         if self.n < 2:
             raise ValueError("ambient dimension must be >= 2")
+
+    def at(self, s: np.ndarray) -> np.ndarray:
+        """h(s) from `fn` when present, else by linear interpolation of the
+        real and imaginary parts of the samples."""
+        if self.fn is not None:
+            return np.asarray(self.fn(s), dtype=complex)
+        nodes = self.grid.nodes
+        return np.interp(s, nodes, self.values.real) + 1j * np.interp(s, nodes, self.values.imag)
 
     def with_values(self, values: np.ndarray, keep_fn: bool = False) -> "RadialProfile":
         return replace(self, values=np.asarray(values, dtype=complex), fn=self.fn if keep_fn else None)
@@ -142,26 +157,27 @@ def profile_from_csv(csv_path, n: int) -> RadialProfile:
             rows.append((float(row[0]), float(row[1]), float(row[2])))
     s = np.array([r[0] for r in rows])
     vals = np.array([complex(r[1], r[2]) for r in rows])
-    from .grids import trapezoid_weights
-
     return RadialProfile(FrequencyGrid(s, trapezoid_weights(s)), vals, n)
 
 
-def canonical_band_profile(n: int, k: int, grid: Optional[FrequencyGrid] = None) -> RadialProfile:
+def canonical_band_amplitude(n: int, k: int) -> Callable[[np.ndarray], np.ndarray]:
     """The default measurement datum: h = psi_k(s) s^(-(n-1)/2), normalized to
     unit L^2.  Flat across the band after the s^(n-1) measure is folded in."""
-    lo, hi = 2.0 ** (k - 1), 2.0 ** (k + 1)
+    lo, hi = band_edges(k)
     # normalization: omega * int psi_k^2 ds, computed on a fine reference grid
     s_ref = np.linspace(lo, hi, 8001)
     z2 = sphere_area(n) * np.trapezoid(dyadic_cutoff(k, s_ref) ** 2, s_ref)
     z = float(np.sqrt(z2))
 
-    def fn(s, _k=k, _n=n, _z=z):
+    def amp(s, _k=k, _n=n, _z=z):
         s = np.asarray(s, dtype=float)
         return dyadic_cutoff(_k, s) * s ** (-(_n - 1) / 2.0) / _z
 
-    if grid is None:
-        from .grids import uniform_grid
+    return amp
 
-        grid = uniform_grid(lo, hi, 2049)
-    return profile_from_fn(fn, grid, n)
+
+def canonical_band_profile(n: int, k: int, grid: Optional[FrequencyGrid] = None) -> RadialProfile:
+    """The canonical band datum on `grid` (default: 2049 uniform nodes)."""
+    if grid is None:
+        grid = uniform_grid(*band_edges(k), 2049)
+    return profile_from_fn(canonical_band_amplitude(n, k), grid, n)

@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -96,3 +95,26 @@ def test_flag_equals_form_beats_config(tmp_path):
     rep = json.loads((tmp_path / "neg" / "report.json").read_text())
     assert rep["config"]["k"] == -1
     assert rep["config"]["q"] == "4"
+
+
+def test_config_validate_only_false_runs(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("validate_only = False\n")
+    code = main(["--config", str(cfg), "--output", str(tmp_path), "--run-id", "vo",
+                 "thresholds", "--n", "3"])
+    assert code == 0
+    assert (tmp_path / "vo" / "report.json").exists()
+    cfg.write_text("validate_only = maybe\n")
+    assert main(["--config", str(cfg), "thresholds"]) == 2
+
+
+def test_config_malformed_line_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n 3\n")
+    assert main(["--config", str(cfg), "thresholds"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_config_missing_file_exits_2(tmp_path, capsys):
+    assert main(["--config", str(tmp_path / "absent.cfg"), "thresholds"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

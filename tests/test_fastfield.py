@@ -4,9 +4,9 @@ import pytest
 from rsl.dispersion import get_symbol
 from rsl.estimates import canonical_band_amplitude
 from rsl.fastfield import BandFieldSampler, SamplerConfig, band_norm_adaptive, czt_points
-from rsl.grids import PhysicalGrid, uniform_grid
+from rsl.grids import PhysicalGrid, band_edges, uniform_grid
 from rsl.propagator import evolve
-from rsl.transform import RadialProfile, profile_from_fn
+from rsl.transform import profile_from_fn
 
 SCH = get_symbol("schrodinger")
 
@@ -24,20 +24,39 @@ def test_czt_matches_direct_sum():
         np.testing.assert_allclose(fast, direct, atol=1e-10)
 
 
-def test_sampler_field_matches_evolve():
-    # |F| from the chirp-Z path vs direct kernel quadrature
-    amp = canonical_band_amplitude(2, 0)
-    sampler = BandFieldSampler(SCH, 2, 0, amp, T=6.0)
-    prof = profile_from_fn(amp, uniform_grid(0.5, 2.0, 2049), 2)
-    for t in (0.0, 2.0, 6.0):
-        f_in, f_out = sampler.field_at(t)
-        r_all = np.concatenate([sampler.r_in, sampler.r_out])
-        vals = np.concatenate([f_in, f_out])
-        sel = slice(0, r_all.size, 25)
-        fld = evolve(SCH, prof, None, PhysicalGrid(np.maximum(r_all[sel], 1e-12), np.array([0.0, t]) if t > 0 else np.array([0.0, 1.0])))
-        ref = fld.values[1 if t > 0 else 0]
-        scale = np.max(np.abs(ref))
-        assert np.max(np.abs(vals[sel] - ref)) / scale < 2e-4
+CATALOG_CASES = [
+    ("schrodinger", 2, 0, None),
+    ("schrodinger", 3, -1, None),
+    ("wave", 3, 1, None),
+    ("klein-gordon", 4, 2, None),
+    ("beam", 5, -2, None),
+    ("fourth-order", 2, 1, None),
+    ("fractional:1.5", 2, 0, None),
+    ("schrodinger", 4, 0, (8.0, 16.0)),
+    ("wave", 5, 0, (0.0, 6.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, n, k, r_window", CATALOG_CASES,
+    ids=[f"{c[0].replace(':', '')}-n{c[1]}-k{c[2]}" + ("-window" if c[3] else "")
+         for c in CATALOG_CASES],
+)
+def test_sampler_field_matches_evolve(name, n, k, r_window):
+    # F from the chirp-Z path vs dense kernel quadrature of the same datum
+    sym = get_symbol(name)
+    T = 4.0 if name == "wave" else 4.0 * 2.0 ** (-k)
+    amp = canonical_band_amplitude(n, k)
+    sampler = BandFieldSampler(sym, n, k, amp, T=T, r_window=r_window)
+    prof = profile_from_fn(amp, uniform_grid(*band_edges(k), 8193), n)
+    r = np.concatenate([sampler.r_in, sampler.r_out])
+    sel = slice(0, None, max(r.size // 40, 1))
+    r = r[sel]
+    times = np.array([0.0, T / 2, T])
+    ref = evolve(sym, prof, None, PhysicalGrid(np.maximum(r, 1e-12), times)).values
+    for t, ref_t in zip(times, ref):
+        vals = np.concatenate(sampler.field_at(t))[sel]
+        assert np.max(np.abs(vals - ref_t)) / np.max(np.abs(ref_t)) < 1e-7
 
 
 def test_sampler_mass_conservation():
@@ -64,6 +83,20 @@ def test_adaptive_band_norm_converges():
     # octave contributions decay geometrically for q = 4 > 10/3
     tail = [p for p in r.octave_powers if p > 0][-3:]
     assert tail[-1] < tail[0]
+    # so the geometric tail extrapolation exists and adds less than tol
+    assert np.isfinite(r.extrapolated)
+    assert abs(r.extrapolated - r.norm) <= 1e-2 * r.norm
+
+
+def test_adaptive_band_norm_flags_unitary_l2():
+    # ||F(t)||_2 is constant in t, so the (2, 2) octave powers grow with the
+    # octave length: no saturation and no geometric tail to extrapolate
+    amp = canonical_band_amplitude(2, 0)
+    res = band_norm_adaptive(SCH, 2, 0, amp, [(2.0, 2.0)], T0=16.0, max_doublings=1)
+    r = res[(2.0, 2.0)]
+    assert r.octave_powers[-1] >= r.octave_powers[-2]
+    assert r.nonconvergent and not r.converged
+    assert r.extrapolated is None
 
 
 def test_annulus_window_restriction():

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from rsl.dispersion import get_symbol
 from rsl.errors import DomainNotCovered
-from rsl.grids import PhysicalGrid, gauss_panel_grid
-from rsl.norms import MixedNormSpec, adaptive_window, mixed_norm, sobolev_norm
+from rsl.grids import PhysicalGrid
+from rsl.norms import MixedNormSpec, mixed_norm, sobolev_norm
 from rsl.propagator import SpaceTimeField
-from rsl.transform import RadialProfile, canonical_band_profile, l2_norm, project
+from rsl.transform import canonical_band_profile, l2_norm, project
 
 
 def _field(values, r, t, n=2):
@@ -122,46 +122,3 @@ def test_grid_refinement_stability():
         fld = evolve(sym, prof, 0, PhysicalGrid(r, t))
         vals.append(mixed_norm(fld, MixedNormSpec(4, 4)))
     assert abs(vals[1] - vals[0]) / vals[1] < 5e-3
-
-
-def test_adaptive_window_convergent_and_zero():
-    # geometric saturation: norm(T) = 1 - 2^-T/8
-    res = adaptive_window(lambda T: 1.0 - 2.0 ** (-T / 8.0), tol=1e-2, T0=8.0)
-    assert res.converged
-    res0 = adaptive_window(lambda T: 0.0, tol=1e-2, T0=16.0)
-    assert res0.converged and res0.norm == 0.0 and res0.T == 32.0
-
-
-def test_adaptive_window_log_divergence_flagged():
-    from rsl.errors import NonConvergent
-
-    res = adaptive_window(lambda T: math.log(2.0 + T) ** 0.25, tol=1e-2, T0=8.0, max_doublings=6)
-    assert res.nonconvergent and not res.converged
-    with pytest.raises(NonConvergent):
-        adaptive_window(lambda T: math.log(2.0 + T) ** 0.25, tol=1e-2, T0=8.0,
-                        max_doublings=6, strict=True)
-
-
-def test_adaptive_window_extrapolation():
-    res = adaptive_window(lambda T: 1.0 - 1.0 / T, tol=1e-4, T0=2.0, max_doublings=3)
-    assert not res.converged and not res.nonconvergent
-    assert res.extrapolated == pytest.approx(1.0, abs=0.05)
-
-
-def test_adaptive_window_on_field_source():
-    # field-valued source with a norm spec: a dispersive band evolution whose
-    # L^4_{t,x} norm saturates as the window grows
-    from rsl.propagator import evolve
-    from rsl.transform import canonical_band_profile
-
-    sym = get_symbol("schrodinger")
-    prof = canonical_band_profile(2, 0)
-
-    def source(T):
-        r = np.linspace(1e-6, 4.4 * T + 40.0, int(24 * T) + 240)
-        t = np.linspace(0.0, T, int(10 * T) + 11)
-        return evolve(sym, prof, 0, PhysicalGrid(r, t))
-
-    res = adaptive_window(source, MixedNormSpec(4, 4), tol=5e-2, T0=8.0,
-                          max_doublings=3)
-    assert res.norm > 0 and (res.converged or res.extrapolated is not None)
