@@ -3,7 +3,8 @@
 One subcommand per experiment; every run writes <outdir>/<run-id>/report.json,
 data.csv and plot.dat.  Exit status: 0 on PASS or informational completion,
 1 on a FAIL verdict, 2 on configuration errors.  A config file of `key = value`
-lines can seed any subcommand's flags (flags win).  Rational exponents may be
+lines can seed the selected subcommand's flags (flags win; any other key is an
+error).  Rational exponents may be
 given as 'a/b' strings and are kept exact where the arithmetic is exact.
 """
 
@@ -118,8 +119,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
         r=dict(default="4"), deltas=dict(default="0.125,0.0625,0.03125,0.015625"))
     add("l6", **common_symbol, k=dict(default="-2..2"))
     add("retarded", **common_symbol, q=dict(default="10/3"), r=dict(default="10/3"),
-        qt=dict(default="10/3"), rt=dict(default="10/3"), gamma=dict(default="0"),
-        trials=dict(type=int, default=4))
+        qt=dict(default="10/3"), rt=dict(default="10/3"), trials=dict(type=int, default=4))
     add("admissible", family=dict(default="schrodinger"), n=dict(type=int, default=2),
         q=dict(default="10/3"), r=dict(default="10/3"))
     add("thresholds", n=dict(type=int, default=2), p=dict(default=None))
@@ -143,35 +143,47 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     return ap
 
 
+# string-valued flags and the parser each must pass before a run
+_VALUE_PARSERS = {
+    "k": _parse_range, "j": _parse_range, "seeds": _parse_range,
+    "t": _parse_floats, "R": _parse_floats, "deltas": _parse_floats,
+    "s": Fraction, "s_sch": Fraction, "theta": Fraction, "p": Fraction, "symbol": get_symbol,
+    "q": _q, "r": _q, "qt": _q, "rt": _q,
+}
+
+
 def validate(args) -> list:
     """All violations detectable before running anything."""
-    bad = []
     cmd = args.command
+    bad = []
+    parsed = {}
+    for attr, parse in _VALUE_PARSERS.items():
+        val = getattr(args, attr, None)
+        if isinstance(val, str):
+            try:
+                parsed[attr] = parse(val)
+            except (ValueError, ZeroDivisionError, KeyError, RslError):
+                bad.append(f"cannot parse {attr}={val!r}")
     if cmd == "solve-fnls":
         n = args.n
         if not (2.0 * n / (2.0 * n - 1.0) <= args.sigma < 2.0):
             bad.append(f"OutOfRangeSigma: sigma={args.sigma} outside [2n/(2n-1), 2)")
         if args.p < 2.0 * args.sigma / n - 1e-12:
             bad.append(f"OutOfRangeSigma: p={args.p} below mass-critical 2 sigma/n")
-    if cmd == "solve-nls":
-        s = float(Fraction(args.s))
+    if cmd == "solve-nls" and "s" in parsed:
+        s = float(parsed["s"])
         n = args.n
         if not ((1 - n) / (2 * n + 1) <= s < 0):
             bad.append(f"OutOfRangeS: s={s} outside [(1-n)/(2n+1), 0)")
-    if cmd == "solve-nlw":
-        s = float(Fraction(args.s))
+    if cmd == "solve-nlw" and "s" in parsed:
+        s = float(parsed["s"])
         if not (adm.s0(args.n) < s < 0.5):
             bad.append(f"OutOfRangeS: s_w={s} outside (s0(n), 1/2)")
-    for attr in ("q", "r", "qt", "rt"):
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            try:
-                val = adm.parse_exponent(getattr(args, attr))
-                if val != math.inf and val < 2 and cmd in (
-                    "fit-k", "fit-j", "norm-sweep", "retarded", "admissible", "smoothing"
-                ):
-                    bad.append(f"exponent {attr}={val} must be >= 2 here")
-            except (ValueError, ZeroDivisionError):
-                bad.append(f"cannot parse exponent {attr}={getattr(args, attr)!r}")
+    if cmd in ("fit-k", "fit-j", "norm-sweep", "retarded", "admissible", "smoothing"):
+        for attr in ("q", "r", "qt", "rt"):
+            val = parsed.get(attr)
+            if val is not None and val != math.inf and val < 2:
+                bad.append(f"exponent {attr}={val} must be >= 2 here")
     return bad
 
 
@@ -275,7 +287,7 @@ def _dispatch(args) -> RunReport:
     if cmd == "retarded":
         sym = get_symbol(args.symbol)
         rep = est.retarded_strichartz_check(sym, args.n, (_q(args.q), _q(args.r)),
-                                            (_q(args.qt), _q(args.rt)), _q(args.gamma),
+                                            (_q(args.qt), _q(args.rt)),
                                             trials=args.trials, seed=args.seed)
         return RunReport(cmd, cfg, "PASS" if rep.passed else "FAIL",
                          {"max_ratio": rep.max_ratio},
@@ -389,7 +401,11 @@ def main(argv=None) -> int:
     try:
         if args.config:
             # argparse converts string defaults with each flag's own type
-            args = build_parser(read_config(args.config)).parse_args(argv)
+            config = read_config(args.config)
+            args = build_parser(config).parse_args(argv)
+            unknown = sorted(set(config) - (set(vars(args)) - {"command"}))
+            if unknown:
+                raise ConfigError(f"config keys {unknown} name no flag of {args.command!r}")
         violations = validate(args)
         if args.validate_only:
             print(json.dumps({"violations": violations}, indent=2))

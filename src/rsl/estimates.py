@@ -724,7 +724,6 @@ def retarded_strichartz_check(
     n: int,
     pair: tuple,
     pair_t: tuple,
-    gamma=0,
     trials: int = 4,
     seed: int = 0,
     T: float = 24.0,

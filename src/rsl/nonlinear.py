@@ -1,18 +1,23 @@
 """Picard/Duhamel fixed-point solvers for the radial semilinear problems.
 
-All three schemes iterate  u^(m+1) = linear + mu * retarded(|u^m|^p u^m)  in
-frequency space.  The linear group and the per-step retarded integrals use
-the exact multiplier (propagator._etd_coeffs); the nonlinearity is evaluated
-pointwise on a physical radius grid reached through a fixed quadrature
+All three schemes iterate  a^(m+1) = linear + retarded(forcing(a^m))  in
+frequency space with the one loop `picard_solve`.  The linear group and the
+per-step retarded integrals use the exact multiplier
+(propagator.duhamel_coefficients); the nonlinearity is evaluated pointwise
+on a physical radius grid reached through a fixed quadrature
 synthesis/analysis pair.  Because analysis is the weighted adjoint of
 synthesis, the discrete nonlinear mass flux Im <|u|^p u, u> vanishes exactly
 and the measured mass drift isolates the time-integration error.
 
-Generator multipliers (frequency symbol of -i * linear part):
+Generator multipliers (NonlinearProblem.generator_symbol, group e^{i t omega}):
 
-    semilinear Schrodinger   omega(s) = -s^2        (group e^{-i t s^2})
+    semilinear Schrodinger   omega(s) = -s^2
     fractional Schrodinger   omega(s) = +s^sigma
-    semilinear wave          cos(ts), sin(ts)/s pair on (u, u_t)
+    semilinear wave          omega(s) = +s
+
+The wave equation u_tt + s^2 u = mu F is first order in the complex unknown
+a = u_t + i s u of real data:  a' = i s a + mu F,  so it is the Schrodinger
+form with forcing i mu F; the field is u = Im(a) / s.
 
 Negative-regularity data are synthesized band-limited with a prescribed
 homogeneous Sobolev norm; the truncation band is recorded in every report.
@@ -29,11 +34,11 @@ import numpy as np
 from .admissibility import PairSelection, choose_pairs_nls, choose_pairs_nlw, s0
 from .bessel import radial_kernel
 from .cutoffs import smooth_bump
-from .dispersion import DispersionSymbol
-from .errors import NonContraction, OutOfRangeS, OutOfRangeSigma
+from .dispersion import DispersionSymbol, get_symbol
+from .errors import DomainError, NonContraction, OutOfRangeS, OutOfRangeSigma
 from .grids import FrequencyGrid, PhysicalGrid, trapezoid_weights
 from .norms import sobolev_norm
-from .propagator import SpaceTimeField, _etd_coeffs, duhamel_coefficients
+from .propagator import SpaceTimeField, duhamel_coefficients
 from .transform import RadialProfile, sphere_area
 
 
@@ -47,19 +52,13 @@ class NonlinearProblem:
     n: int
     p: float
     mu: int
-    s: float
     data: RadialProfile           # u0_hat
     data_velocity: Optional[RadialProfile] = None  # u1_hat (nlw)
     sigma: Optional[float] = None
 
-    def omega(self, s: np.ndarray) -> np.ndarray:
-        if self.kind == "nls":
-            return -np.asarray(s, dtype=float) ** 2
-        if self.kind == "fnls":
-            return np.asarray(s, dtype=float) ** self.sigma
-        raise ValueError("wave evolution uses the cos/sin pair, not omega")
-
     def generator_symbol(self) -> DispersionSymbol:
+        """The linear group e^{i t omega(s)}; its phi is omega and its
+        sup_dphi over the data band is the group speed."""
         if self.kind == "nls":
             return DispersionSymbol(
                 "nls-generator",
@@ -77,7 +76,7 @@ class NonlinearProblem:
                 d2phi=lambda s: sig * (sig - 1.0) * np.asarray(s, dtype=float) ** (sig - 2.0),
                 m1=sig, m2=sig, alpha1=sig, alpha2=sig,
             )
-        raise ValueError("no single generator symbol for the wave system")
+        return get_symbol("wave")
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,6 @@ class SolverGrid:
     t: np.ndarray
     synth: np.ndarray    # (n_s, n_r): ws s^(n-1) K_n(s r) folded
     anal: np.ndarray     # (n_r, n_s): wr r^(n-1) K_n(s r) folded
-    n: int
-    band: tuple
 
     def to_physical(self, coeff: np.ndarray) -> np.ndarray:
         return coeff @ self.synth
@@ -137,17 +134,7 @@ def build_solver_grid(
     anal = (kern * (wr * r ** (n - 1))[None, :]).T
     nt = int(np.ceil(T * (p + 1.0) * max(abs(s_hi_d) ** 2, 1.0) * 8.0 / np.pi)) + 1
     t = np.linspace(0.0, T, max(nt, 65))
-    return SolverGrid(freq, r, wr, t, synth, anal, n, band)
-
-
-def _time_grid_for(problem: NonlinearProblem, band: tuple, T: float) -> float:
-    """Group speed bound used for the radius extent."""
-    s_hi = band[1]
-    if problem.kind == "nls":
-        return 2.0 * s_hi
-    if problem.kind == "fnls":
-        return problem.sigma * s_hi ** (problem.sigma - 1.0)
-    return 1.0
+    return SolverGrid(freq, r, wr, t, synth, anal)
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +169,7 @@ def _mass(freq: FrequencyGrid, coeff: np.ndarray, n: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# Picard iteration (Schrodinger-type)
+# Picard iteration
 # --------------------------------------------------------------------------
 
 def _resolution_norm(grid: SolverGrid, phys: np.ndarray, n: int, q: float, r: float) -> float:
@@ -198,6 +185,15 @@ def _resolution_norm(grid: SolverGrid, phys: np.ndarray, n: int, q: float, r: fl
     return float(np.sum(wt * inner**q) ** (1.0 / q))
 
 
+def _wave_initial_state(problem: NonlinearProblem, s: np.ndarray) -> np.ndarray:
+    """a0 = h1 + i s h0 from real data (u0_hat, u1_hat)."""
+    h0 = problem.data.at(s)
+    h1 = problem.data_velocity.at(s) if problem.data_velocity is not None else np.zeros_like(h0)
+    if np.any(h0.imag != 0) or np.any(h1.imag != 0):
+        raise DomainError("nlw data and velocity must be real")
+    return h1.real + 1j * s * h0.real
+
+
 def picard_solve(
     problem: NonlinearProblem,
     pairs: PairSelection,
@@ -210,32 +206,41 @@ def picard_solve(
     """Iterate the Duhamel map until the resolution-norm difference of
     successive iterates falls below tol (relative to the first iterate).
 
+    The iterate is the frequency trajectory a(t, s) of a' = i omega a - i G
+    with G = mu |u|^p u (Schrodinger kinds, u = a) or G = i mu |u|^p u
+    (wave, u = Im(a) / s); the returned field stores a in `freq`.
+
     `nonlinearity_scale` multiplies the nonlinear coefficient; 0 reproduces
     the linear evolution exactly (bit-for-bit, same code path)."""
-    if problem.kind == "nlw":
-        return _picard_solve_wave(problem, pairs, T, grid, max_iter, tol, nonlinearity_scale)
+    wave = problem.kind == "nlw"
     band = (float(problem.data.grid.nodes[0]), float(problem.data.grid.nodes[-1]))
+    generator = problem.generator_symbol()
     if grid is None:
-        grid = build_solver_grid(problem.n, band, problem.p, T, _time_grid_for(problem, band, T))
+        grid = build_solver_grid(problem.n, band, problem.p, T, generator.sup_dphi(*band))
     s = grid.freq.nodes
-    omega = problem.omega(s)
-    h0 = problem.data.at(s)
+    omega = generator.phi(s)
+    h0 = _wave_initial_state(problem, s) if wave else problem.data.at(s)
     t = grid.t
     linear = np.exp(1j * np.outer(t, omega)) * h0[None, :]
+
+    def synthesize(a):
+        return grid.to_physical(a.imag / s) if wave else grid.to_physical(a)
+
     qr = (float(pairs.q), float(pairs.r))
     coeff = linear
-    phys = grid.to_physical(coeff)
+    phys = synthesize(coeff)
     iterate_norms = [_resolution_norm(grid, phys, problem.n, *qr)]
     diff_norms = []
     mu_eff = problem.mu * nonlinearity_scale
+    gain = 1j * mu_eff if wave else mu_eff
     converged = False
     for it in range(max_iter):
         if mu_eff == 0:
             converged = True
             break
         forcing = grid.to_frequency(np.abs(phys) ** problem.p * phys)
-        coeff_new = linear + duhamel_coefficients(omega, t, mu_eff * forcing)
-        phys_new = grid.to_physical(coeff_new)
+        coeff_new = linear + duhamel_coefficients(omega, t, gain * forcing)
+        phys_new = synthesize(coeff_new)
         diff = _resolution_norm(grid, phys_new - phys, problem.n, *qr)
         diff_norms.append(diff)
         coeff, phys = coeff_new, phys_new
@@ -253,15 +258,18 @@ def picard_solve(
         if diff_norms[i] > 0
     ]
     contraction = float(np.max(factors)) if factors else 0.0
-    masses = [_mass(grid.freq, coeff[i], problem.n) for i in range(0, t.size, max(t.size // 16, 1))]
-    drift = float(np.max(np.abs(np.asarray(masses) - masses[0])) / masses[0]) if masses[0] > 0 else 0.0
+    drift = 0.0
+    if not wave:
+        masses = [_mass(grid.freq, coeff[i], problem.n)
+                  for i in range(0, t.size, max(t.size // 16, 1))]
+        if masses[0] > 0:
+            drift = float(np.max(np.abs(np.asarray(masses) - masses[0])) / masses[0])
     trace = PicardTrace(
         tuple(iterate_norms), tuple(diff_norms), contraction, converged, drift,
         {"band": band, "T": T, "pair": qr},
     )
-    pgrid = PhysicalGrid(grid.r[1:], t) if grid.r[0] <= 0 else PhysicalGrid(grid.r, t)
-    vals = phys[:, 1:] if grid.r[0] <= 0 else phys
-    fld = SpaceTimeField(pgrid, vals, problem.n, source="duhamel", freq=(grid.freq, coeff))
+    fld = SpaceTimeField(PhysicalGrid(grid.r, t), phys, problem.n, source="duhamel",
+                         freq=(grid.freq, coeff))
     return fld, trace
 
 
@@ -282,117 +290,21 @@ def scattering_state(field: SpaceTimeField, symbol: DispersionSymbol, s: float) 
     return ScatteringDiagnostic(tuple(t), tuple(devs), u_plus)
 
 
-# --------------------------------------------------------------------------
-# wave system
-# --------------------------------------------------------------------------
-
-def _picard_solve_wave(
-    problem: NonlinearProblem,
-    pairs: PairSelection,
-    T: float,
-    grid: Optional[SolverGrid],
-    max_iter: int,
-    tol: float,
-    nonlinearity_scale: float,
-) -> tuple[SpaceTimeField, PicardTrace]:
-    band = (float(problem.data.grid.nodes[0]), float(problem.data.grid.nodes[-1]))
-    if grid is None:
-        grid = build_solver_grid(problem.n, band, problem.p, T, 1.0)
-    s = grid.freq.nodes
-    t = grid.t
-    dt = t[1] - t[0]
-
-    h0 = problem.data.at(s)
-    h1 = problem.data_velocity.at(s) if problem.data_velocity is not None else np.zeros_like(h0)
-    cos_t = np.cos(np.outer(t, s))
-    sinc_t = np.sin(np.outer(t, s)) / s[None, :]
-    lin_u = cos_t * h0[None, :] + sinc_t * h1[None, :]
-    lin_v = -np.sin(np.outer(t, s)) * s[None, :] * h0[None, :] + cos_t * h1[None, :]
-
-    def retarded(F):
-        # (u, v) += int_0^t [sin((t-tau)s)/s, cos((t-tau)s)] F(tau) dtau per step
-        z = 1j * s * dt
-        a_c, b_c = _etd_coeffs(z)
-        cd, sd = np.cos(s * dt), np.sin(s * dt)
-        u = np.zeros_like(F)
-        v = np.zeros_like(F)
-        for i in range(1, t.size):
-            step = dt * (F[i - 1] * a_c + F[i] * b_c)
-            iu = step.imag / s
-            iv = step.real
-            u_prev, v_prev = u[i - 1], v[i - 1]
-            u[i] = cd * u_prev + sd / s * v_prev + iu
-            v[i] = -s * sd * u_prev + cd * v_prev + iv
-        return u, v
-
-    qr = (float(pairs.q), float(pairs.r) if pairs.r != math.inf else math.inf)
-    coeff_u = lin_u.astype(complex)
-    coeff_v = lin_v.astype(complex)
-    phys = grid.to_physical(coeff_u)
-    iterate_norms = [_resolution_norm(grid, phys, problem.n, *qr)]
-    diff_norms = []
-    mu_eff = problem.mu * nonlinearity_scale
-    converged = False
-    for it in range(max_iter):
-        if mu_eff == 0:
-            converged = True
-            break
-        u_phys = np.real(phys)
-        forcing = grid.to_frequency(mu_eff * np.abs(u_phys) ** problem.p * u_phys)
-        ret_u, ret_v = retarded(forcing.astype(complex))
-        coeff_u_new = lin_u + ret_u
-        coeff_v_new = lin_v + ret_v
-        phys_new = grid.to_physical(coeff_u_new)
-        diff = _resolution_norm(grid, phys_new - phys, problem.n, *qr)
-        diff_norms.append(diff)
-        coeff_u, coeff_v, phys = coeff_u_new, coeff_v_new, phys_new
-        iterate_norms.append(_resolution_norm(grid, phys, problem.n, *qr))
-        if diff <= tol * max(iterate_norms[0], 1e-300):
-            converged = True
-            break
-        if len(diff_norms) >= 3 and all(
-            diff_norms[-i] >= diff_norms[-i - 1] for i in (1, 2)
-        ) and diff_norms[-1] > iterate_norms[0]:
-            raise NonContraction(f"diff norms non-decreasing: {diff_norms[-3:]}")
-    factors = [
-        diff_norms[i + 1] / diff_norms[i]
-        for i in range(len(diff_norms) - 1)
-        if diff_norms[i] > 0
-    ]
-    contraction = float(np.max(factors)) if factors else 0.0
-    trace = PicardTrace(
-        tuple(iterate_norms), tuple(diff_norms), contraction, converged, 0.0,
-        {"band": band, "T": T, "pair": qr, "wave_pair_state": True},
-    )
-    pgrid = PhysicalGrid(grid.r[1:], t) if grid.r[0] <= 0 else PhysicalGrid(grid.r, t)
-    vals = phys[:, 1:] if grid.r[0] <= 0 else phys
-    fld = SpaceTimeField(
-        pgrid, vals, problem.n, source="duhamel",
-        freq=(grid.freq, coeff_u), freq_velocity=coeff_v,
-    )
-    return fld, trace
-
-
 def wave_scattering_state(field: SpaceTimeField, s_w: float) -> ScatteringDiagnostic:
-    """Free-group pullback of the (u, u_t) pair; deviation in the product
-    norm H^{s_w}-dot x H^{s_w - 1}-dot."""
-    fgrid, coeff_u = field.freq
-    coeff_v = field.freq_velocity
+    """Free-group pullback of a = u_t + i s u, read back as the pair
+    (u, u_t) = (Im / s, Re); deviation in the product norm
+    H^{s_w}-dot x H^{s_w - 1}-dot."""
+    fgrid, coeff = field.freq
     t = field.grid.t_nodes
     s = fgrid.nodes
+    pull = np.exp(-1j * np.outer(t, s)) * coeff
+    u, u_t = pull.imag / s, pull.real
     devs = []
-    a_list = []
     for i in range(t.size):
-        ct, st = np.cos(t[i] * s), np.sin(t[i] * s)
-        a = ct * coeff_u[i] - st / s * coeff_v[i]
-        b = s * st * coeff_u[i] + ct * coeff_v[i]
-        a_list.append((a, b))
-    a_fin, b_fin = a_list[-1]
-    for a, b in a_list:
-        da = RadialProfile(fgrid, a - a_fin, field.n)
-        db = RadialProfile(fgrid, b - b_fin, field.n)
-        devs.append(sobolev_norm(da, s_w) + sobolev_norm(db, s_w - 1.0))
-    return ScatteringDiagnostic(tuple(t), tuple(devs), RadialProfile(fgrid, a_fin, field.n))
+        du = RadialProfile(fgrid, u[i] - u[-1], field.n)
+        dv = RadialProfile(fgrid, u_t[i] - u_t[-1], field.n)
+        devs.append(sobolev_norm(du, s_w) + sobolev_norm(dv, s_w - 1.0))
+    return ScatteringDiagnostic(tuple(t), tuple(devs), RadialProfile(fgrid, u[-1], field.n))
 
 
 # --------------------------------------------------------------------------
@@ -486,10 +398,9 @@ def nls_small_data_experiment(
     for seed in seeds:
         rng = np.random.default_rng(seed)
         data = random_band_profile(n, rng, band, s_norm=float(s_sch_f), target=delta)
-        problem = NonlinearProblem("nls", n, p, mu=1 if seed % 2 == 0 else -1,
-                                   s=float(s_sch_f), data=data)
+        problem = NonlinearProblem("nls", n, p, mu=1 if seed % 2 == 0 else -1, data=data)
         if grid is None:
-            grid = build_solver_grid(n, band, p, T, _time_grid_for(problem, band, T))
+            grid = build_solver_grid(n, band, p, T, problem.generator_symbol().sup_dphi(*band))
         fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=max_iter, tol=tol)
         diag = scattering_state(fld, problem.generator_symbol(), float(s_sch_f))
         sol_norm = trace.iterate_norms[-1]
@@ -539,9 +450,9 @@ def nlw_small_data_experiment(
         d1 = random_band_profile(n, rng, band, s_norm=float(s_w) - 1.0, target=delta / 2.0,
                                  real_valued=True)
         problem = NonlinearProblem("nlw", n, p, mu=1 if seed % 2 == 0 else -1,
-                                   s=float(s_w), data=d0, data_velocity=d1)
+                                   data=d0, data_velocity=d1)
         if grid is None:
-            grid = build_solver_grid(n, band, p, T, 1.0)
+            grid = build_solver_grid(n, band, p, T, problem.generator_symbol().sup_dphi(*band))
         fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=max_iter, tol=tol)
         diag = wave_scattering_state(fld, float(s_w))
         runs.append({
@@ -592,9 +503,9 @@ def fnls_experiment(
     for seed in seeds:
         rng = np.random.default_rng(seed)
         data = random_band_profile(n, rng, band, s_norm=s, target=delta)
-        problem = NonlinearProblem("fnls", n, p, mu=mu, s=s, data=data, sigma=sigma)
+        problem = NonlinearProblem("fnls", n, p, mu=mu, data=data, sigma=sigma)
         if grid is None:
-            grid = build_solver_grid(n, band, p, T, _time_grid_for(problem, band, T))
+            grid = build_solver_grid(n, band, p, T, problem.generator_symbol().sup_dphi(*band))
         fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=max_iter, tol=tol)
         fgrid, coeff = fld.freq
         # energy: omega [ int s^sigma |u_hat|^2 s^(n-1) ds - mu/(p+2) int |u|^{p+2} r^(n-1) dr ]

@@ -51,7 +51,6 @@ class SpaceTimeField:
     n: int
     source: str = "direct"
     freq: Optional[tuple] = None  # (FrequencyGrid, coeff matrix) when available
-    freq_velocity: Optional[np.ndarray] = None  # d/dt coefficients (wave solutions)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -214,15 +213,19 @@ def duhamel_coefficients(
     """c(t_i, s) = -i int_0^{t_i} e^{i (t_i - tau) omega(s)} f_hat(tau, s) dtau
     with f_hat piecewise linear in tau and the multiplier integrated exactly
     (so constant-in-time forcing gives -i f (e^{i t omega} - 1)/(i omega),
-    with the removable omega = 0 limit)."""
+    with the removable omega = 0 limit).  The step multipliers are computed
+    once per distinct step length."""
     t = np.asarray(t_nodes, dtype=float)
     c = np.zeros_like(forcing, dtype=complex)
+    steps = {}
     for i in range(1, t.size):
         dt = t[i] - t[i - 1]
-        z = 1j * omega * dt
-        a_c, b_c = _etd_coeffs(z)
+        if dt not in steps:
+            z = 1j * omega * dt
+            steps[dt] = (np.exp(z), *_etd_coeffs(z))
+        ez, a_c, b_c = steps[dt]
         step = dt * (forcing[i - 1] * a_c + forcing[i] * b_c)
-        c[i] = np.exp(z) * c[i - 1] - 1j * step
+        c[i] = ez * c[i - 1] - 1j * step
     return c
 
 

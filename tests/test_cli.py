@@ -75,14 +75,15 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nn = 3\nq = 4\n")
+    cfg.write_text("# comment\nn = 3\np = 4\n")
     parsed = read_config(cfg)
-    assert parsed == {"n": "3", "q": "4"}
+    assert parsed == {"n": "3", "p": "4"}
     code = main(["--config", str(cfg), "--output", str(tmp_path),
                  "--run-id", "cfg", "thresholds"])
     assert code == 0
     rep = json.loads((tmp_path / "cfg" / "report.json").read_text())
     assert rep["config"]["n"] == 3
+    assert rep["config"]["p"] == "4"
 
 
 def test_flag_equals_form_beats_config(tmp_path):
@@ -118,3 +119,30 @@ def test_config_malformed_line_exits_2(tmp_path, capsys):
 def test_config_missing_file_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "absent.cfg"), "thresholds"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_config_unknown_key_exits_2(tmp_path, capsys):
+    # a misspelled key must not silently fall back to the flag's default
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nn = 5\n")
+    assert main(["--config", str(cfg), "--output", str(tmp_path), "thresholds"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "nn" in err["detail"]
+    # a flag of another subcommand is unknown here too
+    cfg.write_text("q = 4\n")
+    assert main(["--config", str(cfg), "--output", str(tmp_path), "thresholds"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-nls", "--s=abc"],
+    ["fit-k", "--k=1..x"],
+    ["solve-nlw", "--seeds", "0..a"],
+    ["conjecture-probe", "--R", "8,x"],
+    ["hypotheses", "--symbol", "nosuch"],
+    ["thresholds", "--p", "abc"],
+])
+def test_malformed_value_exits_2(argv, tmp_path, capsys):
+    assert main(["--output", str(tmp_path), *argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid config"
+    assert any(v.startswith("cannot parse") for v in err["violations"])

@@ -229,17 +229,17 @@ def test_random_data_policy_runs():
 def test_retarded_bounded_and_violations():
     rep = retarded_strichartz_check(
         SCH, 2, (Fraction(10, 3), Fraction(10, 3)), (Fraction(10, 3), Fraction(10, 3)),
-        0, trials=3, seed=2,
+        trials=3, seed=2,
     )
     assert rep.passed
     with pytest.raises(AdmissibilityViolation):
-        retarded_strichartz_check(SCH, 2, (2, 2), (Fraction(10, 3), Fraction(10, 3)), 0)
+        retarded_strichartz_check(SCH, 2, (2, 2), (Fraction(10, 3), Fraction(10, 3)))
 
 
 def test_retarded_fractional_gap_line():
     # sigma = 1.5, n = 2, symmetric pair on the gamma = 0 gap line: q = 7/2
     rep = retarded_strichartz_check(
         FRAC, 2, (Fraction(7, 2), Fraction(7, 2)), (Fraction(7, 2), Fraction(7, 2)),
-        0, trials=2, seed=3,
+        trials=2, seed=3,
     )
     assert rep.passed

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from rsl.admissibility import choose_pairs_nls, choose_pairs_nlw
-from rsl.errors import OutOfRangeS, OutOfRangeSigma
+from rsl.dispersion import get_symbol
+from rsl.errors import DomainError, OutOfRangeS, OutOfRangeSigma
+from rsl.grids import PhysicalGrid
 from rsl.nonlinear import (
     NonlinearProblem,
     build_solver_grid,
@@ -16,9 +18,10 @@ from rsl.nonlinear import (
     random_band_profile,
     scattering_state,
     wave_scattering_state,
-    _time_grid_for,
 )
 from rsl.norms import sobolev_norm
+from rsl.propagator import evolve
+from rsl.transform import RadialProfile, sphere_area
 
 P_NLS = 20.0 / 11.0  # p at s_sch = -1/10, n = 2
 
@@ -26,7 +29,11 @@ P_NLS = 20.0 / 11.0  # p at s_sch = -1/10, n = 2
 def _nls_problem(seed=0, delta=1e-3, mu=1):
     rng = np.random.default_rng(seed)
     data = random_band_profile(2, rng, (0.5, 2.0), s_norm=-0.1, target=delta)
-    return NonlinearProblem("nls", 2, P_NLS, mu=mu, s=-0.1, data=data)
+    return NonlinearProblem("nls", 2, P_NLS, mu=mu, data=data)
+
+
+def _speed(prob):
+    return prob.generator_symbol().sup_dphi(0.5, 2.0)
 
 
 def test_random_profile_normalization():
@@ -64,16 +71,14 @@ def test_solver_grid_round_trip():
 def test_linear_consistency_bitwise():
     prob = _nls_problem()
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
-    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _time_grid_for(prob, (0.5, 2.0), 8.0))
+    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(prob))
     fld, trace = picard_solve(prob, pairs, 8.0, grid=grid, nonlinearity_scale=0.0)
     assert trace.converged and trace.contraction_factor == 0.0
     s = grid.freq.nodes
-    linear = np.exp(1j * np.outer(grid.t, prob.omega(s))) * prob.data.fn(s)[None, :]
+    omega = prob.generator_symbol().phi(s)
+    linear = np.exp(1j * np.outer(grid.t, omega)) * prob.data.fn(s)[None, :]
     assert np.array_equal(fld.freq[1], linear)
     # and against the propagator module on the same nodes
-    from rsl.grids import PhysicalGrid
-    from rsl.propagator import evolve
-
     sub_t = grid.t[:: max(grid.t.size // 8, 1)]
     ref = evolve(prob.generator_symbol(), prob.data, None,
                  PhysicalGrid(grid.r, sub_t))
@@ -108,8 +113,7 @@ def test_contraction_monotone_in_amplitude():
     factors = []
     for delta in (0.05, 0.2, 0.8):
         prob = _nls_problem(seed=9, delta=delta)
-        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0,
-                                 _time_grid_for(prob, (0.5, 2.0), 8.0))
+        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(prob))
         _, trace = picard_solve(prob, pairs, 8.0, grid=grid, max_iter=6, tol=1e-12)
         factors.append(trace.contraction_factor)
     assert factors[0] <= factors[1] <= factors[2]
@@ -153,6 +157,64 @@ def test_nlw_experiment():
         nlw_small_data_experiment(2, 0.05, 1e-3, seeds=[0])
 
 
+def _nlw_problem(seed=0, delta=1e-3, real_valued=True):
+    pairs = choose_pairs_nlw(2, Fraction(3, 10))
+    rng = np.random.default_rng(seed)
+    d0 = random_band_profile(2, rng, (0.5, 2.0), s_norm=0.3, target=delta / 2.0,
+                             real_valued=real_valued)
+    d1 = random_band_profile(2, rng, (0.5, 2.0), s_norm=-0.7, target=delta / 2.0,
+                             real_valued=True)
+    return NonlinearProblem("nlw", 2, float(pairs.p), mu=1, data=d0, data_velocity=d1), pairs
+
+
+def test_nlw_linear_matches_dense_evolve():
+    # at scale 0 the solver's field is the free wave cos(ts) h0 + sin(ts)/s h1,
+    # i.e. Re e^{its}(h0 - i h1/s), which evolve computes by dense quadrature
+    prob, pairs = _nlw_problem()
+    fld, trace = picard_solve(prob, pairs, 8.0, nonlinearity_scale=0.0)
+    assert trace.converged and trace.mass_drift == 0.0
+    assert not np.any(fld.values.imag)
+    d0, d1 = prob.data, prob.data_velocity
+
+    def fn(s):
+        return d0.fn(s) - 1j * d1.fn(s) / s
+
+    combined = RadialProfile(d0.grid, fn(d0.grid.nodes), 2, fn=fn)
+    step = max(fld.grid.t_nodes.size // 8, 1)
+    ref = evolve(get_symbol("wave"), combined, None,
+                 PhysicalGrid(fld.grid.r_nodes, fld.grid.t_nodes[::step])).values.real
+    assert np.max(np.abs(fld.values[::step] - ref)) / np.max(np.abs(ref)) <= 1e-8
+    # the free pullback of a linear solution does not move
+    diag = wave_scattering_state(fld, 0.3)
+    assert max(diag.deviation) <= 1e-12 * 1e-3
+
+
+def test_nlw_energy_conserved():
+    # E = 1/2 ||a||^2 - mu/(p+2) ||u||_{p+2}^{p+2} with a = u_t + i s u; the
+    # kinetic part alone moves by 3e-6 here, a sign slip in the forcing by 6e-6
+    prob, pairs = _nlw_problem(delta=0.3)
+    grid = build_solver_grid(2, (0.5, 2.0), prob.p, 8.0, _speed(prob))
+    fld, trace = picard_solve(prob, pairs, 8.0, grid=grid)
+    assert trace.converged
+    fgrid, a = fld.freq
+    om = sphere_area(2)
+    kin = 0.5 * om * np.sum(fgrid.weights * np.abs(a) ** 2 * fgrid.nodes, axis=1)
+    pot = om * prob.mu / (prob.p + 2.0) * np.sum(
+        grid.wr * grid.r * np.abs(fld.values) ** (prob.p + 2.0), axis=1)
+    energy = kin - pot
+    assert np.ptp(energy) / energy[0] <= 1e-8
+
+
+def test_nlw_complex_data_rejected():
+    prob, pairs = _nlw_problem(real_valued=False)
+    with pytest.raises(DomainError):
+        picard_solve(prob, pairs, 4.0)
+    swapped = NonlinearProblem("nlw", 2, prob.p, mu=1, data=prob.data_velocity,
+                               data_velocity=prob.data)
+    with pytest.raises(DomainError):
+        picard_solve(swapped, pairs, 4.0)
+
+
 def test_fnls_experiment_conservation():
     rep = fnls_experiment(2, 1.5, 1.5, 0.0, 1e-3, seeds=[0, 1], T=12.0)
     assert rep.all_converged
@@ -172,8 +234,7 @@ def test_mass_drift_improves_under_time_refinement():
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
     drifts = []
     for boost in (1, 2):
-        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0,
-                                 _time_grid_for(prob, (0.5, 2.0), 8.0))
+        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(prob))
         if boost == 2:
             import dataclasses
 
