@@ -151,6 +151,14 @@ _VALUE_PARSERS = {
     "q": _q, "r": _q, "qt": _q, "rt": _q,
 }
 
+# choice-valued flags of each subcommand
+_CHOICES = {
+    ("admissible", "family"): ("schrodinger", "wave"),
+    ("fit-j", "regime"): ("inner", "outer_thm1", "outer_thm2"),
+    ("constants", "equation"): ("klein_gordon", "beam"),
+    ("pairs", "equation"): ("nls", "nlw"),
+}
+
 
 def validate(args) -> list:
     """All violations detectable before running anything."""
@@ -164,6 +172,9 @@ def validate(args) -> list:
                 parsed[attr] = parse(val)
             except (ValueError, ZeroDivisionError, KeyError, RslError):
                 bad.append(f"cannot parse {attr}={val!r}")
+    for (command, attr), choices in _CHOICES.items():
+        if cmd == command and getattr(args, attr) not in choices:
+            bad.append(f"{attr}={getattr(args, attr)!r} must be one of {', '.join(choices)}")
     if cmd == "solve-fnls":
         n = args.n
         if not (2.0 * n / (2.0 * n - 1.0) <= args.sigma < 2.0):

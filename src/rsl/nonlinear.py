@@ -7,7 +7,10 @@ per-step retarded integrals use the exact multiplier
 on a physical radius grid reached through a fixed quadrature
 synthesis/analysis pair.  Because analysis is the weighted adjoint of
 synthesis, the discrete nonlinear mass flux Im <|u|^p u, u> vanishes exactly
-and the measured mass drift isolates the time-integration error.
+and the measured mass drift isolates the time-integration error.  Both
+transforms are real GEMMs: a complex operand is split into its real and
+imaginary rows, stacked, multiplied by the real folded kernel in one product
+and recombined, so the kernel is never promoted to a complex copy.
 
 Generator multipliers (NonlinearProblem.generator_symbol, group e^{i t omega}):
 
@@ -37,7 +40,6 @@ from .cutoffs import smooth_bump
 from .dispersion import DispersionSymbol, get_symbol
 from .errors import DomainError, NonContraction, OutOfRangeS, OutOfRangeSigma
 from .grids import FrequencyGrid, PhysicalGrid, trapezoid_weights
-from .norms import sobolev_norm
 from .propagator import SpaceTimeField, duhamel_coefficients
 from .transform import RadialProfile, sphere_area
 
@@ -91,10 +93,24 @@ class SolverGrid:
     anal: np.ndarray     # (n_r, n_s): wr r^(n-1) K_n(s r) folded
 
     def to_physical(self, coeff: np.ndarray) -> np.ndarray:
-        return coeff @ self.synth
+        return _real_matmul(coeff, self.synth)
 
     def to_frequency(self, phys: np.ndarray) -> np.ndarray:
-        return phys @ self.anal
+        return _real_matmul(phys, self.anal)
+
+
+def _real_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m for a real matrix m in real arithmetic.  A complex x sends its
+    real and imaginary rows through one real GEMM (no complex copy of m, two
+    real products per entry instead of four); a real x stays real."""
+    if not np.iscomplexobj(x):
+        return x @ m
+    rows = np.stack((x.real, x.imag)).reshape(-1, x.shape[-1])
+    prod = (rows @ m).reshape(2, *x.shape[:-1], m.shape[-1])
+    out = np.empty(prod.shape[1:], dtype=complex)
+    out.real = prod[0]
+    out.imag = prod[1]
+    return out
 
 
 def build_solver_grid(
@@ -131,7 +147,8 @@ def build_solver_grid(
     s = freq.nodes
     kern = radial_kernel(n, np.outer(s, r))
     synth = kern * (freq.weights * s ** (n - 1))[:, None]
-    anal = (kern * (wr * r ** (n - 1))[None, :]).T
+    kern *= (wr * r ** (n - 1))[None, :]   # in place: no third kernel-sized array
+    anal = kern.T
     nt = int(np.ceil(T * (p + 1.0) * max(abs(s_hi_d) ** 2, 1.0) * 8.0 / np.pi)) + 1
     t = np.linspace(0.0, T, max(nt, 65))
     return SolverGrid(freq, r, wr, t, synth, anal)
@@ -273,6 +290,16 @@ def picard_solve(
     return fld, trace
 
 
+def _sobolev_rows(fgrid: FrequencyGrid, rows: np.ndarray, n: int, s: float) -> np.ndarray:
+    """The homogeneous H^s norm of every row in one weighted reduction,
+    sqrt(|S^(n-1)| sum_s w s^(2s+n-1) |row|^2) as in norms.sobolev_norm.
+    Raises ValueError on non-finite rows, as a RadialProfile would."""
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("frequency trajectory must be finite")
+    weight = fgrid.weights * fgrid.nodes ** (2.0 * s + n - 1)
+    return np.sqrt(sphere_area(n) * (np.abs(rows) ** 2 @ weight))
+
+
 def scattering_state(field: SpaceTimeField, symbol: DispersionSymbol, s: float) -> ScatteringDiagnostic:
     """Pull the stored frequency trajectory back along the free group and
     report || v(t) - v(T) ||_{H^s-dot} on the time grid."""
@@ -282,12 +309,9 @@ def scattering_state(field: SpaceTimeField, symbol: DispersionSymbol, s: float) 
     t = field.grid.t_nodes
     omega = symbol.phi(fgrid.nodes)
     pullback = np.exp(-1j * np.outer(t, omega)) * coeff
+    devs = _sobolev_rows(fgrid, pullback - pullback[-1], field.n, s)
     u_plus = RadialProfile(fgrid, pullback[-1], field.n)
-    devs = []
-    for i in range(t.size):
-        diff = RadialProfile(fgrid, pullback[i] - pullback[-1], field.n)
-        devs.append(sobolev_norm(diff, s))
-    return ScatteringDiagnostic(tuple(t), tuple(devs), u_plus)
+    return ScatteringDiagnostic(tuple(t), tuple(devs.tolist()), u_plus)
 
 
 def wave_scattering_state(field: SpaceTimeField, s_w: float) -> ScatteringDiagnostic:
@@ -299,12 +323,10 @@ def wave_scattering_state(field: SpaceTimeField, s_w: float) -> ScatteringDiagno
     s = fgrid.nodes
     pull = np.exp(-1j * np.outer(t, s)) * coeff
     u, u_t = pull.imag / s, pull.real
-    devs = []
-    for i in range(t.size):
-        du = RadialProfile(fgrid, u[i] - u[-1], field.n)
-        dv = RadialProfile(fgrid, u_t[i] - u_t[-1], field.n)
-        devs.append(sobolev_norm(du, s_w) + sobolev_norm(dv, s_w - 1.0))
-    return ScatteringDiagnostic(tuple(t), tuple(devs), RadialProfile(fgrid, u[-1], field.n))
+    devs = (_sobolev_rows(fgrid, u - u[-1], field.n, s_w)
+            + _sobolev_rows(fgrid, u_t - u_t[-1], field.n, s_w - 1.0))
+    return ScatteringDiagnostic(tuple(t), tuple(devs.tolist()),
+                                RadialProfile(fgrid, u[-1], field.n))
 
 
 # --------------------------------------------------------------------------

@@ -147,3 +147,24 @@ def test_radial_kernel_against_mpmath():
             envelope = np.minimum(1.0, x ** (-(n - 1) / 2.0))
         scaled = np.abs(radial_kernel(n, x) - ref) / np.maximum(np.abs(ref), envelope)
         assert np.max(scaled) <= 1e-12, (n, float(x[np.argmax(scaled)]))
+
+
+def test_hankel_phase_coeffs_against_mpmath():
+    # the fit's own source is scipy's hankel1e; this rebuilds zeta from b_p and
+    # checks it against 30-digit mpmath, zeta = H1_nu(x) sqrt(pi x/2) e^{-i(x - nu pi/2 - pi/4)}
+    import mpmath
+
+    x = np.geomspace(1.0, 1e4, 300)
+    for n in (2, 3, 4, 5, 6):
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(n - 2) / 2
+            ref = np.array([
+                complex(mpmath.hankel1(nu, xm) * mpmath.sqrt(mpmath.pi * xm / 2)
+                        * mpmath.expj(nu * mpmath.pi / 2 + mpmath.pi / 4 - xm))
+                for xm in map(mpmath.mpf, x)
+            ])
+        approx = np.zeros_like(x, dtype=complex)
+        for c in hankel_phase_coeffs(n, 1.0, 20)[::-1]:
+            approx = approx / x + c   # Horner in x_min/x with x_min = 1
+        err = np.abs(approx - ref)
+        assert np.max(err) <= 1e-10, (n, float(x[np.argmax(err)]))

@@ -146,3 +146,23 @@ def test_malformed_value_exits_2(argv, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid config"
     assert any(v.startswith("cannot parse") for v in err["violations"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissible", "--family", "x"],
+    ["pairs", "--equation", "nosuch"],
+    ["constants", "--equation", "nosuch"],
+    ["fit-j", "--regime", "nosuch", "--j", "3..4"],
+])
+def test_bad_choice_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--output", str(out), *argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid config"
+    assert any("must be one of" in v for v in err["violations"])
+    # the same value from a config file is checked too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{argv[1][2:]} = {argv[2]}\n")
+    assert main(["--config", str(cfg), "--output", str(out), argv[0], *argv[3:]]) == 2
+    assert "must be one of" in capsys.readouterr().err
+    assert not out.exists()

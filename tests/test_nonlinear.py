@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -66,6 +67,31 @@ def test_solver_grid_round_trip():
     num2 = np.sqrt(np.sum(wide.freq.weights * np.abs(back2 - h2) ** 2 * wide.freq.nodes))
     den2 = np.sqrt(np.sum(wide.freq.weights * np.abs(h2) ** 2 * wide.freq.nodes))
     assert num2 / den2 < 0.2 * num / den
+
+
+def test_real_transforms_match_complex_product():
+    # the benchmark's NLS grid; the split real GEMMs against the complex product
+    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 4.0, 4.0)
+    rng = np.random.default_rng(7)
+
+    def operand(cols):
+        shape = (grid.t.size, cols)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    coeff, phys = operand(grid.freq.nodes.size), operand(grid.r.size)
+    for transform, m, x in [
+        (grid.to_physical, grid.synth, coeff),
+        (grid.to_physical, grid.synth, coeff[5]),
+        (grid.to_physical, grid.synth, coeff.real),
+        (grid.to_frequency, grid.anal, phys),
+        (grid.to_frequency, grid.anal, phys[5]),
+        (grid.to_frequency, grid.anal, phys.real),
+    ]:
+        ref = x.astype(complex) @ m.astype(complex)
+        got = transform(x)
+        assert got.shape == ref.shape
+        assert np.iscomplexobj(got) == np.iscomplexobj(x)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_linear_consistency_bitwise():
@@ -236,10 +262,46 @@ def test_mass_drift_improves_under_time_refinement():
     for boost in (1, 2):
         grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(prob))
         if boost == 2:
-            import dataclasses
-
             t_fine = np.linspace(grid.t[0], grid.t[-1], 2 * grid.t.size - 1)
             grid = dataclasses.replace(grid, t=t_fine)
         _, trace = picard_solve(prob, pairs, 8.0, grid=grid, max_iter=6)
         drifts.append(trace.mass_drift)
     assert drifts[1] <= drifts[0]
+
+
+def _pulled_back(fld, omega):
+    fgrid, coeff = fld.freq
+    return fgrid, np.exp(-1j * np.outer(fld.grid.t_nodes, omega)) * coeff
+
+
+def test_scattering_deviation_matches_sobolev_loop():
+    # the one-reduction deviations against sobolev_norm slice by slice
+    prob = _nls_problem(seed=5, delta=0.3)
+    pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
+    fld, _ = picard_solve(prob, pairs, 4.0, max_iter=6)
+    gen = prob.generator_symbol()
+    diag = scattering_state(fld, gen, -0.1)
+    fgrid, pull = _pulled_back(fld, gen.phi(fld.freq[0].nodes))
+    ref = np.array([sobolev_norm(RadialProfile(fgrid, row - pull[-1], 2), -0.1) for row in pull])
+    assert np.max(np.abs(np.asarray(diag.deviation) - ref)) <= 1e-14 * ref.max()
+
+    wprob, wpairs = _nlw_problem(delta=0.3)
+    wfld, _ = picard_solve(wprob, wpairs, 4.0)
+    wdiag = wave_scattering_state(wfld, 0.3)
+    fgrid, pull = _pulled_back(wfld, wfld.freq[0].nodes)
+    u, u_t = pull.imag / fgrid.nodes, pull.real
+    wref = np.array([
+        sobolev_norm(RadialProfile(fgrid, u[i] - u[-1], 2), 0.3)
+        + sobolev_norm(RadialProfile(fgrid, u_t[i] - u_t[-1], 2), -0.7)
+        for i in range(u.shape[0])
+    ])
+    assert np.max(np.abs(np.asarray(wdiag.deviation) - wref)) <= 1e-14 * wref.max()
+
+    # a non-finite trajectory is still refused
+    for field, measure in [(fld, lambda f: scattering_state(f, gen, -0.1)),
+                           (wfld, lambda f: wave_scattering_state(f, 0.3))]:
+        fgrid, coeff = field.freq
+        bad = coeff.copy()
+        bad[3, 7] = np.nan
+        with pytest.raises(ValueError):
+            measure(dataclasses.replace(field, freq=(fgrid, bad)))
