@@ -65,9 +65,7 @@ from .nonlinear import (
 )
 from .norms import MixedNormSpec, mixed_norm, sobolev_norm
 from .propagator import (
-    ForcingSeries,
     SpaceTimeField,
-    duhamel,
     evolve,
     main_error_split,
     oracle_wave_cosine_3d,
@@ -77,8 +75,6 @@ from .transform import (
     canonical_band_profile,
     fourier_bessel,
     l2_norm,
-    profile_from_csv,
-    profile_to_csv,
     project,
 )
 

@@ -10,6 +10,10 @@ with the remainder split into e^{+-ir} components through the Hankel
 function H1 = J + iY (which carries the pure e^{+ir} oscillation), so the
 reassembly identity is exact to rounding.  The remainder coefficients decay
 like r^{-(n+1)/2}, which is what drives every outer-annulus bound downstream.
+
+`hankel_phase_coeffs` fits the phase-extracted H1 in separable powers of
+x_min/x on x >= x_min.  This module owns x_min and the fit degree
+(HANKEL_X_MIN, HANKEL_DEGREE); the outer-region field sampler imports them.
 """
 
 from __future__ import annotations
@@ -198,29 +202,33 @@ def radial_kernel(n: int, x) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def hankel_phase_coeffs(n: int, x_min: float = 1.0, degree: int = 20) -> np.ndarray:
+HANKEL_X_MIN = 1.0
+HANKEL_DEGREE = 20
+
+
+def hankel_phase_coeffs(n: int) -> np.ndarray:
     """Coefficients b_p with
 
         H1_nu(x) ~ sqrt(2/(pi x)) e^{i(x - (n-1)pi/4)} * sum_p b_p (x_min/x)^p
 
-    uniformly on x >= x_min (max abs error ~5e-12 at degree 20 for n <= 6;
-    exact and nearly degree-0 for odd n, where H1_(n-2)/2 is elementary).
-    The separable powers (x_min/(rs))^p are what let the outer-region field
-    sampler evaluate one chirp-Z transform per power instead of a dense
-    kernel matrix.  The fit runs once per (n, x_min, degree); the returned
-    array is shared and read-only.
+    uniformly on x >= x_min = HANKEL_X_MIN (max abs error ~5e-12 at degree
+    HANKEL_DEGREE = 20 for n <= 6; exact and nearly degree-0 for odd n,
+    where H1_(n-2)/2 is elementary).  The separable powers (x_min/(rs))^p
+    are what let the outer-region field sampler evaluate one chirp-Z
+    transform per power instead of a dense kernel matrix.  The fit runs once
+    per n; the returned array is shared and read-only.
     """
-    return _hankel_phase_coeffs(n, x_min, degree)
+    return _hankel_phase_coeffs(n)
 
 
 @functools.lru_cache(maxsize=None)
-def _hankel_phase_coeffs(n: int, x_min: float, degree: int) -> np.ndarray:
+def _hankel_phase_coeffs(n: int) -> np.ndarray:
     nu = (n - 2) / 2.0
     m = 4000
     w = (np.cos(np.pi * (np.arange(m) + 0.5) / m) + 1.0) / 2.0
-    x = x_min / w
+    x = HANKEL_X_MIN / w
     zeta = special.hankel1e(nu, x) * np.sqrt(np.pi * x / 2.0) * np.exp(1j * (nu * np.pi / 2 + np.pi / 4))
-    cheb = np.polynomial.chebyshev.chebfit(2.0 * w - 1.0, zeta, degree)
+    cheb = np.polynomial.chebyshev.chebfit(2.0 * w - 1.0, zeta, HANKEL_DEGREE)
     poly_u = np.polynomial.polynomial.Polynomial(np.polynomial.chebyshev.cheb2poly(cheb))
     poly_w = poly_u(np.polynomial.polynomial.Polynomial([-1.0, 2.0]))
     b = poly_w.coef.astype(complex)

@@ -48,8 +48,3 @@ def dyadic_cutoff(k: int, s) -> np.ndarray:
     """psi(2^-k s): the band-k Littlewood-Paley multiplier, supported on
     [2^(k-1), 2^(k+1)]."""
     return annulus_bump(np.asarray(s, dtype=float) * 2.0 ** (-k))
-
-
-def low_cutoff(k: int, s) -> np.ndarray:
-    """Phi(2^-k s): multiplier of the projector onto frequencies <= 2^(k+1)."""
-    return smooth_bump(np.asarray(s, dtype=float) * 2.0 ** (-k))

@@ -29,8 +29,9 @@ from .admissibility import (
     q_threshold,
     dual,
 )
+from .bessel import radial_kernel
 from .cutoffs import dyadic_cutoff, smooth_bump
-from .dispersion import DispersionSymbol, regime_exponents
+from .dispersion import DispersionSymbol, fractional_symbol, regime_exponents
 from .errors import (
     AdmissibilityViolation,
     OutOfRangeQ,
@@ -46,8 +47,9 @@ from .fastfield import (
     czt_points,
     octave_ladder,
 )
-from .grids import band_edges, trapezoid_weights
-from .propagator import ForcingSeries, duhamel
+from .grids import PhysicalGrid, band_edges, trapezoid_weights
+from .norms import MixedNormSpec, mixed_norm
+from .propagator import SpaceTimeField, duhamel_coefficients
 from .transform import canonical_band_amplitude, sphere_area
 
 
@@ -111,12 +113,12 @@ class GrowthReport:
 # data policies
 # --------------------------------------------------------------------------
 
-def random_band_amplitude(n: int, k: int, rng: np.random.Generator, controls: int = 12) -> Callable:
-    """Random smooth band datum: complex Gaussian control points interpolated
-    across the band, tapered by psi_k, normalized to unit L^2."""
+def random_band_amplitude(n: int, k: int, rng: np.random.Generator) -> Callable:
+    """Random smooth band datum: 12 complex Gaussian control points
+    interpolated across the band, tapered by psi_k, normalized to unit L^2."""
     lo, hi = band_edges(k)
-    ctrl_s = np.linspace(lo, hi, controls)
-    ctrl = rng.standard_normal(controls) + 1j * rng.standard_normal(controls)
+    ctrl_s = np.linspace(lo, hi, 12)
+    ctrl = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     s_ref = np.linspace(lo, hi, 8001)
     raw = np.interp(s_ref, ctrl_s, ctrl.real) + 1j * np.interp(s_ref, ctrl_s, ctrl.imag)
     vals = dyadic_cutoff(k, s_ref) * raw * s_ref ** (-(n - 1) / 2.0)
@@ -175,7 +177,6 @@ def measure_frequency_norms(
     qs: Sequence[float],
     k_range: Sequence[int],
     T0: float = 64.0,
-    tol: float = 1e-2,
     max_doublings: int = 2,
     config: SamplerConfig = DEFAULT_SAMPLER,
     data_policy: DataPolicy = DataPolicy(),
@@ -198,7 +199,7 @@ def measure_frequency_norms(
         pairs = [(float(q), float(q)) for q in qs]
         res = band_norm_adaptive(
             symbol, n, k, amp, pairs,
-            T0=T0 * 2.0 ** (-m * k), tol=tol,
+            T0=T0 * 2.0 ** (-m * k),
             max_doublings=max_doublings, config=config,
         )
         for q in qs:
@@ -211,17 +212,14 @@ def fit_frequency_scaling(
     n: int,
     q,
     k_range: Sequence[int],
-    data_policy: DataPolicy = DataPolicy(),
     T0: float = 64.0,
-    config: SamplerConfig = DEFAULT_SAMPLER,
-    form: Optional[str] = None,
 ) -> ExponentFit:
-    """log2 ||S(t) P_k u0||_{L^q_{t,x}} regressed on k, with the predicted rate."""
+    """log2 ||S(t) P_k u0||_{L^q_{t,x}} regressed on k (canonical data), with
+    the predicted rate of the form `auto_form` picks."""
     q = float(parse_exponent(q))
-    form = form or auto_form(symbol, n, q)
+    form = auto_form(symbol, n, q)
     predicted = predicted_exponent(symbol, n, q, max(k_range), form)
-    norms = measure_frequency_norms(symbol, n, [q], k_range, T0=T0,
-                                    config=config, data_policy=data_policy)[q]
+    norms = measure_frequency_norms(symbol, n, [q], k_range, T0=T0)[q]
     ks = sorted(norms)
     logs = [math.log2(norms[k].norm) for k in ks]
     meta = {
@@ -250,7 +248,6 @@ def measure_annulus_norms(
     k: int,
     j_range: Sequence[int],
     regime: str,
-    tol: float = 1e-2,
     max_doublings: int = 2,
     config: SamplerConfig = DEFAULT_SAMPLER,
 ) -> dict:
@@ -273,7 +270,7 @@ def measure_annulus_norms(
         else:
             T0 = max(4.0 * 2.0**j / min_dp, 16.0 * 2.0 ** (-m * k))
         res = band_norm_adaptive(
-            symbol, n, k, amp, pairs, T0=T0, tol=tol,
+            symbol, n, k, amp, pairs, T0=T0,
             max_doublings=max_doublings, config=config,
             r_window=(2.0 ** (j - 1), 2.0**j),
         )
@@ -289,12 +286,11 @@ def fit_annulus_scaling(
     k: int,
     j_range: Sequence[int],
     regime: str,
-    config: SamplerConfig = DEFAULT_SAMPLER,
 ) -> ExponentFit:
     """Per-annulus norms vs j against the regime's predicted slope; PASS is
     one-sided (the bounds are upper bounds): measured <= predicted + 0.1."""
     q = float(parse_exponent(q))
-    norms = measure_annulus_norms(symbol, n, [q], k, j_range, regime, config=config)[q]
+    norms = measure_annulus_norms(symbol, n, [q], k, j_range, regime)[q]
     js = sorted(norms)
     logs = [math.log2(norms[j].norm) for j in js]
     predicted = annulus_predicted_slope(n, q, regime)
@@ -306,9 +302,9 @@ def fit_annulus_scaling(
 # one-dimensional lemma checks
 # --------------------------------------------------------------------------
 
-def _band_quad(k: int, points_per_unit_phase: float, budget: float, n_min: int = 512):
+def _band_quad(k: int, points_per_unit_phase: float, budget: float):
     lo, hi = band_edges(k)
-    ns = max(int(np.ceil((hi - lo) * budget * points_per_unit_phase)), n_min)
+    ns = max(int(np.ceil((hi - lo) * budget * points_per_unit_phase)), 512)
     s = np.linspace(lo, hi, ns)
     w = trapezoid_weights(s)
     return s, w
@@ -320,12 +316,12 @@ def smoothing_lemma_check(
     q: float,
     trial_count: int = 8,
     seed: int = 0,
-    bound_constant: float = 10.0,
     trial_data: Optional[Sequence] = None,
 ) -> BoundReport:
     """Ratio || int psi_k phi_data e^{-i t phi(s)} ds ||_{L^q_t} over
     2^{(1/2 - m(k)/q) k} || psi_k phi_data ||_{L^2(ds)} for random band data
-    (or explicit `trial_data` callables s -> values)."""
+    (or explicit `trial_data` callables s -> values); PASS when every ratio
+    is at most 10."""
     if q < 2:
         raise OutOfRangeQ("smoothing check needs q >= 2")
     rng = np.random.default_rng(seed)
@@ -360,15 +356,10 @@ def smoothing_lemma_check(
         norm = power ** (1.0 / q)
         ratios.append(norm / (2.0 ** ((0.5 - m / q) * k) * l2))
     mx = float(np.max(ratios))
-    return BoundReport(tuple(ratios), mx, bound_constant, mx <= bound_constant,
-                       {"k": k, "q": q, "seed": seed})
+    return BoundReport(tuple(ratios), mx, 10.0, mx <= 10.0, {"k": k, "q": q, "seed": seed})
 
 
-def strichartz_l6_check(
-    symbol: DispersionSymbol,
-    k_range: Sequence[int],
-    config: SamplerConfig = DEFAULT_SAMPLER,
-) -> ExponentFit:
+def strichartz_l6_check(symbol: DispersionSymbol, k_range: Sequence[int]) -> ExponentFit:
     """1-D L^6_{t,r} norm of int psi_k phi_data e^{i(rs - t phi(s))} ds per
     band, fitted against the curvature rate 1/3 - alpha(k)/6."""
     if not symbol.has_curvature:
@@ -382,10 +373,10 @@ def strichartz_l6_check(
         t_nodes, wt, _ = octave_ladder(T, 2 * np.pi / (6.0 * max(dphi_spread, 1e-12)), 64)
         # carrier extraction: resolve only the residual rate and follow the
         # transported window r in t [vmin, vmax] +- tails
-        plan = band_plan(symbol, k, T, config.policy)
+        plan = band_plan(symbol, k, T, DEFAULT_SAMPLER.policy)
         g = dyadic_cutoff(k, plan.s)
         g = g / float(np.sqrt(np.sum(plan.ws * np.abs(g) ** 2)))
-        dr = np.pi / (config.dr_frac * hi)
+        dr = np.pi / (DEFAULT_SAMPLER.dr_frac * hi)
         tail = 60.0 * 2.0 ** (-k)
         m_pts = int(np.ceil((T * (plan.vmax - plan.vmin) + 2 * tail) / dr)) + 1
         acc = 0.0
@@ -409,7 +400,6 @@ def maximal_check(
     a: float,
     k_range: Sequence[int],
     samples: int = 257,
-    c_width: float = 0.5,
     c_time: float = 4.0,
 ) -> ExponentFit:
     """L^2_x L^inf_{|t| <= c_time} size of the band-k evolution e^{i t D^a}
@@ -427,7 +417,7 @@ def maximal_check(
         if a == 1.0:
             width = 0.5 * xi0
         else:
-            width = min(c_width * 2.0 ** (k * (1 - a / 2.0)), 0.5 * xi0)
+            width = min(0.5 * 2.0 ** (k * (1 - a / 2.0)), 0.5 * xi0)
         speed = a * (2.0 * xi0) ** max(a - 1.0, 0.0)
         # coverage 2 pi / dxi exceeds twice the swept extent; FFT resolves
         # the packet width 1/width with dx <= 1/(8 width)
@@ -465,18 +455,19 @@ def hls_parameters(n: int, q) -> tuple[float, float, float, float]:
     return alpha, alpha, lam, q / (q - 1.0)
 
 
-def hls_constraints_ok(alpha: float, beta: float, lam: float, r_exp: float, s_exp: float, d: int = 1) -> bool:
+def hls_constraints_ok(alpha: float, beta: float, lam: float, r_exp: float, s_exp: float) -> bool:
+    """The double-weight hypotheses in dimension d = 1."""
     if not (1 < r_exp < np.inf and 1 < s_exp < np.inf):
         return False
     if 1 / r_exp + 1 / s_exp < 1:
         return False
-    if not (0 < lam < d):
+    if not (0 < lam < 1):
         return False
     if alpha + beta < 0:
         return False
-    if not (1 - 1 / r_exp - lam / d < alpha / d < 1 - 1 / r_exp):
+    if not (1 - 1 / r_exp - lam < alpha < 1 - 1 / r_exp):
         return False
-    return abs(1 / r_exp + 1 / s_exp + (lam + alpha + beta) / d - 2) < 1e-12
+    return abs(1 / r_exp + 1 / s_exp + (lam + alpha + beta) - 2) < 1e-12
 
 
 def hls_bilinear_form(
@@ -496,37 +487,29 @@ def hls_bilinear_form(
     return float(np.sum(kern) * wx * wy)
 
 
-def hls_bilinear_check(
-    q,
-    n: int = 2,
-    trial_families: Optional[Sequence] = None,
-    refinements: int = 4,
-    base_cells: int = 64,
-    bound_constant: float = 25.0,
-) -> BoundReport:
+def hls_bilinear_check(q, n: int = 2, refinements: int = 4) -> BoundReport:
     """Discretized double-weight bilinear form on indicator families across
-    scales and separations; PASS = the normalized ratios stay bounded and
-    stable under dyadic quadrature refinement."""
+    scales and separations; PASS = the normalized ratios stay at most 25 and
+    stable under dyadic quadrature refinement from 64 cells."""
     alpha, beta, lam, r_exp = hls_parameters(n, q)
     if not hls_constraints_ok(alpha, beta, lam, r_exp, r_exp):
         raise ParameterViolation(
             f"(alpha, beta, lam, r') = ({alpha:.3g}, {beta:.3g}, {lam:.3g}, {r_exp:.3g}) "
             "violate the double-weight hypotheses"
         )
-    if trial_families is None:
-        trial_families = []
-        for i in (-4, -2, 0, 2, 4):
-            iv = (2.0**i, 2.0 ** (i + 1))
-            trial_families.append((iv, iv))                       # near-diagonal
-            trial_families.append((iv, (2.0 ** (i + 2), 2.0 ** (i + 3))))  # separated
-        trial_families.append(((2.0**-6, 2.0**-5), (2.0**-6, 2.0**-5)))    # near-origin
-        trial_families.append(((2.0**-6, 2.0**-5), (1.0, 2.0)))
+    trial_families = []
+    for i in (-4, -2, 0, 2, 4):
+        iv = (2.0**i, 2.0 ** (i + 1))
+        trial_families.append((iv, iv))                       # near-diagonal
+        trial_families.append((iv, (2.0 ** (i + 2), 2.0 ** (i + 3))))  # separated
+    trial_families.append(((2.0**-6, 2.0**-5), (2.0**-6, 2.0**-5)))    # near-origin
+    trial_families.append(((2.0**-6, 2.0**-5), (1.0, 2.0)))
     qd = r_exp  # trial norms live in L^{q'}
     ratios = []
     stability = []
     for f_iv, g_iv in trial_families:
         vals = [
-            hls_bilinear_form(f_iv, g_iv, alpha, beta, lam, base_cells * 2**lvl)
+            hls_bilinear_form(f_iv, g_iv, alpha, beta, lam, 64 * 2**lvl)
             for lvl in range(refinements)
         ]
         nf = (f_iv[1] - f_iv[0]) ** (1.0 / qd)
@@ -536,7 +519,7 @@ def hls_bilinear_check(
     mx = float(np.max(ratios))
     stable = float(np.max(stability)) < 0.05
     return BoundReport(
-        tuple(ratios), mx, bound_constant, bool(mx <= bound_constant and stable),
+        tuple(ratios), mx, 25.0, bool(mx <= 25.0 and stable),
         {"alpha": alpha, "lam": lam, "stability": tuple(stability)},
     )
 
@@ -545,28 +528,24 @@ def hls_bilinear_check(
 # sharpness counterexamples
 # --------------------------------------------------------------------------
 
-def counterexample_wave(
-    n: int,
-    q,
-    R_range: Sequence[float],
-    tol: float = 1e-2,
-    tail_len: float = 80.0,
-) -> GrowthReport:
+def counterexample_wave(n: int, q, R_range: Sequence[float]) -> GrowthReport:
     """Reduced sharpness probe for the first-form range: the weighted main
     term of the half-wave evolution of flat band data,
 
         N(R)^q = int_2^R r^((n-1)(1-q/2)) int_R |W(t,r)|^q dt dr,
         W(t,r) = (1/2)[ e^{-i beta} Ghat(t+r) + e^{i beta} Ghat(t-r) ],
 
-    with Ghat the band profile's 1-D Fourier transform.  At q = 2n/(n-1) the
-    radius weight is exactly 1/r against a translation-invariant time norm,
-    so N(R) grows like a power of log R; for larger q it saturates."""
+    with Ghat the band profile's 1-D Fourier transform, tabulated on
+    |tau| < 80.  At q = 2n/(n-1) the radius weight is exactly 1/r against a
+    translation-invariant time norm, so N(R) grows like a power of log R;
+    for larger q it saturates (last relative increment <= 1e-2)."""
     q = float(parse_exponent(q))
+    L = 80.0
     beta = (n - 1) * np.pi / 4.0
     s = np.linspace(0.5, 2.0, 6001)
     ws = trapezoid_weights(s)
     g = dyadic_cutoff(0, s) * np.where(s <= 10.0, 1.0, 0.0)
-    tau = np.arange(0.0, tail_len, 0.05)
+    tau = np.arange(0.0, L, 0.05)
     ghat = np.exp(1j * np.outer(tau, s)) @ (g * ws)
     # hermitian extension: Ghat(-tau) = conj(Ghat(tau)) for real data
     tau_full = np.concatenate([-tau[:0:-1], tau])
@@ -577,7 +556,6 @@ def counterexample_wave(
         im = np.interp(x, tau_full, ghat_full.imag, left=0.0, right=0.0)
         return re + 1j * im
 
-    L = tail_len
     # separated bumps: int |W|^q dt -> 2 (1/2)^q int_R |Ghat|^q dtau
     int_ghat_q = 2.0 * float(np.sum(np.abs(ghat) ** q) * 0.05) - float(np.abs(ghat[0]) ** q) * 0.05
     p_inf = 2.0 * 0.5**q * int_ghat_q
@@ -610,7 +588,7 @@ def counterexample_wave(
     values = [cumulative(float(R)) ** (1.0 / q) for R in R_range]
     increments = np.diff(values) / np.asarray(values[1:])
     monotone = bool(np.all(np.diff(values) > 0))
-    saturated = bool(increments.size and increments[-1] <= tol)
+    saturated = bool(increments.size and increments[-1] <= 1e-2)
     powers = np.asarray(values) ** q
     slope = float(np.polyfit(np.log2(np.asarray(R_range, dtype=float)), powers, 1)[0])
     return GrowthReport(
@@ -623,7 +601,6 @@ def counterexample_schrodinger(
     n: int,
     q,
     j_range: Sequence[int],
-    c_u: float = 1.0,
     density: float = 1.0,
 ) -> ExponentFit:
     """Sharpness probe for the second-form range: concentrated band data
@@ -638,7 +615,7 @@ def counterexample_schrodinger(
         ws = trapezoid_weights(s)
         h = dyadic_cutoff(0, s) * (2.0 * w) ** (-0.5)
         r = np.linspace(2.0 ** (2 * j - 1), 2.0 ** (2 * j + 1), int(192 * density) + 1)
-        u = np.linspace(-c_u * 2.0**j, c_u * 2.0**j, int(128 * density) + 1)
+        u = np.linspace(-(2.0**j), 2.0**j, int(128 * density) + 1)
         wr = trapezoid_weights(r)
         wu = trapezoid_weights(u) / 2.0  # dt = du/2 at fixed r
         t_grid = (r[None, :] - u[:, None]) / 2.0
@@ -659,13 +636,11 @@ def knapp_fractional(
     delta_range: Sequence[float],
     q: float,
     r: float,
-    c_t: float = 0.5,
-    c_x: float = 0.5,
     density: float = 1.0,
 ) -> GrowthReport:
     """Tube-data probe in d = 2: evaluates the non-radial evolution of
     1_D, D = {|xi1 - 1| <= delta, |xi2| <= delta}, on the co-moving region
-    |t| <= c_t delta^-2, |sigma t + x1| <= c_x / delta, |x2| <= c_x / delta,
+    |t| <= delta^-2 / 2, |sigma t + x1| <= 1 / (2 delta), |x2| <= 1 / (2 delta),
     and fits the L^q_t L^r_x / L^2 ratio against delta."""
     if not (1.0 < sigma < 2.0):
         raise ValueError("probe defined for 1 < sigma < 2")
@@ -673,15 +648,15 @@ def knapp_fractional(
     logs = []
     umins, umaxs = [], []
     for delta in delta_range:
-        n1 = max(int(24 * sigma * c_t * density / delta), 64)
+        n1 = max(int(24 * sigma * 0.5 * density / delta), 64)
         xi1 = np.linspace(1 - delta, 1 + delta, n1)
         xi2 = np.linspace(-delta, delta, int(48 * density))
         dxi1 = xi1[1] - xi1[0]
         dxi2 = xi2[1] - xi2[0]
         absxi = np.sqrt(xi1[:, None] ** 2 + xi2[None, :] ** 2)
-        t_nodes = np.linspace(-c_t / delta**2, c_t / delta**2, int(24 * density) + 1)
-        x1_off = np.linspace(-c_x / delta, c_x / delta, int(16 * density) + 1)
-        x2 = np.linspace(-c_x / delta, c_x / delta, int(16 * density) + 1)
+        t_nodes = np.linspace(-0.5 / delta**2, 0.5 / delta**2, int(24 * density) + 1)
+        x1_off = np.linspace(-0.5 / delta, 0.5 / delta, int(16 * density) + 1)
+        x2 = np.linspace(-0.5 / delta, 0.5 / delta, int(16 * density) + 1)
         e2 = np.exp(1j * np.outer(xi2, x2))  # (n2, nx2)
         inner_norms = []
         u_abs_all = []
@@ -726,14 +701,14 @@ def retarded_strichartz_check(
     pair_t: tuple,
     trials: int = 4,
     seed: int = 0,
-    T: float = 24.0,
-    bound_constant: float = 20.0,
 ) -> BoundReport:
     """Boundedness probe of the retarded map F -> int_0^t S(t-s) P_0 F(s) ds
-    from L^{qt'} L^{rt'} to L^q L^r for randomized band-limited forcings."""
-    from .grids import FrequencyGrid, PhysicalGrid
-    from .norms import MixedNormSpec, mixed_norm
+    from L^{qt'} L^{rt'} to L^q L^r for randomized band-limited forcings on
+    0 <= t <= 24; PASS when every ratio is at most 20.
 
+    Forcing and response are synthesized on one uniform frequency grid
+    (at most 0.5 rad of time phase per step) through one folded kernel
+    s^(n-1) K_n(s r)."""
     q, r = (parse_exponent(pair[0]), parse_exponent(pair[1]))
     qt, rt = (parse_exponent(pair_t[0]), parse_exponent(pair_t[1]))
     family = "wave" if symbol.name == "wave" else "schrodinger"
@@ -745,18 +720,18 @@ def retarded_strichartz_check(
         if not v.admissible:
             raise AdmissibilityViolation(f"pair {p_} not {family}-admissible")
     rng = np.random.default_rng(seed)
+    T = 24.0
     k = 0
     lo, hi = band_edges(k)
     sup_dp = symbol.sup_dphi(lo, hi)
     ns = max(int((hi - lo) * T * sup_dp / 0.5), 512)
     s = np.linspace(lo, hi, ns)
-    fgrid = FrequencyGrid(s, trapezoid_weights(s))
+    ws = trapezoid_weights(s)
+    omega = symbol.phi(s)
     t_nodes = np.linspace(0.0, T, 384)
     r_max = 1.1 * T * sup_dp + 60.0
     r_nodes = np.linspace(1e-6, r_max, int(r_max / (np.pi / (6.0 * hi))) + 2)
     grid = PhysicalGrid(r_nodes, t_nodes)
-    from .bessel import radial_kernel
-
     kernel = radial_kernel(n, np.outer(s, r_nodes)) * (s ** (n - 1))[:, None]
     ratios = []
     for trial in range(trials):
@@ -764,19 +739,16 @@ def retarded_strichartz_check(
         width = 2.0 ** (trial % 4)
         env = np.exp(-((t_nodes - T / 4.0) ** 2) / (2 * width**2))
         fvals = env[:, None] * amp(s)[None, :]
-        forcing = ForcingSeries(fgrid, t_nodes, fvals, n)
-        ret = duhamel(symbol, forcing, None, grid)
+        coeff = duhamel_coefficients(omega, t_nodes, fvals)
+        ret = SpaceTimeField(grid, (coeff * ws[None, :]) @ kernel, n)
         num = mixed_norm(ret, MixedNormSpec(float(q), float(r) if r != math.inf else math.inf))
-        f_phys = (fvals * fgrid.weights[None, :]) @ kernel
-        from .propagator import SpaceTimeField
-
-        f_field = SpaceTimeField(grid, f_phys, n, source="direct")
+        f_field = SpaceTimeField(grid, (fvals * ws[None, :]) @ kernel, n)
         qtd, rtd = float(dual(qt)), dual(rt)
         rtd = float(rtd) if rtd != math.inf else math.inf
         den = mixed_norm(f_field, MixedNormSpec(qtd, rtd))
         ratios.append(num / den)
     mx = float(np.max(ratios))
-    return BoundReport(tuple(ratios), mx, bound_constant, mx <= bound_constant,
+    return BoundReport(tuple(ratios), mx, 20.0, mx <= 20.0,
                        {"pair": (str(q), str(r)), "pair_t": (str(qt), str(rt)), "seed": seed})
 
 
@@ -785,18 +757,15 @@ def conjecture_probe(
     n: int,
     R_values: Sequence[float],
     T: float = 256.0,
-    config: SamplerConfig = DEFAULT_SAMPLER,
 ) -> GrowthReport:
     """Open-segment experiment: || e^{i t D^a} P_0 f ||_{L^2_t L^{r*}_x} on
     2 <= r <= R for growing R, r* = (4n-2)/(2n-3).  Reports growth against
     log R without asserting a verdict (the endpoint's status is open)."""
-    from .dispersion import fractional_symbol
-
     symbol = fractional_symbol(a)
     r_star = (4.0 * n - 2.0) / (2.0 * n - 3.0)
     amp = canonical_band_amplitude(n, 0)
     R_max = float(max(R_values))
-    sampler = BandFieldSampler(symbol, n, 0, amp, T, config, r_window=(0.0, R_max * 1.05))
+    sampler = BandFieldSampler(symbol, n, 0, amp, T, r_window=(0.0, R_max * 1.05))
     om = sphere_area(n)
     r_all = np.concatenate([sampler.r_in, sampler.r_out])
     meas = np.concatenate(sampler.radial_measure((2.0, R_max)))

@@ -14,6 +14,8 @@ range at r_c = x_min / s_min:
     transform over the uniform radius grid per time node, so the whole
     outer field costs O(P * N_t * (N_s + N_r) log) instead of a dense
     product.  The expansion error is ~5e-12, far below quadrature error.
+    x_min and the expansion degree are the bessel constants HANKEL_X_MIN
+    and HANKEL_DEGREE.
 
 Frequency nodes are uniform with trapezoid weights; the integrand is smooth
 and compactly supported in the band, so the rule is spectrally accurate once
@@ -33,10 +35,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.signal import CZT
 
-from .bessel import hankel_phase_coeffs, radial_kernel
+from .bessel import HANKEL_X_MIN, hankel_phase_coeffs, radial_kernel
 from .dispersion import DispersionSymbol
 from .errors import QuadratureUnderresolved
-from .grids import DEFAULT_POLICY, QuadraturePolicy, band_edges, trapezoid_weights
+from .grids import (
+    DEFAULT_POLICY,
+    PANEL_ORDER,
+    QuadraturePolicy,
+    band_edges,
+    gauss_panel_grid,
+    trapezoid_weights,
+)
 from .transform import sphere_area
 
 
@@ -46,19 +55,10 @@ class SamplerConfig:
     dr_frac: float = 6.0          # radius nodes per kernel oscillation
     dt_frac: float = 6.0          # time nodes per beat of the band envelope
     nt_octave_cap: int = 48
-    x_min: float = 1.0
-    degree: int = 20
-    r_margin: float = 80.0        # extra radius beyond group transport, x 2^-k
 
     def refined(self) -> "SamplerConfig":
-        pol = QuadraturePolicy(
-            self.policy.max_phase_step / 2.0,
-            self.policy.panel_order,
-            self.policy.refinement_limit,
-        )
-        return SamplerConfig(pol, self.dr_frac * 2, self.dt_frac * 2,
-                             self.nt_octave_cap * 2, self.x_min, self.degree,
-                             self.r_margin)
+        pol = QuadraturePolicy(self.policy.max_phase_step / 2.0, self.policy.refinement_limit)
+        return SamplerConfig(pol, self.dr_frac * 2, self.dt_frac * 2, self.nt_octave_cap * 2)
 
 
 DEFAULT_SAMPLER = SamplerConfig()
@@ -106,7 +106,7 @@ def band_plan(symbol: DispersionSymbol, k: int, T: float, policy: QuadraturePoli
     c0 = float(symbol.phi(np.asarray(sc))) - c1 * sc
     kappa = 0.9 * policy.max_phase_step
     ns = int(np.ceil((shi - slo) * max(T * 0.5 * (vmax - vmin), 1.0) / kappa)) + 512
-    if ns > policy.refinement_limit * policy.panel_order:
+    if ns > policy.refinement_limit * PANEL_ORDER:
         raise QuadratureUnderresolved(f"band {k}: {ns} nodes exceed refinement limit")
     s = np.linspace(slo, shi, ns)
     ds = s[1] - s[0]
@@ -161,10 +161,11 @@ class BandFieldSampler:
             np.sum(ws * np.abs(self.g) ** 2 * self.s ** (n - 1))
         )
         # radius layout
-        self.r_c = config.x_min / slo
+        self.r_c = HANKEL_X_MIN / slo
         dr = np.pi / (config.dr_frac * shi)
         if r_window is None:
-            r_hi = 1.1 * T * sup_dp + config.r_margin * 2.0 ** (-k)
+            # group transport plus a margin of 80 x 2^-k
+            r_hi = 1.1 * T * sup_dp + 80.0 * 2.0 ** (-k)
             r_lo = 0.0
         else:
             r_lo, r_hi = r_window
@@ -175,9 +176,7 @@ class BandFieldSampler:
             # nonvanishing slope of |F|^2 r^(n-1) at r = 0)
             in_lo, in_hi = max(r_lo, 1e-9), min(self.r_c, r_hi)
             n_pan = max(int(np.ceil((in_hi - in_lo) * 2.0 * shi / 4.0)), 3)
-            from .grids import gauss_panel_grid
-
-            rg_in = gauss_panel_grid(in_lo, in_hi, n_pan, 10)
+            rg_in = gauss_panel_grid(in_lo, in_hi, n_pan)
             self.r_in, self.w_in = rg_in.nodes, rg_in.weights
             # the inner block sees the full multiplier; its own frequency grid
             # is sized by the time horizon after which transport has emptied
@@ -211,10 +210,10 @@ class BandFieldSampler:
             self.r_out = np.empty(0)
         # separable outer expansion
         if self.r_out.size:
-            b = hankel_phase_coeffs(n, config.x_min, config.degree)
+            b = hankel_phase_coeffs(n)
             self.bp = b
             p_idx = np.arange(b.size)[:, None]
-            self.s_pow = (self.s ** ((n - 1) / 2.0))[None, :] * (config.x_min / self.s)[None, :] ** p_idx
+            self.s_pow = (self.s ** ((n - 1) / 2.0))[None, :] * (HANKEL_X_MIN / self.s)[None, :] ** p_idx
             self.r_pow = (self.r_out ** (-(n - 1) / 2.0))[None, :] * (1.0 / self.r_out)[None, :] ** p_idx
             self.beta = (n - 1) * np.pi / 4.0
             theta = self.dr * self.ds
@@ -288,14 +287,14 @@ class BandFieldSampler:
                     w_out[idx[-1]] *= 0.5
         return w_in * self.r_in ** (self.n - 1), w_out * self.r_out ** (self.n - 1)
 
-    def norms(self, pairs: Sequence[tuple], region: Optional[tuple] = None) -> dict:
-        """Mixed norms over |t| <= T and the radius region.
+    def norms(self, pairs: Sequence[tuple]) -> dict:
+        """Mixed norms over |t| <= T and the sampled radius range.
 
         pairs: (q, r) exponent pairs with q < inf (r = q allowed, r = inf via
         math.inf).  Returns {pair: (norm, per_octave_qpowers)}.
         """
         om = sphere_area(self.n)
-        mi, mo = self.radial_measure(region)
+        mi, mo = self.radial_measure()
         acc = {p: np.zeros(self.n_octaves) for p in pairs}
         for t, wt, oct_i in zip(self.t, self.wt, self.octave_of):
             f_in, f_out = self.field_at(t)
@@ -330,23 +329,21 @@ def band_norm_adaptive(
     amplitude: Callable,
     pairs: Sequence[tuple],
     T0: float,
-    tol: float = 1e-2,
     max_doublings: int = 3,
     config: SamplerConfig = DEFAULT_SAMPLER,
     r_window: Optional[tuple] = None,
-    region: Optional[tuple] = None,
 ) -> dict:
     """Norms with the adaptive window rule applied to the time octaves.
 
-    The window doubles until the last octave contributes <= tol of each
-    norm's q-th power (then `converged`), or until the octave-power ratios
-    plateau near 1 (then `nonconvergent`).  A geometric tail extrapolation
-    is attached whenever the ratios decay.
+    The window doubles until the last octave adds <= 1% to each norm, i.e.
+    <= q% of its q-th power (then `converged`), or until the octave-power
+    ratios plateau near 1 (then `nonconvergent`).  A geometric tail
+    extrapolation is attached whenever the ratios decay.
     """
     T = T0
     for attempt in range(max_doublings + 1):
         sampler = BandFieldSampler(symbol, n, k, amplitude, T, config, r_window)
-        res = sampler.norms(pairs, region)
+        res = sampler.norms(pairs)
         done = True
         worst_ratio = 0.0
         for q, r in pairs:
@@ -356,7 +353,7 @@ def band_norm_adaptive(
                 continue
             frac = powers[-1] / total
             # convert the q-power fraction to a norm increment fraction
-            if frac > q * tol:
+            if frac > q * 1e-2:
                 done = False
             tail = powers[powers > 0]
             if tail.size >= 2:

@@ -2,12 +2,12 @@
 
 FrequencyGrid carries nodes and weights for integrals in the radial frequency
 variable s; PhysicalGrid carries the (t, r) sample points of a space-time
-field together with the dyadic annulus index 2^(j-1) <= r < 2^j.
+field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class QuadraturePolicy:
     """
 
     max_phase_step: float = np.pi / 4
-    panel_order: int = 10
     refinement_limit: int = 400_000
 
     def __post_init__(self):
@@ -33,6 +32,9 @@ class QuadraturePolicy:
 
 
 DEFAULT_POLICY = QuadraturePolicy()
+
+# Gauss-Legendre nodes per panel of every composite grid
+PANEL_ORDER = 10
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -69,9 +71,6 @@ class FrequencyGrid:
     def span(self) -> tuple[float, float]:
         return float(self.nodes[0]), float(self.nodes[-1])
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(self.weights * values))
-
 
 def uniform_grid(lo: float, hi: float, n: int) -> FrequencyGrid:
     """Uniform nodes with trapezoid weights; spectrally accurate for smooth
@@ -80,10 +79,10 @@ def uniform_grid(lo: float, hi: float, n: int) -> FrequencyGrid:
     return FrequencyGrid(nodes, trapezoid_weights(nodes))
 
 
-def gauss_panel_grid(lo: float, hi: float, n_panels: int, order: int = 10) -> FrequencyGrid:
+def gauss_panel_grid(lo: float, hi: float, n_panels: int) -> FrequencyGrid:
     """Composite Gauss-Legendre panels; panel edges split [lo, hi] uniformly
     so dyadic rescaling maps node sets exactly onto each other."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2
     half = (edges[1:] - edges[:-1]) / 2
@@ -110,15 +109,7 @@ def band_grid(k: int, phase_budget: float, policy: QuadraturePolicy = DEFAULT_PO
         raise QuadratureUnderresolved(
             f"band {k} needs {n_panels} panels > limit {policy.refinement_limit}"
         )
-    return gauss_panel_grid(lo, hi, n_panels, policy.panel_order)
-
-
-def annulus_index(r: np.ndarray) -> np.ndarray:
-    """Dyadic index j with 2^(j-1) <= r < 2^j for each radius."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise NonPositiveSample("annulus index defined for r > 0 only")
-    return np.floor(np.log2(r)).astype(int) + 1
+    return gauss_panel_grid(lo, hi, n_panels)
 
 
 @dataclass(frozen=True)
@@ -137,10 +128,6 @@ class PhysicalGrid:
             raise NonPositiveSample("physical radii must be positive")
         if np.any(np.diff(r) <= 0) or np.any(np.diff(t) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
-
-    @property
-    def annulus(self) -> np.ndarray:
-        return annulus_index(self.r_nodes)
 
     def r_weights(self) -> np.ndarray:
         return trapezoid_weights(self.r_nodes)

@@ -37,9 +37,9 @@ import numpy as np
 from .admissibility import PairSelection, choose_pairs_nls, choose_pairs_nlw, s0
 from .bessel import radial_kernel
 from .cutoffs import smooth_bump
-from .dispersion import DispersionSymbol, get_symbol
+from .dispersion import DispersionSymbol, fractional_symbol, get_symbol
 from .errors import DomainError, NonContraction, OutOfRangeS, OutOfRangeSigma
-from .grids import FrequencyGrid, PhysicalGrid, trapezoid_weights
+from .grids import FrequencyGrid, PhysicalGrid, gauss_panel_grid, trapezoid_weights, uniform_grid
 from .propagator import SpaceTimeField, duhamel_coefficients
 from .transform import RadialProfile, sphere_area
 
@@ -70,14 +70,7 @@ class NonlinearProblem:
                 m1=2.0, m2=2.0, alpha1=2.0, alpha2=2.0,
             )
         if self.kind == "fnls":
-            sig = self.sigma
-            return DispersionSymbol(
-                f"fnls-generator:{sig:g}",
-                phi=lambda s: np.asarray(s, dtype=float) ** sig,
-                dphi=lambda s: sig * np.asarray(s, dtype=float) ** (sig - 1.0),
-                d2phi=lambda s: sig * (sig - 1.0) * np.asarray(s, dtype=float) ** (sig - 2.0),
-                m1=sig, m2=sig, alpha1=sig, alpha2=sig,
-            )
+            return fractional_symbol(self.sigma)
         return get_symbol("wave")
 
 
@@ -119,30 +112,26 @@ def build_solver_grid(
     p: float,
     T: float,
     group_speed: float,
-    s_cap_factor: float = 1.1,
-    phase_per_panel: float = 4.0,
-    panel_order: int = 10,
     r_margin: float = 60.0,
 ) -> SolverGrid:
     """Grids Nyquist-matched to (p+1) times the data band.
 
-    The radius grid resolves oscillation up to (p+1) s_max; the frequency
-    grid extends to (p+1) s_max (recorded truncation band) and resolves the
-    kernel oscillation at the largest radius.  Both directions use composite
-    Gauss-Legendre panels, so the analysis/synthesis round trip is accurate
-    to ~1e-10 on band-limited data (uniform trapezoid would leave an O(dr^2)
-    boundary term at r = 0).
+    The radius grid resolves oscillation up to 1.1 (p+1) s_max; the
+    frequency grid extends to 1.1 (p+1) s_max (recorded truncation band) and
+    resolves the kernel oscillation at the largest radius, at a phase of 4
+    radians per panel.  Both directions use composite Gauss-Legendre panels,
+    so the analysis/synthesis round trip is accurate to ~1e-10 on
+    band-limited data (uniform trapezoid would leave an O(dr^2) boundary
+    term at r = 0).
     """
-    from .grids import gauss_panel_grid
-
     s_lo_d, s_hi_d = band
-    s_hi = (p + 1.0) * s_hi_d * s_cap_factor
+    s_hi = (p + 1.0) * s_hi_d * 1.1
     s_lo = s_lo_d / 8.0
     r_max = 1.15 * T * group_speed + r_margin
-    n_pan_s = int(np.ceil((s_hi - s_lo) * r_max / phase_per_panel)) + 2
-    n_pan_r = int(np.ceil(r_max * s_hi / phase_per_panel)) + 2
-    freq = gauss_panel_grid(s_lo, s_hi, n_pan_s, panel_order)
-    rgrid = gauss_panel_grid(1e-9, r_max, n_pan_r, panel_order)
+    n_pan_s = int(np.ceil((s_hi - s_lo) * r_max / 4.0)) + 2
+    n_pan_r = int(np.ceil(r_max * s_hi / 4.0)) + 2
+    freq = gauss_panel_grid(s_lo, s_hi, n_pan_s)
+    rgrid = gauss_panel_grid(1e-9, r_max, n_pan_r)
     r, wr = rgrid.nodes, rgrid.weights
     s = freq.nodes
     kern = radial_kernel(n, np.outer(s, r))
@@ -218,7 +207,6 @@ def picard_solve(
     grid: Optional[SolverGrid] = None,
     max_iter: int = 10,
     tol: float = 1e-10,
-    nonlinearity_scale: float = 1.0,
 ) -> tuple[SpaceTimeField, PicardTrace]:
     """Iterate the Duhamel map until the resolution-norm difference of
     successive iterates falls below tol (relative to the first iterate).
@@ -226,9 +214,8 @@ def picard_solve(
     The iterate is the frequency trajectory a(t, s) of a' = i omega a - i G
     with G = mu |u|^p u (Schrodinger kinds, u = a) or G = i mu |u|^p u
     (wave, u = Im(a) / s); the returned field stores a in `freq`.
-
-    `nonlinearity_scale` multiplies the nonlinear coefficient; 0 reproduces
-    the linear evolution exactly (bit-for-bit, same code path)."""
+    mu = 0 reproduces the linear evolution exactly (bit-for-bit, same code
+    path)."""
     wave = problem.kind == "nlw"
     band = (float(problem.data.grid.nodes[0]), float(problem.data.grid.nodes[-1]))
     generator = problem.generator_symbol()
@@ -248,11 +235,10 @@ def picard_solve(
     phys = synthesize(coeff)
     iterate_norms = [_resolution_norm(grid, phys, problem.n, *qr)]
     diff_norms = []
-    mu_eff = problem.mu * nonlinearity_scale
-    gain = 1j * mu_eff if wave else mu_eff
+    gain = 1j * problem.mu if wave else problem.mu
     converged = False
     for it in range(max_iter):
-        if mu_eff == 0:
+        if problem.mu == 0:
             converged = True
             break
         forcing = grid.to_frequency(np.abs(phys) ** problem.p * phys)
@@ -333,22 +319,26 @@ def wave_scattering_state(field: SpaceTimeField, s_w: float) -> ScatteringDiagno
 # data synthesis and experiments
 # --------------------------------------------------------------------------
 
+# every experiment draws its data on this band and stops Picard after
+# EXPERIMENT_MAX_ITER iterations (at picard_solve's default tolerance)
+DATA_BAND = (0.5, 2.0)
+EXPERIMENT_MAX_ITER = 8
+
+
 def random_band_profile(
     n: int,
     rng: np.random.Generator,
-    band: tuple = (0.5, 2.0),
     s_norm: float = 0.0,
     target: float = 1.0,
-    controls: int = 10,
     real_valued: bool = False,
 ) -> RadialProfile:
-    """Band-limited random radial datum with prescribed H^{s_norm}-dot norm.
+    """Random radial datum on DATA_BAND with prescribed H^{s_norm}-dot norm.
 
-    Chebyshev coefficients in the logarithmic band coordinate keep the datum
-    C-infinity, so its physical profile decays faster than any power and the
-    solver's truncated analysis quadrature stays accurate."""
-    lo, hi = band
-    ctrl = rng.standard_normal(controls) + 1j * rng.standard_normal(controls)
+    Ten Chebyshev coefficients in the logarithmic band coordinate keep the
+    datum C-infinity, so its physical profile decays faster than any power
+    and the solver's truncated analysis quadrature stays accurate."""
+    lo, hi = DATA_BAND
+    ctrl = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     if real_valued:
         ctrl = ctrl.real + 0j
     mid = math.sqrt(lo * hi)
@@ -376,8 +366,6 @@ def random_band_profile(
     def fn(s, _raw=raw, _sc=scale):
         return _sc * _raw(s)
 
-    from .grids import uniform_grid
-
     grid = uniform_grid(lo, hi, 1025)
     return RadialProfile(grid, fn(grid.nodes), n, fn=fn)
 
@@ -391,7 +379,6 @@ class ExperimentReport:
     all_converged: bool
     max_contraction: float
     max_mass_drift: float
-    meta: dict = field(default_factory=dict)
 
 
 def nls_small_data_experiment(
@@ -400,9 +387,6 @@ def nls_small_data_experiment(
     delta: float,
     seeds: Sequence[int],
     T: float = 16.0,
-    band: tuple = (0.5, 2.0),
-    max_iter: int = 8,
-    tol: float = 1e-10,
 ) -> ExperimentReport:
     """Small-data runs of the semilinear Schrodinger fixed point at critical
     regularity s_sch < 0: contraction, the resolution-norm bound, and the
@@ -419,11 +403,12 @@ def nls_small_data_experiment(
     grid = None
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        data = random_band_profile(n, rng, band, s_norm=float(s_sch_f), target=delta)
+        data = random_band_profile(n, rng, s_norm=float(s_sch_f), target=delta)
         problem = NonlinearProblem("nls", n, p, mu=1 if seed % 2 == 0 else -1, data=data)
         if grid is None:
-            grid = build_solver_grid(n, band, p, T, problem.generator_symbol().sup_dphi(*band))
-        fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=max_iter, tol=tol)
+            speed = problem.generator_symbol().sup_dphi(*DATA_BAND)
+            grid = build_solver_grid(n, DATA_BAND, p, T, speed)
+        fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=EXPERIMENT_MAX_ITER)
         diag = scattering_state(fld, problem.generator_symbol(), float(s_sch_f))
         sol_norm = trace.iterate_norms[-1]
         runs.append({
@@ -439,7 +424,7 @@ def nls_small_data_experiment(
             "tail_decreasing": diag.tail_decreasing,
         })
     return ExperimentReport(
-        "nls", {"n": n, "s_sch": float(s_sch_f), "delta": delta, "p": p, "T": T, "band": band},
+        "nls", {"n": n, "s_sch": float(s_sch_f), "delta": delta, "p": p, "T": T, "band": DATA_BAND},
         (float(pairs.q), float(pairs.r)), tuple(runs),
         all(r["converged"] for r in runs),
         max(r["contraction"] for r in runs),
@@ -453,29 +438,26 @@ def nlw_small_data_experiment(
     delta: float,
     seeds: Sequence[int],
     T: float = 16.0,
-    band: tuple = (0.5, 2.0),
-    max_iter: int = 8,
-    tol: float = 1e-10,
-    theta=None,
 ) -> ExperimentReport:
     """Small-data semilinear wave runs in the pair norm at regularity s_w."""
     if not (s0(n) + 1e-12 < float(s_w) < 0.5):
         raise OutOfRangeS(f"need s0({n}) < s_w < 1/2, got {s_w}")
-    pairs = choose_pairs_nlw(n, s_w, theta=theta)
+    pairs = choose_pairs_nlw(n, s_w)
     p = float(pairs.p)
     runs = []
     grid = None
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        d0 = random_band_profile(n, rng, band, s_norm=float(s_w), target=delta / 2.0,
+        d0 = random_band_profile(n, rng, s_norm=float(s_w), target=delta / 2.0,
                                  real_valued=True)
-        d1 = random_band_profile(n, rng, band, s_norm=float(s_w) - 1.0, target=delta / 2.0,
+        d1 = random_band_profile(n, rng, s_norm=float(s_w) - 1.0, target=delta / 2.0,
                                  real_valued=True)
         problem = NonlinearProblem("nlw", n, p, mu=1 if seed % 2 == 0 else -1,
                                    data=d0, data_velocity=d1)
         if grid is None:
-            grid = build_solver_grid(n, band, p, T, problem.generator_symbol().sup_dphi(*band))
-        fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=max_iter, tol=tol)
+            speed = problem.generator_symbol().sup_dphi(*DATA_BAND)
+            grid = build_solver_grid(n, DATA_BAND, p, T, speed)
+        fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=EXPERIMENT_MAX_ITER)
         diag = wave_scattering_state(fld, float(s_w))
         runs.append({
             "seed": seed,
@@ -488,7 +470,7 @@ def nlw_small_data_experiment(
         })
     return ExperimentReport(
         "nlw", {"n": n, "s_w": float(s_w), "delta": delta, "p": p, "T": T,
-                "band": band, "case": pairs.case},
+                "band": DATA_BAND, "case": pairs.case},
         (float(pairs.q), float(pairs.r) if pairs.r != math.inf else math.inf),
         tuple(runs),
         all(r["converged"] for r in runs),
@@ -505,13 +487,10 @@ def fnls_experiment(
     delta: float,
     seeds: Sequence[int],
     T: float = 16.0,
-    band: tuple = (0.5, 2.0),
-    max_iter: int = 8,
-    tol: float = 1e-10,
-    mu: int = -1,
 ) -> ExperimentReport:
-    """Fractional-order runs with the symmetric scheme pairs
-    q = p + 2, r = 2n(p+2)/(2(n - sigma) + n p); monitors mass and energy."""
+    """Defocusing (mu = -1) fractional-order runs with the symmetric scheme
+    pairs q = p + 2, r = 2n(p+2)/(2(n - sigma) + n p); monitors mass and
+    energy."""
     if not (2.0 * n / (2.0 * n - 1.0) <= sigma < 2.0):
         raise OutOfRangeSigma(f"need 2n/(2n-1) <= sigma < 2, got {sigma}")
     if p < 2.0 * sigma / n - 1e-12:
@@ -522,17 +501,19 @@ def fnls_experiment(
     runs = []
     grid = None
     om = sphere_area(n)
+    mu = -1
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        data = random_band_profile(n, rng, band, s_norm=s, target=delta)
+        data = random_band_profile(n, rng, s_norm=s, target=delta)
         problem = NonlinearProblem("fnls", n, p, mu=mu, data=data, sigma=sigma)
         if grid is None:
-            grid = build_solver_grid(n, band, p, T, problem.generator_symbol().sup_dphi(*band))
-        fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=max_iter, tol=tol)
+            speed = problem.generator_symbol().sup_dphi(*DATA_BAND)
+            grid = build_solver_grid(n, DATA_BAND, p, T, speed)
+        fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=EXPERIMENT_MAX_ITER)
         fgrid, coeff = fld.freq
         # energy: omega [ int s^sigma |u_hat|^2 s^(n-1) ds - mu/(p+2) int |u|^{p+2} r^(n-1) dr ]
         kin, pot = [], []
-        phys = grid.to_physical(coeff)
+        phys = fld.values
         for i in range(0, grid.t.size, max(grid.t.size // 16, 1)):
             kin.append(float(om * np.sum(
                 fgrid.weights * fgrid.nodes ** (sigma + n - 1) * np.abs(coeff[i]) ** 2
@@ -549,12 +530,12 @@ def fnls_experiment(
             "contraction": trace.contraction_factor,
             "mass_drift": trace.mass_drift,
             "energy_drift": e_drift,
-            "energy_positive": bool(np.all(energy > 0)) if mu == -1 else None,
+            "energy_positive": bool(np.all(energy > 0)),
             "final_deviation": diag.deviation[-2] if len(diag.deviation) > 1 else 0.0,
         })
     return ExperimentReport(
         "fnls", {"n": n, "sigma": sigma, "p": p, "s": s, "delta": delta, "T": T,
-                 "band": band, "mu": mu},
+                 "band": DATA_BAND, "mu": mu},
         (q, r), tuple(runs),
         all(r["converged"] for r in runs),
         max(r["contraction"] for r in runs),

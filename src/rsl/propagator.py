@@ -18,11 +18,15 @@ main/error decomposition F = M + E with
 
 and E carrying the r^(-(n+1)/2)-size residual kernels.  M + E reproduces the
 direct evaluation exactly up to rounding because the kernel split is exact.
+
+`duhamel_coefficients` gives the frequency-side retarded term with the
+multiplier integrated exactly over each time step; its callers (the Picard
+solvers and the retarded-estimate check) synthesize the field themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,13 +37,14 @@ from .dispersion import DispersionSymbol
 from .errors import QuadratureUnderresolved, SplitDomainError
 from .grids import (
     DEFAULT_POLICY,
+    PANEL_ORDER,
     FrequencyGrid,
     PhysicalGrid,
     QuadraturePolicy,
     band_edges,
     band_grid,
 )
-from .transform import RadialProfile, project, sphere_area
+from .transform import RadialProfile, sphere_area
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ def _integration_grid(
     lo, hi = fg.span
     budget = t_max * symbol.sup_dphi(lo, hi) + r_max
     max_ds = float(np.max(np.diff(fg.nodes)))
-    if max_ds * budget > policy.max_phase_step * policy.panel_order:
+    if max_ds * budget > policy.max_phase_step * PANEL_ORDER:
         raise QuadratureUnderresolved(
             f"profile grid spacing {max_ds:.3g} too coarse for phase budget {budget:.3g}"
         )
@@ -137,11 +142,10 @@ def main_error_split(
     profile: RadialProfile,
     k: int,
     grid: PhysicalGrid,
-    policy: QuadraturePolicy = DEFAULT_POLICY,
 ) -> tuple[SpaceTimeField, SpaceTimeField]:
     """(M, E) with M from the two leading kernel oscillations and E the exact
     residual; requires r s >= 1 on every quadrature pair."""
-    fg, vals = _integration_grid(symbol, profile, k, grid, policy)
+    fg, vals = _integration_grid(symbol, profile, k, grid, DEFAULT_POLICY)
     s, w = fg.nodes, fg.weights
     n = profile.n
     nu = (n - 2) / 2.0
@@ -171,22 +175,6 @@ def oracle_wave_cosine_3d(g: Callable, t: float, r) -> np.ndarray:
     a = (r + t) * g(np.abs(r + t))
     b = (r - t) * g(np.abs(r - t))
     return (a + b) / (2.0 * r)
-
-
-@dataclass(frozen=True)
-class ForcingSeries:
-    """f_hat(t_i, s_m): time-indexed frequency-side forcing on a common grid."""
-
-    grid: FrequencyGrid
-    t_nodes: np.ndarray
-    values: np.ndarray  # (n_t, n_s)
-    n: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", v)
-        if v.shape != (np.asarray(self.t_nodes).size, self.grid.nodes.size):
-            raise ValueError("forcing shape must be (n_t, n_s)")
 
 
 def _etd_coeffs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,36 +216,3 @@ def duhamel_coefficients(
         c[i] = ez * c[i - 1] - 1j * step
     return c
 
-
-def duhamel(
-    symbol: DispersionSymbol,
-    forcing: ForcingSeries,
-    k: Optional[int],
-    grid: PhysicalGrid,
-    policy: QuadraturePolicy = DEFAULT_POLICY,
-) -> SpaceTimeField:
-    """Retarded integral int_0^t S_phi(t-tau) [P_k f(tau)] dtau.
-
-    The forcing must be sampled on the output grid's time nodes.  Frequency
-    integration reuses the forcing's own grid (checked against the Nyquist
-    rule), since re-sampling a time series onto new nodes is not meaningful.
-    """
-    t = np.asarray(grid.t_nodes, dtype=float)
-    if t.size != np.asarray(forcing.t_nodes).size or not np.allclose(t, forcing.t_nodes):
-        raise ValueError("forcing must be sampled on the output time grid")
-    fg = forcing.grid
-    vals = forcing.values
-    if k is not None:
-        vals = vals * dyadic_cutoff(k, fg.nodes)[None, :]
-    lo, hi = fg.span
-    budget = float(np.max(np.abs(t))) * symbol.sup_dphi(lo, hi) + float(np.max(grid.r_nodes))
-    max_ds = float(np.max(np.diff(fg.nodes)))
-    if max_ds * budget > policy.max_phase_step * policy.panel_order:
-        raise QuadratureUnderresolved(
-            f"forcing grid spacing {max_ds:.3g} too coarse for phase budget {budget:.3g}"
-        )
-    coeff = duhamel_coefficients(symbol.phi(fg.nodes), t, vals)
-    s, w = fg.nodes, fg.weights
-    kernel = radial_kernel(forcing.n, np.outer(s, grid.r_nodes)) * (s ** (forcing.n - 1))[:, None]
-    field = (coeff * w[None, :]) @ kernel
-    return SpaceTimeField(grid, field, forcing.n, source="duhamel", freq=(fg, coeff))

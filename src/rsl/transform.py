@@ -23,8 +23,6 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -36,10 +34,9 @@ from .cutoffs import dyadic_cutoff
 from .errors import QuadratureUnderresolved
 from .grids import (
     DEFAULT_POLICY,
+    PANEL_ORDER,
     FrequencyGrid,
-    QuadraturePolicy,
     band_edges,
-    trapezoid_weights,
     uniform_grid,
 )
 
@@ -81,9 +78,6 @@ class RadialProfile:
         nodes = self.grid.nodes
         return np.interp(s, nodes, self.values.real) + 1j * np.interp(s, nodes, self.values.imag)
 
-    def with_values(self, values: np.ndarray, keep_fn: bool = False) -> "RadialProfile":
-        return replace(self, values=np.asarray(values, dtype=complex), fn=self.fn if keep_fn else None)
-
 
 def profile_from_fn(fn, grid: FrequencyGrid, n: int) -> RadialProfile:
     return RadialProfile(grid, np.asarray(fn(grid.nodes), dtype=complex), n, fn=fn)
@@ -96,7 +90,7 @@ def project(profile: RadialProfile, k: int) -> RadialProfile:
         fn = profile.fn
         return replace(profile, values=profile.values * cut,
                        fn=lambda s, _f=fn, _k=k: _f(s) * dyadic_cutoff(_k, s))
-    return profile.with_values(profile.values * cut)
+    return replace(profile, values=profile.values * cut, fn=None)
 
 
 def l2_norm(profile: RadialProfile) -> float:
@@ -106,23 +100,19 @@ def l2_norm(profile: RadialProfile) -> float:
     return float(np.sqrt(sphere_area(profile.n) * val))
 
 
-def fourier_bessel(
-    profile: RadialProfile,
-    r,
-    policy: QuadraturePolicy = DEFAULT_POLICY,
-) -> np.ndarray:
+def fourier_bessel(profile: RadialProfile, r) -> np.ndarray:
     """Evaluate T[h](r) by quadrature on the profile's own grid.
 
     The grid must resolve the kernel oscillation: the largest node spacing
-    times max(r) has to stay below the policy's phase step (scaled for the
-    non-Gauss case by the panel order).
+    times max(r) has to stay below the default policy's phase step (scaled
+    for the non-Gauss case by the panel order).
     """
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     g = profile.grid
     max_ds = float(np.max(np.diff(g.nodes)))
-    budget = policy.max_phase_step * policy.panel_order
+    budget = DEFAULT_POLICY.max_phase_step * PANEL_ORDER
     if r.size and max_ds * float(np.max(r)) > budget:
         raise QuadratureUnderresolved(
             f"grid spacing {max_ds:.3g} cannot resolve radius {np.max(r):.3g} "
@@ -131,33 +121,6 @@ def fourier_bessel(
     w = g.weights * profile.values * g.nodes ** (profile.n - 1)
     out = radial_kernel(profile.n, np.outer(r, g.nodes)) @ w
     return out[0] if scalar else out
-
-
-def profile_to_csv(profile: RadialProfile, csv_path, meta_path=None) -> None:
-    """CSV columns (s, Re h, Im h) plus a JSON sidecar with n and the span."""
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["s", "re_h", "im_h"])
-        for s, v in zip(profile.grid.nodes, profile.values):
-            writer.writerow([repr(float(s)), repr(float(v.real)), repr(float(v.imag))])
-    if meta_path is not None:
-        lo, hi = profile.grid.span
-        with open(meta_path, "w") as f:
-            json.dump({"n": profile.n, "span": [lo, hi], "nodes": int(profile.grid.nodes.size)}, f, indent=2)
-
-
-def profile_from_csv(csv_path, n: int) -> RadialProfile:
-    rows = []
-    with open(csv_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header[:1] != ["s"]:
-            raise ValueError("expected header starting with 's'")
-        for row in reader:
-            rows.append((float(row[0]), float(row[1]), float(row[2])))
-    s = np.array([r[0] for r in rows])
-    vals = np.array([complex(r[1], r[2]) for r in rows])
-    return RadialProfile(FrequencyGrid(s, trapezoid_weights(s)), vals, n)
 
 
 def canonical_band_amplitude(n: int, k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -176,8 +139,7 @@ def canonical_band_amplitude(n: int, k: int) -> Callable[[np.ndarray], np.ndarra
     return amp
 
 
-def canonical_band_profile(n: int, k: int, grid: Optional[FrequencyGrid] = None) -> RadialProfile:
-    """The canonical band datum on `grid` (default: 2049 uniform nodes)."""
-    if grid is None:
-        grid = uniform_grid(*band_edges(k), 2049)
+def canonical_band_profile(n: int, k: int) -> RadialProfile:
+    """The canonical band datum on 2049 uniform nodes across the band."""
+    grid = uniform_grid(*band_edges(k), 2049)
     return profile_from_fn(canonical_band_amplitude(n, k), grid, n)

@@ -113,7 +113,7 @@ def test_hankel_phase_coeffs_accuracy():
 
     for n in (2, 3, 4, 5):
         nu = (n - 2) / 2.0
-        b = hankel_phase_coeffs(n, 1.0, 20)
+        b = hankel_phase_coeffs(n)
         x = np.exp(np.linspace(0, np.log(1e4), 2000))
         zeta = special.hankel1e(nu, x) * np.sqrt(np.pi * x / 2.0) * np.exp(
             1j * (nu * np.pi / 2 + np.pi / 4)
@@ -164,7 +164,7 @@ def test_hankel_phase_coeffs_against_mpmath():
                 for xm in map(mpmath.mpf, x)
             ])
         approx = np.zeros_like(x, dtype=complex)
-        for c in hankel_phase_coeffs(n, 1.0, 20)[::-1]:
+        for c in hankel_phase_coeffs(n)[::-1]:
             approx = approx / x + c   # Horner in x_min/x with x_min = 1
         err = np.abs(approx - ref)
         assert np.max(err) <= 1e-10, (n, float(x[np.argmax(err)]))

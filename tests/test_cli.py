@@ -63,9 +63,14 @@ def test_counter_schrodinger_run(tmp_path):
     assert len(rows) == 5
 
 
-def test_determinism_byte_identical(tmp_path):
-    args = ["smoothing", "--symbol", "schrodinger", "--k", "0", "--q", "4",
-            "--trials", "4"]
+@pytest.mark.parametrize("args", [
+    ["smoothing", "--symbol", "schrodinger", "--k", "0", "--q", "4", "--trials", "4"],
+    ["fit-k", "--k=-1..0", "--T0", "8"],
+    ["retarded", "--trials", "1"],
+    ["conjecture-probe", "--R", "8,16", "--T", "16"],
+    ["solve-fnls", "--seeds", "0", "--T", "4"],
+], ids=["smoothing", "fit-k", "retarded", "conjecture-probe", "solve-fnls"])
+def test_determinism_byte_identical(tmp_path, args):
     run([*args], tmp_path, "d1")
     run([*args], tmp_path, "d2")
     a = (tmp_path / "d1" / "data.csv").read_bytes()

@@ -58,7 +58,7 @@ def test_dispersion_mismatch_relations():
 def test_hypothesis_verification_catalog():
     # every catalog symbol passes the dyadic window check with C = 10
     for name, sym in builtin_symbols().items():
-        rep = verify_hypotheses(sym, range(-8, 9), window_constant=10.0)
+        rep = verify_hypotheses(sym, range(-8, 9))
         assert rep.passed, f"{name} failed the hypothesis window"
     rep = verify_hypotheses(get_symbol("fractional:1.5"), range(-8, 9))
     assert rep.passed

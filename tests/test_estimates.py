@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from rsl.dispersion import get_symbol
+from rsl.dispersion import fractional_symbol, get_symbol
 from rsl.errors import AdmissibilityViolation, OutOfRangeQ, ParameterViolation, RegimeViolation
 from rsl.estimates import (
+    conjecture_probe,
     counterexample_schrodinger,
     counterexample_wave,
     fit_annulus_scaling,
@@ -23,6 +24,11 @@ from rsl.estimates import (
     smoothing_lemma_check,
     strichartz_l6_check,
 )
+from rsl.fastfield import BandFieldSampler
+from rsl.grids import PhysicalGrid
+from rsl.norms import MixedNormSpec, mixed_norm
+from rsl.propagator import evolve
+from rsl.transform import canonical_band_amplitude, canonical_band_profile
 
 SCH = get_symbol("schrodinger")
 WAVE = get_symbol("wave")
@@ -243,3 +249,23 @@ def test_retarded_fractional_gap_line():
         trials=2, seed=3,
     )
     assert rep.passed
+
+
+# ---------------------------------------------------------------- open segment
+
+def test_conjecture_probe_matches_dense_evolve():
+    # the probe's L^2_t L^{r*}_x norm over 2 <= r <= R against a dense evolve
+    # of the same datum on the probe's own time nodes; the probe cuts its
+    # radius quadrature at R to first order, hence the 1e-2 bound
+    a, n, R_values, T = 2.0, 2, [8.0, 16.0], 16.0
+    rep = conjecture_probe(a, n, R_values, T=T)
+    assert rep.monotone
+    symbol = fractional_symbol(a)
+    t = BandFieldSampler(symbol, n, 0, canonical_band_amplitude(n, 0), T,
+                         r_window=(0.0, 1.05 * max(R_values))).t
+    prof = canonical_band_profile(n, 0)  # 2049 uniform nodes
+    for R, value in zip(R_values, rep.values):
+        fld = evolve(symbol, prof, None, PhysicalGrid(np.linspace(2.0, R, 801), t))
+        # factor sqrt(2): the norm over -T <= t <= T of a field even in t
+        ref = math.sqrt(2.0) * mixed_norm(fld, MixedNormSpec(2.0, rep.meta["r_star"]))
+        assert abs(value - ref) / ref < 1e-2

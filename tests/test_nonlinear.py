@@ -29,7 +29,7 @@ P_NLS = 20.0 / 11.0  # p at s_sch = -1/10, n = 2
 
 def _nls_problem(seed=0, delta=1e-3, mu=1):
     rng = np.random.default_rng(seed)
-    data = random_band_profile(2, rng, (0.5, 2.0), s_norm=-0.1, target=delta)
+    data = random_band_profile(2, rng, s_norm=-0.1, target=delta)
     return NonlinearProblem("nls", 2, P_NLS, mu=mu, data=data)
 
 
@@ -39,7 +39,7 @@ def _speed(prob):
 
 def test_random_profile_normalization():
     rng = np.random.default_rng(1)
-    prof = random_band_profile(2, rng, (0.5, 2.0), s_norm=-0.1, target=1e-3)
+    prof = random_band_profile(2, rng, s_norm=-0.1, target=1e-3)
     assert sobolev_norm(prof, -0.1) == pytest.approx(1e-3, rel=1e-3)
     # band-limited support
     assert np.all(np.abs(prof.fn(np.array([0.4, 2.2]))) == 0.0)
@@ -52,7 +52,7 @@ def test_solver_grid_round_trip():
     # to this representation floor
     grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, 4.0)
     rng = np.random.default_rng(2)
-    prof = random_band_profile(2, rng, (0.5, 2.0), s_norm=0.0, target=1.0)
+    prof = random_band_profile(2, rng, s_norm=0.0, target=1.0)
     h = prof.fn(grid.freq.nodes)
     phys = grid.to_physical(h[None, :])
     back = grid.to_frequency(phys)[0]
@@ -95,10 +95,10 @@ def test_real_transforms_match_complex_product():
 
 
 def test_linear_consistency_bitwise():
-    prob = _nls_problem()
+    prob = _nls_problem(mu=0)
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
     grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(prob))
-    fld, trace = picard_solve(prob, pairs, 8.0, grid=grid, nonlinearity_scale=0.0)
+    fld, trace = picard_solve(prob, pairs, 8.0, grid=grid)
     assert trace.converged and trace.contraction_factor == 0.0
     s = grid.freq.nodes
     omega = prob.generator_symbol().phi(s)
@@ -127,9 +127,9 @@ def test_small_data_contraction_and_scattering():
 
 
 def test_scattering_pullback_constant_for_linear():
-    prob = _nls_problem(seed=4)
+    prob = _nls_problem(seed=4, mu=0)
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
-    fld, _ = picard_solve(prob, pairs, 8.0, nonlinearity_scale=0.0)
+    fld, _ = picard_solve(prob, pairs, 8.0)
     diag = scattering_state(fld, prob.generator_symbol(), -0.1)
     assert max(diag.deviation) < 1e-12
 
@@ -183,21 +183,21 @@ def test_nlw_experiment():
         nlw_small_data_experiment(2, 0.05, 1e-3, seeds=[0])
 
 
-def _nlw_problem(seed=0, delta=1e-3, real_valued=True):
+def _nlw_problem(seed=0, delta=1e-3, real_valued=True, mu=1):
     pairs = choose_pairs_nlw(2, Fraction(3, 10))
     rng = np.random.default_rng(seed)
-    d0 = random_band_profile(2, rng, (0.5, 2.0), s_norm=0.3, target=delta / 2.0,
+    d0 = random_band_profile(2, rng, s_norm=0.3, target=delta / 2.0,
                              real_valued=real_valued)
-    d1 = random_band_profile(2, rng, (0.5, 2.0), s_norm=-0.7, target=delta / 2.0,
+    d1 = random_band_profile(2, rng, s_norm=-0.7, target=delta / 2.0,
                              real_valued=True)
-    return NonlinearProblem("nlw", 2, float(pairs.p), mu=1, data=d0, data_velocity=d1), pairs
+    return NonlinearProblem("nlw", 2, float(pairs.p), mu=mu, data=d0, data_velocity=d1), pairs
 
 
 def test_nlw_linear_matches_dense_evolve():
     # at scale 0 the solver's field is the free wave cos(ts) h0 + sin(ts)/s h1,
     # i.e. Re e^{its}(h0 - i h1/s), which evolve computes by dense quadrature
-    prob, pairs = _nlw_problem()
-    fld, trace = picard_solve(prob, pairs, 8.0, nonlinearity_scale=0.0)
+    prob, pairs = _nlw_problem(mu=0)
+    fld, trace = picard_solve(prob, pairs, 8.0)
     assert trace.converged and trace.mass_drift == 0.0
     assert not np.any(fld.values.imag)
     d0, d1 = prob.data, prob.data_velocity

@@ -7,8 +7,6 @@ from rsl.errors import QuadratureUnderresolved, SplitDomainError
 from rsl.grids import PhysicalGrid, QuadraturePolicy, gauss_panel_grid, uniform_grid
 from rsl.norms import MixedNormSpec, mixed_norm
 from rsl.propagator import (
-    ForcingSeries,
-    duhamel,
     duhamel_coefficients,
     evolve,
     main_error_split,
@@ -107,7 +105,7 @@ def test_nyquist_robustness():
 def test_refinement_limit_raises():
     prof = canonical_band_profile(2, 0)
     r = np.linspace(1e-6, 20.0, 8)
-    policy = QuadraturePolicy(np.pi / 4, 10, refinement_limit=4)
+    policy = QuadraturePolicy(np.pi / 4, refinement_limit=4)
     with pytest.raises(QuadratureUnderresolved):
         evolve(SCH, prof, 0, PhysicalGrid(r, np.array([0.0, 1000.0])), policy)
 
@@ -160,10 +158,6 @@ def test_main_term_sup_scaling():
 def test_duhamel_zero_and_constant_forcing():
     g = uniform_grid(0.5, 2.0, 300)
     t = np.linspace(0.0, 5.0, 101)
-    zero = ForcingSeries(g, t, np.zeros((t.size, g.nodes.size)), 2)
-    r = np.linspace(1e-6, 10.0, 50)
-    fld = duhamel(SCH, zero, None, PhysicalGrid(r, t))
-    assert np.all(fld.values == 0)
     # constant forcing: coefficient -i g (e^{i t phi} - 1) / (i phi), exact
     gv = np.exp(-((g.nodes - 1.2) ** 2) * 8)
     coeff = duhamel_coefficients(SCH.phi(g.nodes), t, np.tile(gv, (t.size, 1)).astype(complex))
@@ -179,14 +173,6 @@ def test_duhamel_degenerate_symbol_node():
     forcing = np.ones((t.size, 2), dtype=complex)
     coeff = duhamel_coefficients(omega, t, forcing)
     np.testing.assert_allclose(coeff[:, 0], -1j * t, atol=1e-13)
-
-
-def test_duhamel_underresolved_raises():
-    g = uniform_grid(0.5, 2.0, 8)
-    t = np.linspace(0.0, 400.0, 11)
-    forcing = ForcingSeries(g, t, np.ones((11, 8), dtype=complex), 2)
-    with pytest.raises(QuadratureUnderresolved):
-        duhamel(SCH, forcing, None, PhysicalGrid(np.linspace(1e-6, 5, 8), t))
 
 
 def _bump_data(r):

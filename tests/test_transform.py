@@ -8,9 +8,7 @@ from rsl.transform import (
     canonical_band_profile,
     fourier_bessel,
     l2_norm,
-    profile_from_csv,
     profile_from_fn,
-    profile_to_csv,
     project,
     sphere_area,
 )
@@ -129,15 +127,3 @@ def test_underresolved_transform_raises():
     prof = RadialProfile(g, np.ones(12), 2)
     with pytest.raises(QuadratureUnderresolved):
         fourier_bessel(prof, 5000.0)
-
-
-def test_csv_round_trip(tmp_path):
-    g = uniform_grid(0.5, 2.0, 65)
-    prof = RadialProfile(g, np.exp(1j * g.nodes), 3)
-    csv_path = tmp_path / "prof.csv"
-    meta_path = tmp_path / "prof.json"
-    profile_to_csv(prof, csv_path, meta_path)
-    back = profile_from_csv(csv_path, 3)
-    np.testing.assert_array_equal(back.values, prof.values)
-    np.testing.assert_array_equal(back.grid.nodes, prof.grid.nodes)
-    assert meta_path.exists()
