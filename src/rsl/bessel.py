@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, SmallArgument
 
@@ -45,6 +45,8 @@ def bessel_j_integral(nu: float, r: float) -> float:
 
     Used only to cross-check `bessel_j`; never called by the evaluators.
     """
+    from scipy import integrate
+
     if nu <= -0.5:
         raise DomainError("integral representation needs nu > -1/2")
     if r < 0:

@@ -42,6 +42,7 @@ from .fastfield import (
     DEFAULT_SAMPLER,
     BandFieldSampler,
     SamplerConfig,
+    _chirp_z,
     band_norm_adaptive,
     band_plan,
     czt_points,
@@ -113,22 +114,30 @@ class GrowthReport:
 # data policies
 # --------------------------------------------------------------------------
 
-def random_band_amplitude(n: int, k: int, rng: np.random.Generator) -> Callable:
-    """Random smooth band datum: 12 complex Gaussian control points
-    interpolated across the band, tapered by psi_k, normalized to unit L^2."""
-    lo, hi = band_edges(k)
-    ctrl_s = np.linspace(lo, hi, 12)
+def _random_band_data(k: int, rng: np.random.Generator) -> Callable:
+    """The random-band-data rule: 12 complex Gaussian control points across
+    band k (real parts drawn first), linearly interpolated."""
+    ctrl_s = np.linspace(*band_edges(k), 12)
     ctrl = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    s_ref = np.linspace(lo, hi, 8001)
-    raw = np.interp(s_ref, ctrl_s, ctrl.real) + 1j * np.interp(s_ref, ctrl_s, ctrl.imag)
-    vals = dyadic_cutoff(k, s_ref) * raw * s_ref ** (-(n - 1) / 2.0)
+
+    def data(s):
+        return np.interp(s, ctrl_s, ctrl.real) + 1j * np.interp(s, ctrl_s, ctrl.imag)
+
+    return data
+
+
+def random_band_amplitude(n: int, k: int, rng: np.random.Generator) -> Callable:
+    """Random smooth band datum (`_random_band_data`), tapered by psi_k and
+    normalized to unit L^2."""
+    data = _random_band_data(k, rng)
+    s_ref = np.linspace(*band_edges(k), 8001)
+    vals = dyadic_cutoff(k, s_ref) * data(s_ref) * s_ref ** (-(n - 1) / 2.0)
     z2 = sphere_area(n) * np.trapezoid(np.abs(vals) ** 2 * s_ref ** (n - 1), s_ref)
     z = float(np.sqrt(z2))
 
-    def amp(s, _k=k, _n=n, _z=z, _cs=ctrl_s, _c=ctrl):
+    def amp(s, _k=k, _n=n, _z=z, _data=data):
         s = np.asarray(s, dtype=float)
-        raw = np.interp(s, _cs, _c.real) + 1j * np.interp(s, _cs, _c.imag)
-        return dyadic_cutoff(_k, s) * raw * s ** (-(_n - 1) / 2.0) / _z
+        return dyadic_cutoff(_k, s) * _data(s) * s ** (-(_n - 1) / 2.0) / _z
 
     return amp
 
@@ -341,9 +350,7 @@ def smoothing_lemma_check(
         elif trial == 0:
             data = np.ones_like(s, dtype=complex)
         else:
-            ctrl_s = np.linspace(lo, hi, 12)
-            ctrl = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            data = np.interp(s, ctrl_s, ctrl.real) + 1j * np.interp(s, ctrl_s, ctrl.imag)
+            data = _random_band_data(k, rng)(s)
         g = cut * data
         l2 = float(np.sqrt(np.sum(ws * np.abs(g) ** 2)))
         if l2 == 0.0:
@@ -379,6 +386,7 @@ def strichartz_l6_check(symbol: DispersionSymbol, k_range: Sequence[int]) -> Exp
         dr = np.pi / (DEFAULT_SAMPLER.dr_frac * hi)
         tail = 60.0 * 2.0 ** (-k)
         m_pts = int(np.ceil((T * (plan.vmax - plan.vmin) + 2 * tail) / dr)) + 1
+        cz = _chirp_z(plan.s.size, m_pts, dr * plan.ds)
         acc = 0.0
         for t, w in zip(t_nodes, wt):
             # J(t, r) = int g e^{i(r s - t phi)} ds = e^{-i t c0} x CZT in the
@@ -386,7 +394,7 @@ def strichartz_l6_check(symbol: DispersionSymbol, k_range: Sequence[int]) -> Exp
             # r = t phi', so the window tracks u in t [vmin - c1, vmax - c1]
             c = g * plan.ws * np.exp(-1j * t * plan.rho)
             u0 = t * (plan.vmin - plan.c1) - tail
-            vals = czt_points(c, plan.s[0], plan.ds, u0, dr, m_pts, +1.0)
+            vals = czt_points(c, plan.s[0], plan.ds, u0, dr, m_pts, +1.0, cz)
             # (t, r) -> (-t, -r) symmetry for real band data
             acc += 2.0 * w * np.sum(np.abs(vals) ** 6) * dr
         logs.append(math.log2(acc ** (1.0 / 6.0)))
@@ -767,17 +775,22 @@ def conjecture_probe(
     R_max = float(max(R_values))
     sampler = BandFieldSampler(symbol, n, 0, amp, T, r_window=(0.0, R_max * 1.05))
     om = sphere_area(n)
+    # each cut integrates the piecewise-linear interpolant of |F|^r* r^(n-1)
+    # through the sampled radii from 2 to R: the cumulative trapezoid C_i up
+    # to the last node r_i <= x, plus the partial panel [r_i, x]
     r_all = np.concatenate([sampler.r_in, sampler.r_out])
-    meas = np.concatenate(sampler.radial_measure((2.0, R_max)))
-    cuts = [np.searchsorted(r_all, float(R)) for R in R_values]
+    x = np.asarray([2.0] + [float(R) for R in R_values])
+    i = np.searchsorted(r_all, x, side="right") - 1
+    dx = x - r_all[i]
+    lam = dx / (r_all[i + 1] - r_all[i])
     powers = np.zeros(len(R_values))
     for t, wt in zip(sampler.t, sampler.wt):
         f_in, f_out = sampler.field_at(t)
-        mag = np.concatenate([np.abs(f_in), np.abs(f_out)]) ** r_star * meas
-        csum = np.cumsum(mag)
-        for i, c in enumerate(cuts):
-            inner = (om * csum[max(c - 1, 0)]) ** (1.0 / r_star)
-            powers[i] += 2.0 * wt * inner**2
+        f = np.concatenate([np.abs(f_in), np.abs(f_out)]) ** r_star * r_all ** (n - 1)
+        cum = np.concatenate([[0.0], np.cumsum(np.diff(r_all) * (f[1:] + f[:-1]) / 2.0)])
+        at_x = cum[i] + dx * ((2.0 - lam) * f[i] + lam * f[i + 1]) / 2.0
+        inner = (om * (at_x[1:] - at_x[0])) ** (1.0 / r_star)
+        powers += 2.0 * wt * inner**2
     values = np.sqrt(powers)
     increments = np.diff(values) / values[1:]
     slope = float(np.polyfit(np.log2(np.asarray(R_values, dtype=float)), values**2, 1)[0])

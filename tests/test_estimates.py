@@ -255,8 +255,9 @@ def test_retarded_fractional_gap_line():
 
 def test_conjecture_probe_matches_dense_evolve():
     # the probe's L^2_t L^{r*}_x norm over 2 <= r <= R against a dense evolve
-    # of the same datum on the probe's own time nodes; the probe cuts its
-    # radius quadrature at R to first order, hence the 1e-2 bound
+    # of the same datum on the probe's own time nodes; the probe integrates
+    # the piecewise-linear integrand up to R (second order), measured
+    # deviation 2.6e-4 at R = 8 and 1.1e-4 at R = 16
     a, n, R_values, T = 2.0, 2, [8.0, 16.0], 16.0
     rep = conjecture_probe(a, n, R_values, T=T)
     assert rep.monotone
@@ -268,4 +269,4 @@ def test_conjecture_probe_matches_dense_evolve():
         fld = evolve(symbol, prof, None, PhysicalGrid(np.linspace(2.0, R, 801), t))
         # factor sqrt(2): the norm over -T <= t <= T of a field even in t
         ref = math.sqrt(2.0) * mixed_norm(fld, MixedNormSpec(2.0, rep.meta["r_star"]))
-        assert abs(value - ref) / ref < 1e-2
+        assert abs(value - ref) / ref < 1e-3

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rsl
+from rsl.bessel import HANKEL_X_MIN, hankel_phase_coeffs
 from rsl.dispersion import get_symbol
 from rsl.estimates import canonical_band_amplitude
 from rsl.fastfield import BandFieldSampler, SamplerConfig, band_norm_adaptive, czt_points
@@ -22,6 +29,65 @@ def test_czt_matches_direct_sum():
         direct = np.array([np.sum(c * np.exp(1j * sign * rj * s)) for rj in r])
         fast = czt_points(c, s0, ds, r0, dr, m, sign)
         np.testing.assert_allclose(fast, direct, atol=1e-10)
+
+
+def test_czt_matches_direct_sum_at_sampler_size():
+    # sampler-sized transform: chirp phases reach ~1e3 rad at both ends
+    rng = np.random.default_rng(2)
+    n, m = 901, 2501
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    s0, ds, r0, dr = 0.5, 1.5 / (n - 1), 3.25, np.pi / 12.0
+    s = s0 + ds * np.arange(n)
+    r = r0 + dr * np.arange(m)
+    for sign in (+1.0, -1.0):
+        direct = np.exp(1j * sign * np.outer(r, s)) @ c
+        fast = czt_points(c, s0, ds, r0, dr, m, sign)
+        assert np.max(np.abs(fast - direct)) / np.sum(np.abs(c)) < 1e-11
+
+
+def _outer_field_direct(sampler, n, t):
+    """The sampler's separable outer expansion at time t, evaluated as P
+    direct sums per sign over its own frequency nodes and weights."""
+    b = hankel_phase_coeffs(n)
+    s, r = sampler.s, sampler.r_out
+    p = np.arange(b.size)[:, None]
+    s_pow = s ** ((n - 1) / 2.0) * (HANKEL_X_MIN / s) ** p
+    r_pow = r ** (-(n - 1) / 2.0) * (1.0 / r) ** p
+    rows = sampler.c_base * np.exp(1j * t * sampler.symbol.phi(s)) * s_pow
+    plus = rows @ np.exp(1j * np.outer(s, r))
+    minus = rows @ np.exp(-1j * np.outer(s, r))
+    beta = (n - 1) * np.pi / 4.0
+    tot = np.exp(-1j * beta) * np.sum(b[:, None] * r_pow * plus, axis=0) \
+        + np.exp(1j * beta) * np.sum(np.conj(b)[:, None] * r_pow * minus, axis=0)
+    return tot / np.sqrt(2.0 * np.pi)
+
+
+@pytest.mark.parametrize("name, n, k, T, r_window", [
+    ("schrodinger", 2, 0, 16.0, None),
+    ("wave", 3, 1, 8.0, None),
+    ("klein-gordon", 4, 2, 4.0, (3.0, 20.0)),
+])
+def test_sampler_outer_field_matches_direct_expansion(name, n, k, T, r_window):
+    # the fused transforms against the expansion they implement; a copy
+    # without the grid-origin phase or the minus-row conjugation fails
+    sampler = BandFieldSampler(get_symbol(name), n, k, canonical_band_amplitude(n, k), T,
+                               r_window=r_window)
+    for t in (0.0, sampler.t[sampler.t.size // 3], T):
+        fast = sampler.field_at(t)[1]
+        ref = _outer_field_direct(sampler, n, t)
+        assert np.max(np.abs(fast - ref)) / np.max(np.abs(ref)) < 1e-10
+
+
+def test_import_skips_scipy_signal_and_integrate():
+    # importing the package stays cheap: the chirp-Z transform is in-house
+    # and only the Bessel oracle imports scipy.integrate, on first use
+    src = str(Path(rsl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import rsl, sys; "
+            "print([m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 CATALOG_CASES = [
