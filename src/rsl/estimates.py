@@ -34,7 +34,9 @@ from .cutoffs import dyadic_cutoff, smooth_bump
 from .dispersion import DispersionSymbol, fractional_symbol, regime_exponents
 from .errors import (
     AdmissibilityViolation,
+    DomainError,
     OutOfRangeQ,
+    OutOfRangeSigma,
     ParameterViolation,
     RegimeViolation,
 )
@@ -331,8 +333,8 @@ def smoothing_lemma_check(
     2^{(1/2 - m(k)/q) k} || psi_k phi_data ||_{L^2(ds)} for random band data
     (or explicit `trial_data` callables s -> values); PASS when every ratio
     is at most 10."""
-    if q < 2:
-        raise OutOfRangeQ("smoothing check needs q >= 2")
+    if not 2 <= q < math.inf:
+        raise OutOfRangeQ(f"smoothing check needs 2 <= q < inf, got {q}")
     rng = np.random.default_rng(seed)
     lo, hi = band_edges(k)
     dphi_spread = abs(float(symbol.phi(np.asarray(hi))) - float(symbol.phi(np.asarray(lo))))
@@ -417,8 +419,8 @@ def maximal_check(
     the squared norm; c_time sets the (hidden) constant of the |t| <~ 1
     window large enough that the transported plateau dominates it across the
     sampled bands."""
-    if a <= 0:
-        raise ValueError("need a > 0")
+    if not a > 0:
+        raise DomainError(f"maximal check needs a > 0, got {a}")
     logs = []
     for k in k_range:
         xi0 = 2.0**k
@@ -548,6 +550,8 @@ def counterexample_wave(n: int, q, R_range: Sequence[float]) -> GrowthReport:
     translation-invariant time norm, so N(R) grows like a power of log R;
     for larger q it saturates (last relative increment <= 1e-2)."""
     q = float(parse_exponent(q))
+    if math.isinf(q):
+        raise OutOfRangeQ("wave sharpness probe needs q < inf")
     L = 80.0
     beta = (n - 1) * np.pi / 4.0
     s = np.linspace(0.5, 2.0, 6001)
@@ -616,6 +620,8 @@ def counterexample_schrodinger(
     reduced norm over the moving region r ~ 2^(2j), |r - 2t| <~ 2^j, and
     fitted against the predicted rate (2n+1)/q - (2n-1)/2."""
     q = float(parse_exponent(q))
+    if math.isinf(q):
+        raise OutOfRangeQ("Schrodinger sharpness probe needs q < inf")
     logs = []
     for j in j_range:
         w = 2.0 ** (-j)
@@ -651,7 +657,9 @@ def knapp_fractional(
     |t| <= delta^-2 / 2, |sigma t + x1| <= 1 / (2 delta), |x2| <= 1 / (2 delta),
     and fits the L^q_t L^r_x / L^2 ratio against delta."""
     if not (1.0 < sigma < 2.0):
-        raise ValueError("probe defined for 1 < sigma < 2")
+        raise OutOfRangeSigma(f"probe defined for 1 < sigma < 2, got {sigma}")
+    if math.isinf(q) or math.isinf(r):
+        raise OutOfRangeQ(f"tube probe needs finite q and r, got q={q}, r={r}")
     d = 2
     logs = []
     umins, umaxs = [], []

@@ -45,7 +45,7 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from .bessel import HANKEL_X_MIN, hankel_phase_coeffs, radial_kernel
 from .dispersion import DispersionSymbol
-from .errors import QuadratureUnderresolved
+from .errors import OutOfRangeQ, QuadratureUnderresolved
 from .grids import (
     DEFAULT_POLICY,
     PANEL_ORDER,
@@ -323,8 +323,11 @@ class BandFieldSampler:
         """Mixed norms over |t| <= T and the sampled radius range.
 
         pairs: (q, r) exponent pairs with q < inf (r = q allowed, r = inf via
-        math.inf).  Returns {pair: (norm, per_octave_qpowers)}.
+        math.inf).  Returns {pair: (norm, per_octave_qpowers)}; raises
+        OutOfRangeQ for an infinite q.
         """
+        if any(math.isinf(q) for q, _ in pairs):
+            raise OutOfRangeQ(f"time exponent q must be finite, got pairs {list(pairs)}")
         om = sphere_area(self.n)
         mi, mo = self.radial_measure()
         acc = {p: np.zeros(self.n_octaves) for p in pairs}

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -381,6 +382,31 @@ class ExperimentReport:
     max_mass_drift: float
 
 
+def check_nls_range(n: int, s_sch) -> Fraction:
+    """s_sch as an exact rational; raises OutOfRangeS unless
+    (1-n)/(2n+1) <= s_sch < 0, the range of the Schrodinger theorem."""
+    s_sch_f = s_sch if isinstance(s_sch, Fraction) else Fraction(s_sch).limit_denominator(10**9)
+    if not (Fraction(1 - n, 2 * n + 1) <= s_sch_f < 0):
+        raise OutOfRangeS(f"need (1-n)/(2n+1) <= s_sch < 0, got {s_sch}")
+    return s_sch_f
+
+
+def check_nlw_range(n: int, s_w) -> None:
+    """Raises OutOfRangeS unless s0(n) < s_w < 1/2, the range of the wave
+    theorem (kept 1e-12 clear of s0(n))."""
+    if not (s0(n) + 1e-12 < float(s_w) < 0.5):
+        raise OutOfRangeS(f"need s0({n}) < s_w < 1/2, got {s_w}")
+
+
+def check_fnls_range(n: int, sigma: float, p: float) -> None:
+    """Raises OutOfRangeSigma unless 2n/(2n-1) <= sigma < 2 and p is at least
+    the mass-critical power 2 sigma / n."""
+    if not (2.0 * n / (2.0 * n - 1.0) <= sigma < 2.0):
+        raise OutOfRangeSigma(f"need 2n/(2n-1) <= sigma < 2, got {sigma}")
+    if p < 2.0 * sigma / n - 1e-12:
+        raise OutOfRangeSigma(f"critical scheme needs p >= 2 sigma / n, got p={p}")
+
+
 def nls_small_data_experiment(
     n: int,
     s_sch,
@@ -391,12 +417,7 @@ def nls_small_data_experiment(
     """Small-data runs of the semilinear Schrodinger fixed point at critical
     regularity s_sch < 0: contraction, the resolution-norm bound, and the
     scattering pullback, per seed."""
-    from fractions import Fraction
-
-    s_sch_f = Fraction(s_sch).limit_denominator(10**9) if not isinstance(s_sch, Fraction) else s_sch
-    lo_bound = Fraction(1 - n, 2 * n + 1)
-    if not (lo_bound <= s_sch_f < 0):
-        raise OutOfRangeS(f"need (1-n)/(2n+1) <= s_sch < 0, got {s_sch}")
+    s_sch_f = check_nls_range(n, s_sch)
     pairs = choose_pairs_nls(n, s_sch_f, s_sch_f)
     p = float(pairs.p)
     runs = []
@@ -440,8 +461,7 @@ def nlw_small_data_experiment(
     T: float = 16.0,
 ) -> ExperimentReport:
     """Small-data semilinear wave runs in the pair norm at regularity s_w."""
-    if not (s0(n) + 1e-12 < float(s_w) < 0.5):
-        raise OutOfRangeS(f"need s0({n}) < s_w < 1/2, got {s_w}")
+    check_nlw_range(n, s_w)
     pairs = choose_pairs_nlw(n, s_w)
     p = float(pairs.p)
     runs = []
@@ -491,10 +511,7 @@ def fnls_experiment(
     """Defocusing (mu = -1) fractional-order runs with the symmetric scheme
     pairs q = p + 2, r = 2n(p+2)/(2(n - sigma) + n p); monitors mass and
     energy."""
-    if not (2.0 * n / (2.0 * n - 1.0) <= sigma < 2.0):
-        raise OutOfRangeSigma(f"need 2n/(2n-1) <= sigma < 2, got {sigma}")
-    if p < 2.0 * sigma / n - 1e-12:
-        raise OutOfRangeSigma(f"critical scheme needs p >= 2 sigma / n, got p={p}")
+    check_fnls_range(n, sigma, p)
     q = p + 2.0
     r = 2.0 * n * (p + 2.0) / (2.0 * (n - sigma) + n * p)
     pairs = PairSelection(q, r, q, r, p, 0, "fnls")

@@ -73,27 +73,6 @@ class SpaceTimeField:
         return float(np.sqrt(sphere_area(self.n) * val))
 
 
-def field_to_csv(field: SpaceTimeField, csv_path, meta_path=None, meta: Optional[dict] = None) -> None:
-    """Rows (t, r, Re F, Im F) plus an optional JSON sidecar describing the run."""
-    import csv as _csv
-    import json as _json
-
-    with open(csv_path, "w", newline="") as f:
-        writer = _csv.writer(f)
-        writer.writerow(["t", "r", "re_f", "im_f"])
-        for i, t in enumerate(field.grid.t_nodes):
-            for j, r in enumerate(field.grid.r_nodes):
-                v = field.values[i, j]
-                writer.writerow([repr(float(t)), repr(float(r)),
-                                 repr(float(v.real)), repr(float(v.imag))])
-    if meta_path is not None:
-        payload = {"n": field.n, "source": field.source,
-                   "n_t": int(field.grid.t_nodes.size), "n_r": int(field.grid.r_nodes.size)}
-        payload.update(meta or {})
-        with open(meta_path, "w") as f:
-            _json.dump(payload, f, indent=2)
-
-
 def _integration_grid(
     symbol: DispersionSymbol,
     profile: RadialProfile,

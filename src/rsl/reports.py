@@ -1,4 +1,5 @@
-"""Run artifacts: report.json, data.csv, plot.dat.
+"""Run artifacts: report.json, data.csv, plot.dat, and field.csv with its
+field.json sidecar for runs that sample a field.
 
 Every report embeds the fully-resolved configuration (defaults included) so
 a run can be reproduced from its own artifact.  CSV cells are written with
@@ -40,6 +41,7 @@ class RunReport:
     results: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)     # CSV rows (list of dicts)
     plot: Optional[list] = None                  # [(x, y), ...]
+    field: Optional[tuple] = None                # (SpaceTimeField, sidecar meta)
 
     def emit(self, outdir) -> Path:
         outdir = Path(outdir)
@@ -67,7 +69,26 @@ class RunReport:
             with open(outdir / "plot.dat", "w") as f:
                 for x, y in self.plot:
                     f.write(f"{_fmt(x)} {_fmt(y)}\n")
+        if self.field:
+            field_to_csv(*self.field, outdir)
         return outdir / "report.json"
+
+
+def field_to_csv(field, meta: dict, outdir: Path) -> None:
+    """field.csv rows (t, r, Re F, Im F) and the field.json sidecar."""
+    with open(outdir / "field.csv", "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["t", "r", "re_f", "im_f"])
+        for i, t in enumerate(field.grid.t_nodes):
+            for j, r in enumerate(field.grid.r_nodes):
+                v = field.values[i, j]
+                writer.writerow([repr(float(t)), repr(float(r)),
+                                 repr(float(v.real)), repr(float(v.imag))])
+    payload = {"n": field.n, "source": field.source,
+               "n_t": int(field.grid.t_nodes.size), "n_r": int(field.grid.r_nodes.size)}
+    payload.update(meta)
+    with open(outdir / "field.json", "w") as f:
+        json.dump(payload, f, indent=2)
 
 
 def _fmt(v):

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +173,50 @@ def test_bad_choice_exits_2(argv, tmp_path, capsys):
     assert main(["--config", str(cfg), "--output", str(out), argv[0], *argv[3:]]) == 2
     assert "must be one of" in capsys.readouterr().err
     assert not out.exists()
+
+
+README_EXAMPLES = [line for line in
+                   (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+                   if line.startswith("rsl ")]
+
+
+@pytest.mark.parametrize("line", README_EXAMPLES)
+def test_readme_examples_validate(line):
+    assert main(["--validate-only", *shlex.split(line)[1:]]) == 0
+
+
+@pytest.mark.parametrize("line", [
+    # numbers are finite; n >= 2
+    "solve-fnls --p nan", "conjecture-probe --a nan", "maximal --a inf",
+    "fit-k --n 1", "propagate --n 1", "thresholds --n 1", "admissible --n 1",
+    "conjecture-probe --n 1",
+    # windows and amplitudes > 0, trial and refinement counts
+    "fit-k --T0 0", "fit-k --T0=-4", "solve-nls --T 0", "solve-nls --delta 0",
+    "smoothing --trials 0", "retarded --trials 0", "hls --refinements 1",
+    # empty ranges
+    "hypotheses --k 5..1", "solve-nls --seeds 3..1",
+    # a slope needs two or more strictly monotone values; radii are positive
+    "fit-k --k 0", "l6 --k 0", "fit-j --j 3", "counter-schrodinger --j 4",
+    "counter-wave --R 16", "knapp --deltas 0.125", "maximal --k 2",
+    "conjecture-probe --R 8", "conjecture-probe --R 16,8", "counter-wave --R 0,16",
+    "propagate --t 2,1", "propagate --t 1,inf",
+    # rules the library states as typed errors
+    "knapp --sigma 3", "maximal --a=-1", "norm-sweep --q inf --T0 4",
+    "fit-j --q inf --j 3..4", "smoothing --q inf", "counter-wave --q inf",
+    "knapp --q inf", "knapp --r inf", "counter-schrodinger --q inf",
+    # validation applies the solver's own range rule: s0(2) + 5e-13
+    "--validate-only solve-nlw --s 0.21922359359608484",
+    # argparse's own errors, from a flag or a config line
+    "thresholds --n x", "--config {cfg} thresholds",
+])
+def test_bad_input_exits_2(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = abc\n")
+    argv = shlex.split(line.format(cfg=cfg))
+    assert main(["--output", str(tmp_path / "out"), *argv]) == 2
+    out, err = capsys.readouterr()
+    # --validate-only reports its violations on stdout
+    report = out if argv[0] == "--validate-only" else err
+    assert "Traceback" not in out + err
+    assert isinstance(json.loads(report), dict)
+    assert not (tmp_path / "out").exists()

@@ -6,7 +6,14 @@ import pytest
 from scipy import integrate
 
 from rsl.dispersion import fractional_symbol, get_symbol
-from rsl.errors import AdmissibilityViolation, OutOfRangeQ, ParameterViolation, RegimeViolation
+from rsl.errors import (
+    AdmissibilityViolation,
+    DomainError,
+    OutOfRangeQ,
+    OutOfRangeSigma,
+    ParameterViolation,
+    RegimeViolation,
+)
 from rsl.estimates import (
     conjecture_probe,
     counterexample_schrodinger,
@@ -164,6 +171,21 @@ def test_counterexample_schrodinger_slopes():
     fit3 = counterexample_schrodinger(3, 2.5, range(4, 8))
     assert fit3.predicted_slope == pytest.approx(7 / 2.5 - 2.5)
     assert fit3.slope >= fit3.predicted_slope - 0.05
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: smoothing_lemma_check(SCH, 0, math.inf), OutOfRangeQ),
+    (lambda: counterexample_wave(2, "inf", [16, 32]), OutOfRangeQ),
+    (lambda: counterexample_schrodinger(2, "inf", range(4, 6)), OutOfRangeQ),
+    (lambda: knapp_fractional(1.5, [0.125, 0.0625], math.inf, 4.0), OutOfRangeQ),
+    (lambda: knapp_fractional(1.5, [0.125, 0.0625], 4.0, math.inf), OutOfRangeQ),
+    (lambda: knapp_fractional(3.0, [0.125, 0.0625], 4.0, 4.0), OutOfRangeSigma),
+    (lambda: maximal_check(-1.0, range(2, 4)), DomainError),
+], ids=["smoothing-q", "wave-q", "schrodinger-q", "knapp-q", "knapp-r", "knapp-sigma",
+        "maximal-a"])
+def test_out_of_range_arguments_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_knapp_probe():

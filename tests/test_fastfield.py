@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 import rsl
 from rsl.bessel import HANKEL_X_MIN, hankel_phase_coeffs
 from rsl.dispersion import get_symbol
+from rsl.errors import OutOfRangeQ
 from rsl.estimates import canonical_band_amplitude
 from rsl.fastfield import BandFieldSampler, SamplerConfig, band_norm_adaptive, czt_points
 from rsl.grids import PhysicalGrid, band_edges, uniform_grid
@@ -163,6 +165,13 @@ def test_adaptive_band_norm_flags_unitary_l2():
     assert r.octave_powers[-1] >= r.octave_powers[-2]
     assert r.nonconvergent and not r.converged
     assert r.extrapolated is None
+
+
+def test_adaptive_band_norm_rejects_infinite_q():
+    # the time norm must be finite: L^inf_t has no octave powers to sum
+    amp = canonical_band_amplitude(2, 0)
+    with pytest.raises(OutOfRangeQ):
+        band_norm_adaptive(SCH, 2, 0, amp, [(math.inf, math.inf)], T0=4.0, max_doublings=0)
 
 
 def test_annulus_window_restriction():

@@ -5,13 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rsl.admissibility import choose_pairs_nls, choose_pairs_nlw
+from rsl.admissibility import choose_pairs_nls, choose_pairs_nlw, s0
 from rsl.dispersion import get_symbol
 from rsl.errors import DomainError, OutOfRangeS, OutOfRangeSigma
 from rsl.grids import PhysicalGrid
 from rsl.nonlinear import (
     NonlinearProblem,
     build_solver_grid,
+    check_fnls_range,
+    check_nls_range,
+    check_nlw_range,
     fnls_experiment,
     nls_small_data_experiment,
     nlw_small_data_experiment,
@@ -252,6 +255,21 @@ def test_fnls_experiment_conservation():
         fnls_experiment(2, 1.2, 1.5, 0.0, 1e-3, seeds=[0])  # sigma < 2n/(2n-1)
     with pytest.raises(OutOfRangeSigma):
         fnls_experiment(2, 1.5, 1.0, 0.0, 1e-3, seeds=[0])  # p below mass-critical
+
+
+def test_solver_range_rules():
+    # each experiment's range rule is one function, also called by `rsl --validate-only`
+    assert check_nls_range(2, -0.2) == Fraction(-1, 5)
+    assert check_nls_range(2, Fraction(-1, 10)) == Fraction(-1, 10)
+    with pytest.raises(OutOfRangeS):
+        check_nls_range(2, Fraction(-1, 4))
+    check_nlw_range(2, Fraction(3, 10))
+    for s_w in (s0(2) + 5e-13, 0.5):
+        with pytest.raises(OutOfRangeS):
+            check_nlw_range(2, s_w)
+    check_fnls_range(2, 4 / 3, 4 / 3)
+    with pytest.raises(OutOfRangeSigma):
+        check_fnls_range(2, 2.0, 2.0)
 
 
 def test_mass_drift_improves_under_time_refinement():
