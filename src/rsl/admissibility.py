@@ -162,6 +162,12 @@ def s0(n: int) -> float:
     raise ValueError("n >= 2 required")
 
 
+def in_nlw_range(n: int, s_w) -> bool:
+    """s0(n) < s_w < 1/2, the range of the radial wave theorem, kept _S0_TOL
+    clear of the irrational s0(n)."""
+    return s0(n) + _S0_TOL < float(s_w) < 0.5
+
+
 def s1(n: int, p) -> Fraction:
     """Regularity threshold for large-data local theory below the scattering
     range; breakpoint at p = 2/n."""
@@ -279,7 +285,7 @@ def choose_pairs_nlw(n: int, s_w, theta=None) -> PairSelection:
     the dimension-specific recipes (n = 3 carries a free small parameter
     theta, shrunk automatically until the region constraints hold)."""
     s_w = Fraction(parse_exponent(s_w))
-    if not (s0(n) + _S0_TOL < float(s_w) < 0.5):
+    if not in_nlw_range(n, s_w):
         raise NoPairAvailable(f"s_w={float(s_w):.4f} outside (s0({n}), 1/2)")
     p = 4 / (n - 2 * s_w)
     if s_w > Fraction(1, 2 * n):

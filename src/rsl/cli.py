@@ -9,7 +9,7 @@ where the arithmetic is exact.
 
 Each flag is declared once, with its default and a parser that holds its
 domain: numbers finite; n >= 2; T0, T, delta, rmax > 0; trials >= 1;
-refinements >= 2; ranges and lists non-empty; a list fitted by a slope has
+refinements in 2..7; ranges and lists non-empty; a list fitted by a slope has
 two or more strictly monotone values, radii positive and increasing; times
 increasing.  argparse parses numbers; text values (exponents, ranges, lists,
 symbols, choices) keep their raw text for report.json and are parsed once,
@@ -171,8 +171,10 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
         regime=("outer_thm2", _one_of("inner", "outer_thm1", "outer_thm2")))
     add("smoothing", **common, k=(0, int), q=("4", NORM_EXPONENT), trials=(8, TRIALS))
     add("maximal", a=(2.0, FINITE), k=("2..6", SLOPE), samples=(768, int))
+    # each refinement level quadruples hls_bilinear_check's peak memory:
+    # 6, 25, 97 and 386 MiB at 4..7 levels, so 8 would pass 1 GB
     add("hls", q=("10/3", EXPONENT), n=(2, DIM),
-        refinements=(4, _check(int, lambda m: m >= 2, ">= 2")))
+        refinements=(4, _check(int, lambda m: 2 <= m <= 7, "in 2..7")))
     add("counter-wave", n=(2, DIM), q=("4", EXPONENT), R=("16,32,64,128,256,512,1024", RADII))
     add("counter-schrodinger", n=(2, DIM), q=("3", EXPONENT), j=("4..8", SLOPE))
     add("knapp", sigma=(1.5, FINITE), q=("4", EXPONENT), r=("4", EXPONENT),

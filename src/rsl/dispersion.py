@@ -7,6 +7,8 @@ dyadic behaviour of its derivatives,
     |phi''(r)| ~ r^(alpha1-2)  (r >= 1),      |phi''(r)| ~ r^(alpha2-2) (r < 1),
 
 with curvature exponents optional (the pure wave symbol has phi'' = 0).
+A homogeneous symbol, phi(s) = c s^d, also declares its degree d, under
+which band k is band 0 dilated (estimates.measure_frequency_norms).
 `verify_hypotheses` measures the ratios octave by octave, and `regime_exponents`
 returns the (m, alpha) pair active at a dyadic index k (breakpoint at k = 0).
 """
@@ -33,6 +35,8 @@ class DispersionSymbol:
     m2: float
     alpha1: Optional[float] = None
     alpha2: Optional[float] = None
+    # d when phi(s) = c s^d (homogeneous); None for massive and mixed symbols
+    degree: Optional[float] = None
 
     def __post_init__(self):
         if self.m1 <= 0 or self.m2 <= 0:
@@ -135,7 +139,7 @@ def _schrodinger() -> DispersionSymbol:
         phi=lambda s: s**2,
         dphi=lambda s: 2.0 * s,
         d2phi=lambda s: 2.0 * np.ones_like(np.asarray(s, dtype=float)),
-        m1=2.0, m2=2.0, alpha1=2.0, alpha2=2.0,
+        m1=2.0, m2=2.0, alpha1=2.0, alpha2=2.0, degree=2.0,
     )
 
 
@@ -146,7 +150,7 @@ def _wave() -> DispersionSymbol:
         phi=lambda s: np.asarray(s, dtype=float),
         dphi=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         d2phi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        m1=1.0, m2=1.0, alpha1=None, alpha2=None,
+        m1=1.0, m2=1.0, alpha1=None, alpha2=None, degree=1.0,
     )
 
 
@@ -188,7 +192,7 @@ def fractional_symbol(sigma: float) -> DispersionSymbol:
         phi=lambda s: s**sigma,
         dphi=lambda s: sigma * s ** (sigma - 1.0),
         d2phi=lambda s: sigma * (sigma - 1.0) * s ** (sigma - 2.0),
-        m1=sigma, m2=sigma, alpha1=sigma, alpha2=sigma,
+        m1=sigma, m2=sigma, alpha1=sigma, alpha2=sigma, degree=sigma,
     )
 
 

@@ -17,7 +17,7 @@ keeps the runs at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -196,10 +196,36 @@ def measure_frequency_norms(
 
     Windows are scale-aware, |t| <= T0 2^(-m(k) k), then doubled by the
     adaptive rule; scale covariance of window and grids is what makes the
-    k-slopes insensitive to the truncation.
+    k-slopes insensitive to the truncation.  A homogeneous symbol with
+    canonical data is measured at band 0 only and rescaled to each k.
     Returns {q: {k: BandNormResult}}.
     """
     out = {float(q): {} for q in qs}
+    pairs = [(float(q), float(q)) for q in qs]
+    d = symbol.degree
+    if d is not None and data_policy.kind == "canonical":
+        # canonical_band_amplitude has unit L^2 norm, so h_k(2^k s) =
+        # 2^(-kn/2) h_0(s); substituting s -> 2^k s in
+        # F_k(t, r) = int h_k(s) e^{i t c s^d} K_n(s r) s^(n-1) ds gives
+        # F_k(t, r) = 2^(kn/2) F_0(2^(dk) t, 2^k r).  Band k's window
+        # T0 2^(-dk) and its frequency, radius and time grids are band 0's
+        # under the same dilation, so every octave's q-th power scales by
+        # f^q with f = 2^(k(n/2 - (n+d)/q)), the window by 2^(-dk), and the
+        # window rule, which sees only octave ratios, sets the same flags.
+        res0 = band_norm_adaptive(
+            symbol, n, 0, canonical_band_amplitude(n, 0), pairs,
+            T0=T0, max_doublings=max_doublings, config=config,
+        )
+        for q, _ in pairs:
+            b = res0[(q, q)]
+            for k in k_range:
+                f = 2.0 ** (k * (n / 2.0 - (n + d) / q))
+                out[q][k] = replace(
+                    b, norm=b.norm * f, T=b.T * 2.0 ** (-d * k),
+                    extrapolated=None if b.extrapolated is None else b.extrapolated * f,
+                    octave_powers=tuple(p * f**q for p in b.octave_powers),
+                )
+        return out
     rng = np.random.default_rng(data_policy.seed)
     for k in k_range:
         m = regime_exponents(symbol, k).m
@@ -207,14 +233,13 @@ def measure_frequency_norms(
             amp = canonical_band_amplitude(n, k)
         else:
             amp = random_band_amplitude(n, k, rng)
-        pairs = [(float(q), float(q)) for q in qs]
         res = band_norm_adaptive(
             symbol, n, k, amp, pairs,
             T0=T0 * 2.0 ** (-m * k),
             max_doublings=max_doublings, config=config,
         )
-        for q in qs:
-            out[float(q)][k] = res[(float(q), float(q))]
+        for q, _ in pairs:
+            out[q][k] = res[(q, q)]
     return out
 
 

@@ -370,29 +370,26 @@ def band_norm_adaptive(
 ) -> dict:
     """Norms with the adaptive window rule applied to the time octaves.
 
-    The window doubles until the last octave adds <= 1% to each norm, i.e.
-    <= q% of its q-th power (then `converged`), or until the octave-power
-    ratios plateau near 1 (then `nonconvergent`).  A geometric tail
-    extrapolation is attached whenever the ratios decay.
+    A pair is `converged` when its last octave adds <= 1% to its norm, i.e.
+    holds <= q% of its q-th power.  The window doubles until every pair is
+    converged, or until the octave-power ratios plateau near 1 (then
+    `nonconvergent`).  A geometric tail extrapolation is attached whenever
+    the ratios decay.
     """
     T = T0
     for attempt in range(max_doublings + 1):
         sampler = BandFieldSampler(symbol, n, k, amplitude, T, config, r_window)
         res = sampler.norms(pairs)
-        done = True
+        converged = {}
         worst_ratio = 0.0
         for q, r in pairs:
             _, powers = res[(q, r)]
             total = np.sum(powers)
-            if total <= 0:
-                continue
-            frac = powers[-1] / total
-            # convert the q-power fraction to a norm increment fraction
-            if frac > q * 1e-2:
-                done = False
+            converged[(q, r)] = bool(total <= 0 or powers[-1] / total <= q * 1e-2)
             tail = powers[powers > 0]
             if tail.size >= 2:
                 worst_ratio = max(worst_ratio, tail[-1] / tail[-2])
+        done = all(converged.values())
         if done or attempt == max_doublings:
             out = {}
             for q, r in pairs:
@@ -405,7 +402,7 @@ def band_norm_adaptive(
                     if rho < 1.0:
                         extrap = float((np.sum(powers) + tail[-1] * rho / (1 - rho)) ** (1.0 / q))
                 out[(q, r)] = BandNormResult(
-                    norm, T, done, nonconv, extrap, tuple(powers)
+                    norm, T, converged[(q, r)], nonconv, extrap, tuple(powers)
                 )
             return out
         T *= 2.0

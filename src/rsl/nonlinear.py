@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .admissibility import PairSelection, choose_pairs_nls, choose_pairs_nlw, s0
+from .admissibility import PairSelection, choose_pairs_nls, choose_pairs_nlw, in_nlw_range
 from .bessel import radial_kernel
 from .cutoffs import smooth_bump
 from .dispersion import DispersionSymbol, fractional_symbol, get_symbol
@@ -393,8 +393,8 @@ def check_nls_range(n: int, s_sch) -> Fraction:
 
 def check_nlw_range(n: int, s_w) -> None:
     """Raises OutOfRangeS unless s0(n) < s_w < 1/2, the range of the wave
-    theorem (kept 1e-12 clear of s0(n))."""
-    if not (s0(n) + 1e-12 < float(s_w) < 0.5):
+    theorem (admissibility.in_nlw_range)."""
+    if not in_nlw_range(n, s_w):
         raise OutOfRangeS(f"need s0({n}) < s_w < 1/2, got {s_w}")
 
 

@@ -3,7 +3,8 @@
 One test per criterion, each printing a PASS/FAIL line with the measured
 quantity against its pinned tolerance.  Slope-based criteria are re-run at
 refined resolution (phase step halved, time window doubled) by the final
-grid-robustness criterion, which caches the base runs from this module.
+grid-robustness criterion, which caches the base runs from this module; its
+companion 12b compares band 0's norm itself across the two resolutions.
 """
 
 import math
@@ -29,6 +30,8 @@ from rsl.fastfield import BandFieldSampler, SamplerConfig
 from rsl.grids import QuadraturePolicy
 
 _CACHE = {}
+# criterion 12's refined resolution: phase step halved (with T0 doubled)
+_REFINED = SamplerConfig(policy=QuadraturePolicy(np.pi / 8))
 
 
 def _line(name, ok, detail):
@@ -40,6 +43,12 @@ def _slope(norms):
     ks = sorted(norms)
     logs = [math.log2(norms[k].norm) for k in ks]
     return float(np.polyfit(ks, logs, 1)[0])
+
+
+def _band0_norm(norms):
+    """Band 0's tail-extrapolated norm, or its norm where no tail decays."""
+    r = norms[0]
+    return r.extrapolated if r.extrapolated is not None else r.norm
 
 
 def _freq_slopes(config=None, T0=64.0, tag="base"):
@@ -57,6 +66,9 @@ def _freq_slopes(config=None, T0=64.0, tag="base"):
             "sch_q103": _slope(res[10.0 / 3.0]),
             "sch_q103_nonconv": any(r.nonconvergent for r in res[10.0 / 3.0].values()),
             "wave_q4": _slope(res_w[4.0]),
+            "sch_q4_band0": _band0_norm(res[4.0]),
+            "sch_q103_band0": _band0_norm(res[10.0 / 3.0]),
+            "wave_q4_band0": _band0_norm(res_w[4.0]),
         }
     return _CACHE[key]
 
@@ -325,11 +337,10 @@ def test_criterion_11_nonlinear_suite():
 
 
 def test_criterion_12_grid_robustness():
-    refined = SamplerConfig(policy=QuadraturePolicy(np.pi / 8))
     base_f = _freq_slopes()
-    fine_f = _freq_slopes(config=refined, T0=128.0, tag="fine")
+    fine_f = _freq_slopes(config=_REFINED, T0=128.0, tag="fine")
     base_a = _annulus_slopes()
-    fine_a = _annulus_slopes(config=refined, tag="fine")
+    fine_a = _annulus_slopes(config=_REFINED, tag="fine")
     deltas = {
         "c1 q=4": abs(base_f["sch_q4"] - fine_f["sch_q4"]),
         "c1 q=10/3": abs(base_f["sch_q103"] - fine_f["sch_q103"]),
@@ -370,4 +381,22 @@ def test_criterion_12_grid_robustness():
         "max slope change "
         + f"{worst:.4f} <= 0.02 ({max(deltas, key=deltas.get)}); "
         + ", ".join(f"{k}: {v:.4f}" for k, v in deltas.items()),
+    )
+
+
+def test_criterion_12b_band_norm_robustness():
+    # a slope cannot see a k-independent error; band 0's own norm can
+    base = _freq_slopes()
+    fine = _freq_slopes(config=_REFINED, T0=128.0, tag="fine")
+    rel = {
+        label: abs(fine[key] - base[key]) / base[key]
+        for label, key in (("c1 q=4", "sch_q4_band0"), ("c1 q=10/3", "sch_q103_band0"),
+                           ("c2 wave", "wave_q4_band0"))
+    }
+    worst = max(rel.values())
+    assert _line(
+        "criterion 12b (band-0 norm robustness)",
+        worst <= 1e-2,
+        f"max relative change {worst:.1e} <= 1e-2 ({max(rel, key=rel.get)}); "
+        + ", ".join(f"{k}: {v:.1e}" for k, v in rel.items()),
     )

@@ -193,6 +193,7 @@ def test_readme_examples_validate(line):
     # windows and amplitudes > 0, trial and refinement counts
     "fit-k --T0 0", "fit-k --T0=-4", "solve-nls --T 0", "solve-nls --delta 0",
     "smoothing --trials 0", "retarded --trials 0", "hls --refinements 1",
+    "hls --refinements 8",
     # empty ranges
     "hypotheses --k 5..1", "solve-nls --seeds 3..1",
     # a slope needs two or more strictly monotone values; radii are positive

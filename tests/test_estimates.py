@@ -31,7 +31,7 @@ from rsl.estimates import (
     smoothing_lemma_check,
     strichartz_l6_check,
 )
-from rsl.fastfield import BandFieldSampler
+from rsl.fastfield import BandFieldSampler, band_norm_adaptive
 from rsl.grids import PhysicalGrid
 from rsl.norms import MixedNormSpec, mixed_norm
 from rsl.propagator import evolve
@@ -250,6 +250,59 @@ def test_random_data_policy_runs():
     res2 = measure_frequency_norms(SCH, 2, [4.0], [0], T0=16.0, max_doublings=0,
                                    data_policy=DataPolicy("random", seed=11))
     assert res2[4.0][0].norm == res[4.0][0].norm
+
+
+RESCALE_CASES = [(name, n) for name in ("schrodinger", "wave", "fractional:1.5")
+                 for n in (2, 3)]
+
+
+@pytest.mark.parametrize("name, n", RESCALE_CASES,
+                         ids=[f"{c[0].replace(':', '')}-n{c[1]}" for c in RESCALE_CASES])
+def test_homogeneous_rescale_matches_direct_bands(name, n):
+    # band 0 rescaled by the scaling law against band k measured directly;
+    # in every case one of the two q has a norm factor other than 1
+    from rsl.estimates import measure_frequency_norms
+
+    sym = get_symbol(name)
+    qs = [10.0 / 3.0, 4.0]
+    T0 = 16.0
+    res = measure_frequency_norms(sym, n, qs, [-2, 2], T0=T0, max_doublings=1)
+    for k in (-2, 2):
+        direct = band_norm_adaptive(
+            sym, n, k, canonical_band_amplitude(n, k), [(q, q) for q in qs],
+            T0=T0 * 2.0 ** (-sym.degree * k), max_doublings=1,
+        )
+        for q in qs:
+            got, ref = res[q][k], direct[(q, q)]
+            assert got.norm == pytest.approx(ref.norm, rel=1e-12, abs=0)
+            assert got.T == pytest.approx(ref.T, rel=1e-12, abs=0)
+            np.testing.assert_allclose(got.octave_powers, ref.octave_powers, rtol=1e-12, atol=0)
+            assert (got.extrapolated is None) == (ref.extrapolated is None)
+            if ref.extrapolated is not None:
+                assert got.extrapolated == pytest.approx(ref.extrapolated, rel=1e-12, abs=0)
+            assert (got.converged, got.nonconvergent) == (ref.converged, ref.nonconvergent)
+
+
+@pytest.mark.parametrize("name, policy, measured", [
+    ("schrodinger", "canonical", [0]),
+    ("klein-gordon", "canonical", [-1, 0, 1]),
+    ("schrodinger", "random", [-1, 0, 1]),
+])
+def test_band_measurements_per_sweep(name, policy, measured, monkeypatch):
+    # the rescale applies to homogeneous symbols with canonical data only
+    import rsl.estimates as est
+
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[2])
+        return band_norm_adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(est, "band_norm_adaptive", counted)
+    res = est.measure_frequency_norms(get_symbol(name), 2, [4.0], [-1, 0, 1], T0=2.0,
+                                      max_doublings=0, data_policy=est.DataPolicy(policy))
+    assert seen == measured
+    assert sorted(res[4.0]) == [-1, 0, 1]
 
 
 # ---------------------------------------------------------------- retarded

@@ -167,6 +167,15 @@ def test_adaptive_band_norm_flags_unitary_l2():
     assert r.extrapolated is None
 
 
+def test_adaptive_band_norm_converged_per_pair():
+    # one window, three pairs: the last octave holds 4.5%, 0.4% and 0.0% of
+    # the q-th powers, against the q% rule of each pair
+    amp = canonical_band_amplitude(2, 0)
+    pairs = [(10.0 / 3.0, 10.0 / 3.0), (4.0, 4.0), (6.0, 6.0)]
+    res = band_norm_adaptive(SCH, 2, 0, amp, pairs, T0=128.0, max_doublings=0)
+    assert [res[p].converged for p in pairs] == [False, True, True]
+
+
 def test_adaptive_band_norm_rejects_infinite_q():
     # the time norm must be finite: L^inf_t has no octave powers to sum
     amp = canonical_band_amplitude(2, 0)
