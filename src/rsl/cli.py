@@ -164,8 +164,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     solver = {"delta": (1e-3, POSITIVE), "seeds": ("0..3", INTS), "T": (16.0, POSITIVE)}
     add("propagate", **common, k=(0, int), t=("0,1,2", TIMES), rmax=(40.0, POSITIVE))
     add("split", **common, k=(0, int), j=(4, int), t=("0,1,2", TIMES))
-    add("norm-sweep", **common, k=(0, int), q=("4", NORM_EXPONENT), r=(None, NORM_EXPONENT),
-        T0=(64.0, POSITIVE))
+    add("norm-sweep", **common, k=(0, int), q=("4", NORM_EXPONENT), T0=(64.0, POSITIVE))
     add("fit-k", **common, q=("4", NORM_EXPONENT), k=("-3..3", SLOPE), T0=(64.0, POSITIVE))
     add("fit-j", **common, q=("4", NORM_EXPONENT), k=(0, int), j=("3..8", SLOPE),
         regime=("outer_thm2", _one_of("inner", "outer_thm1", "outer_thm2")))
@@ -251,13 +250,13 @@ def _dispatch(args, v) -> RunReport:
                           "max_residual": fit.max_residual}, rows,
                          plot=list(zip(fit.indices, fit.log_norms)))
     if cmd == "norm-sweep":
-        q, r = float(v.q), float(v.r if v.r is not None else v.q)
-        norms = est.measure_frequency_norms(v.symbol, v.n, [q], [v.k], T0=v.T0)
-        res = norms[q][v.k]
+        # L^q_{t,x}: the r column repeats q
+        q = float(v.q)
+        res = est.measure_frequency_norms(v.symbol, v.n, [q], [v.k], T0=v.T0)[q][v.k]
         return RunReport(cmd, cfg, "INFO",
                          {"norm": res.norm, "T": res.T, "converged": res.converged},
                          rows=[{"symbol": v.symbol.name, "n": v.n, "k": v.k, "j": "",
-                                "q": q, "r": r, "T": res.T, "value": res.norm}])
+                                "q": q, "r": q, "T": res.T, "value": res.norm}])
     if cmd == "smoothing":
         rep = est.smoothing_lemma_check(v.symbol, v.k, float(v.q), v.trials, v.seed)
         return RunReport(cmd, cfg, "PASS" if rep.passed else "FAIL",

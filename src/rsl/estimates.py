@@ -45,6 +45,7 @@ from .fastfield import (
     BandFieldSampler,
     SamplerConfig,
     _chirp_z,
+    band_beat,
     band_norm_adaptive,
     band_plan,
     czt_points,
@@ -200,8 +201,8 @@ def measure_frequency_norms(
     canonical data is measured at band 0 only and rescaled to each k.
     Returns {q: {k: BandNormResult}}.
     """
-    out = {float(q): {} for q in qs}
-    pairs = [(float(q), float(q)) for q in qs]
+    qs = [float(q) for q in qs]
+    out = {q: {} for q in qs}
     d = symbol.degree
     if d is not None and data_policy.kind == "canonical":
         # canonical_band_amplitude has unit L^2 norm, so h_k(2^k s) =
@@ -213,11 +214,11 @@ def measure_frequency_norms(
         # f^q with f = 2^(k(n/2 - (n+d)/q)), the window by 2^(-dk), and the
         # window rule, which sees only octave ratios, sets the same flags.
         res0 = band_norm_adaptive(
-            symbol, n, 0, canonical_band_amplitude(n, 0), pairs,
+            symbol, n, 0, canonical_band_amplitude(n, 0), qs,
             T0=T0, max_doublings=max_doublings, config=config,
         )
-        for q, _ in pairs:
-            b = res0[(q, q)]
+        for q in qs:
+            b = res0[q]
             for k in k_range:
                 f = 2.0 ** (k * (n / 2.0 - (n + d) / q))
                 out[q][k] = replace(
@@ -234,12 +235,12 @@ def measure_frequency_norms(
         else:
             amp = random_band_amplitude(n, k, rng)
         res = band_norm_adaptive(
-            symbol, n, k, amp, pairs,
+            symbol, n, k, amp, qs,
             T0=T0 * 2.0 ** (-m * k),
             max_doublings=max_doublings, config=config,
         )
-        for q, _ in pairs:
-            out[q][k] = res[(q, q)]
+        for q in qs:
+            out[q][k] = res[q]
     return out
 
 
@@ -298,20 +299,20 @@ def measure_annulus_norms(
     lo, hi = band_edges(k)
     min_dp = max(symbol.min_dphi(lo, hi), 1e-9)
     m = regime_exponents(symbol, k).m
-    out = {float(q): {} for q in qs}
-    pairs = [(float(q), float(q)) for q in qs]
+    qs = [float(q) for q in qs]
+    out = {q: {} for q in qs}
     for j in j_range:
         if inner:
             T0 = 16.0 * 2.0 ** (-m * k)
         else:
             T0 = max(4.0 * 2.0**j / min_dp, 16.0 * 2.0 ** (-m * k))
         res = band_norm_adaptive(
-            symbol, n, k, amp, pairs, T0=T0,
+            symbol, n, k, amp, qs, T0=T0,
             max_doublings=max_doublings, config=config,
             r_window=(2.0 ** (j - 1), 2.0**j),
         )
         for q in qs:
-            out[float(q)][j] = res[(float(q), float(q))]
+            out[q][j] = res[q]
     return out
 
 
@@ -362,10 +363,10 @@ def smoothing_lemma_check(
         raise OutOfRangeQ(f"smoothing check needs 2 <= q < inf, got {q}")
     rng = np.random.default_rng(seed)
     lo, hi = band_edges(k)
-    dphi_spread = abs(float(symbol.phi(np.asarray(hi))) - float(symbol.phi(np.asarray(lo))))
+    beat = band_beat(symbol, k)
     m = regime_exponents(symbol, k).m
-    T = 512.0 / max(dphi_spread, 1e-12)
-    t, wt, _ = octave_ladder(T, 2 * np.pi / (8.0 * max(dphi_spread, 1e-12)), 64)
+    T = 512.0 / beat
+    t, wt, _ = octave_ladder(T, beat, 8.0, 64)
     s, ws = _band_quad(k, 1.2, T * symbol.sup_dphi(lo, hi))
     cut = dyadic_cutoff(k, s)
     phase = np.exp(-1j * np.outer(t, symbol.phi(s)))
@@ -403,8 +404,7 @@ def strichartz_l6_check(symbol: DispersionSymbol, k_range: Sequence[int]) -> Exp
         lo, hi = band_edges(k)
         reg = regime_exponents(symbol, k)
         T = 48.0 * 2.0 ** (-reg.alpha * k) if reg.alpha else 48.0
-        dphi_spread = abs(float(symbol.phi(np.asarray(hi))) - float(symbol.phi(np.asarray(lo))))
-        t_nodes, wt, _ = octave_ladder(T, 2 * np.pi / (6.0 * max(dphi_spread, 1e-12)), 64)
+        t_nodes, wt, _ = octave_ladder(T, band_beat(symbol, k), 6.0, 64)
         # carrier extraction: resolve only the residual rate and follow the
         # transported window r in t [vmin, vmax] +- tails
         plan = band_plan(symbol, k, T, DEFAULT_SAMPLER.policy)
@@ -811,15 +811,14 @@ def conjecture_probe(
     # each cut integrates the piecewise-linear interpolant of |F|^r* r^(n-1)
     # through the sampled radii from 2 to R: the cumulative trapezoid C_i up
     # to the last node r_i <= x, plus the partial panel [r_i, x]
-    r_all = np.concatenate([sampler.r_in, sampler.r_out])
+    r_all = sampler.r
     x = np.asarray([2.0] + [float(R) for R in R_values])
     i = np.searchsorted(r_all, x, side="right") - 1
     dx = x - r_all[i]
     lam = dx / (r_all[i + 1] - r_all[i])
     powers = np.zeros(len(R_values))
     for t, wt in zip(sampler.t, sampler.wt):
-        f_in, f_out = sampler.field_at(t)
-        f = np.concatenate([np.abs(f_in), np.abs(f_out)]) ** r_star * r_all ** (n - 1)
+        f = np.abs(sampler.field_at(t)) ** r_star * r_all ** (n - 1)
         cum = np.concatenate([[0.0], np.cumsum(np.diff(r_all) * (f[1:] + f[:-1]) / 2.0)])
         at_x = cum[i] + dx * ((2.0 - lam) * f[i] + lam * f[i + 1]) / 2.0
         inner = (om * (at_x[1:] - at_x[0])) ** (1.0 / r_star)

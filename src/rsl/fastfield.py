@@ -54,7 +54,7 @@ from .grids import (
     gauss_panel_grid,
     trapezoid_weights,
 )
-from .transform import sphere_area
+from .transform import radial_norm
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,22 @@ def band_plan(symbol: DispersionSymbol, k: int, T: float, policy: QuadraturePoli
     return BandPlan(c0, c1, vmin, vmax, s, ds, ws, symbol.phi(s) - (c0 + c1 * s))
 
 
-def octave_ladder(T: float, dt0: float, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def band_beat(symbol: DispersionSymbol, k: int) -> float:
+    """|phi(2^(k+1)) - phi(2^(k-1))| (at least 1e-12): the angular frequency
+    at which the envelope of band k beats."""
+    slo, shi = band_edges(k)
+    return max(abs(float(symbol.phi(np.asarray(shi))) - float(symbol.phi(np.asarray(slo)))), 1e-12)
+
+
+def octave_ladder(
+    T: float, beat: float, steps_per_beat: float, cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Octave-structured time nodes on [0, T], matching how dispersive
-    envelopes slow down: a first piece [0, 16 dt0] at step dt0, then octaves
-    [lo, 2 lo] of at most cap + 1 (at least 17) nodes each.  Returns the
-    nodes, their trapezoid weights and each node's octave index."""
+    envelopes slow down: a first piece [0, 16 dt0] at the step
+    dt0 = 2 pi / (steps_per_beat * beat), then octaves [lo, 2 lo] of at most
+    cap + 1 (at least 17) nodes each.  Returns the nodes, their trapezoid
+    weights and each node's octave index."""
+    dt0 = 2.0 * np.pi / (steps_per_beat * beat)
     first = min(16.0 * dt0, T)
     pieces = [np.linspace(0.0, first, max(int(first / dt0) + 2, 17))]
     lo = first
@@ -199,9 +210,7 @@ class BandFieldSampler:
         kappa = 0.9 * config.policy.max_phase_step
         self.g = np.asarray(amplitude(self.s), dtype=complex)
         self.c_base = self.g * ws
-        self.mass_true = sphere_area(n) * float(
-            np.sum(ws * np.abs(self.g) ** 2 * self.s ** (n - 1))
-        )
+        self.mass_true = float(radial_norm(self.g, ws * self.s ** (n - 1), n, 2)) ** 2
         # radius layout
         self.r_c = HANKEL_X_MIN / slo
         dr = np.pi / (config.dr_frac * shi)
@@ -211,7 +220,6 @@ class BandFieldSampler:
             r_lo = 0.0
         else:
             r_lo, r_hi = r_window
-        self.dr = dr
         if r_lo < self.r_c:
             # Gauss-Legendre panels keep the radial quadrature high-order
             # (uniform trapezoid leaves an O(dr^2) endpoint term from the
@@ -219,7 +227,7 @@ class BandFieldSampler:
             in_lo, in_hi = max(r_lo, 1e-9), min(self.r_c, r_hi)
             n_pan = max(int(np.ceil((in_hi - in_lo) * 2.0 * shi / 4.0)), 3)
             rg_in = gauss_panel_grid(in_lo, in_hi, n_pan)
-            self.r_in, self.w_in = rg_in.nodes, rg_in.weights
+            self.r_in, w_in = rg_in.nodes, rg_in.weights
             # the inner block sees the full multiplier; its own frequency grid
             # is sized by the time horizon after which transport has emptied
             # the inner region (the field there is then negligible by
@@ -237,10 +245,7 @@ class BandFieldSampler:
                 self.s_in ** (n - 1)
             )[:, None]
         else:
-            self.r_in = np.empty(0)
-            self.w_in = np.empty(0)
-            self.K_in = None
-            self.t_inner_max = 0.0
+            self.r_in = w_in = np.empty(0)
         out_lo = max(r_lo, self.r_c)
         if r_hi > out_lo:
             # odd count so composite Simpson applies on the full span
@@ -250,6 +255,15 @@ class BandFieldSampler:
             self.r_out = out_lo + dr * np.arange(m)
         else:
             self.r_out = np.empty(0)
+        # one radius grid r_in + r_out; its measure is quadrature weight times
+        # r^(n-1): Gauss-Legendre on the inner block, composite Simpson on the
+        # uniform outer grid (odd node count by construction)
+        w_out = np.full(self.r_out.size, dr * 2.0 / 3.0)
+        if self.r_out.size:
+            w_out[1:-1:2] = dr * 4.0 / 3.0
+            w_out[0] = w_out[-1] = dr / 3.0
+        self.r = np.concatenate([self.r_in, self.r_out])
+        self.measure = np.concatenate([w_in, w_out]) * self.r ** (n - 1)
         # separable outer expansion: one chirp-Z plan whose input side fuses
         # the powers s_pow with e^{i r_0 s} and whose output side fuses the
         # weights e^{-i beta} b_p r_pow / sqrt(2 pi) with e^{i j dr s_0}
@@ -260,9 +274,9 @@ class BandFieldSampler:
             s_pow = (self.s ** ((n - 1) / 2.0))[None, :] * (HANKEL_X_MIN / self.s)[None, :] ** p_idx
             r_pow = (self.r_out ** (-(n - 1) / 2.0))[None, :] * (1.0 / self.r_out)[None, :] ** p_idx
             m = self.r_out.size
-            cz = _chirp_z(ns, m, self.dr * self.ds)
+            cz = _chirp_z(ns, m, dr * self.ds)
             beta = (n - 1) * np.pi / 4.0
-            j_phase = np.exp(1j * self.dr * self.s[0] * np.arange(m))
+            j_phase = np.exp(1j * dr * self.s[0] * np.arange(m))
             self.outer = _ChirpZ(
                 s_pow * (np.exp(1j * self.r_out[0] * self.s) * cz.pre),
                 cz.kernel,
@@ -272,24 +286,22 @@ class BandFieldSampler:
             # phi - c0 = c1 s + rho: the envelope phase per unit time
             self.phase_rate = plan.rho + plan.c1 * self.s
         # octave time grid on [0, T] (amplitude real => |F| even in t)
-        dphi_spread = abs(float(symbol.phi(np.asarray(shi))) - float(symbol.phi(np.asarray(slo))))
-        dt0 = 2.0 * np.pi / (config.dt_frac * max(dphi_spread, 1e-30))
-        self.t, self.wt, self.octave_of = octave_ladder(T, dt0, config.nt_octave_cap)
+        self.t, self.wt, self.octave_of = octave_ladder(
+            T, band_beat(symbol, k), config.dt_frac, config.nt_octave_cap)
         self.n_octaves = int(self.octave_of[-1]) + 1
 
     # -- field access -------------------------------------------------------
 
-    def field_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if self.K_in is not None and t <= self.t_inner_max:
-            f_in = (self.g_in * np.exp(1j * t * self.phis_in)) @ self.K_in
-        elif self.K_in is not None:
-            # transport has left the inner region; the residual is below the
-            # sampler's accuracy floor (non-stationary phase)
-            f_in = np.zeros(self.r_in.size, dtype=complex)
-        else:
-            f_in = np.empty(0, dtype=complex)
+    def field_at(self, t: float) -> np.ndarray:
+        """F(t, .) on the radius grid `r`."""
+        f = np.zeros(self.r.size, dtype=complex)
+        n_in = self.r_in.size
+        if n_in and t <= self.t_inner_max:
+            f[:n_in] = (self.g_in * np.exp(1j * t * self.phis_in)) @ self.K_in
+        # past t_inner_max transport has left the inner region; the residual
+        # there is below the sampler's accuracy floor (non-stationary phase)
         if not self.r_out.size:
-            return f_in, np.empty(0, dtype=complex)
+            return f
         # with v_m = c_m e^{i t (phi(s_m) - c0)}, the plus-sign sums
         # sum_m v_m s_pow[p, m] e^{i r_j s_m} are rows of one chirp-Z
         # transform; the minus-sign ones are the conjugates of the same
@@ -297,54 +309,30 @@ class BandFieldSampler:
         # conjugates of the plus weights, so one conjugation folds them in
         v = self.c_base * np.exp(1j * t * self.phase_rate)
         z = np.sum(self.outer(np.stack([v, np.conj(v)])[:, None, :]), axis=1)
-        return f_in, (z[0] + np.conj(z[1])) * np.exp(1j * t * self.c0)
+        f[n_in:] = (z[0] + np.conj(z[1])) * np.exp(1j * t * self.c0)
+        return f
 
     def mass_at(self, t: float) -> float:
         """omega int |F(t,.)|^2 r^(n-1) dr over the sampled radius range."""
-        f_in, f_out = self.field_at(t)
-        m_in, m_out = self.radial_measure()
-        tot = np.sum(m_in * np.abs(f_in) ** 2) + np.sum(m_out * np.abs(f_out) ** 2)
-        return sphere_area(self.n) * float(tot)
+        return float(radial_norm(self.field_at(t), self.measure, self.n, 2)) ** 2
 
     # -- norms ---------------------------------------------------------------
 
-    def radial_measure(self) -> tuple[np.ndarray, np.ndarray]:
-        """(m_in, m_out): radial quadrature weights times r^(n-1) on the inner
-        and outer radius nodes.  The inner block carries its Gauss-Legendre
-        weights; the uniform outer grid carries composite Simpson (odd node
-        count by construction)."""
-        w_out = np.full(self.r_out.size, self.dr * 2.0 / 3.0)
-        if self.r_out.size:
-            w_out[1:-1:2] = self.dr * 4.0 / 3.0
-            w_out[0] = w_out[-1] = self.dr / 3.0
-        return self.w_in * self.r_in ** (self.n - 1), w_out * self.r_out ** (self.n - 1)
+    def norms(self, qs: Sequence[float]) -> dict:
+        """L^q_{t,x} norms over |t| <= T and the sampled radius range.
 
-    def norms(self, pairs: Sequence[tuple]) -> dict:
-        """Mixed norms over |t| <= T and the sampled radius range.
-
-        pairs: (q, r) exponent pairs with q < inf (r = q allowed, r = inf via
-        math.inf).  Returns {pair: (norm, per_octave_qpowers)}; raises
-        OutOfRangeQ for an infinite q.
+        Returns {q: (norm, per_octave_qpowers)}; raises OutOfRangeQ for an
+        infinite q.
         """
-        if any(math.isinf(q) for q, _ in pairs):
-            raise OutOfRangeQ(f"time exponent q must be finite, got pairs {list(pairs)}")
-        om = sphere_area(self.n)
-        mi, mo = self.radial_measure()
-        acc = {p: np.zeros(self.n_octaves) for p in pairs}
+        if any(math.isinf(q) for q in qs):
+            raise OutOfRangeQ(f"time exponent q must be finite, got {list(qs)}")
+        acc = {q: np.zeros(self.n_octaves) for q in qs}
         for t, wt, oct_i in zip(self.t, self.wt, self.octave_of):
-            f_in, f_out = self.field_at(t)
-            a_in, a_out = np.abs(f_in), np.abs(f_out)
-            for q, r in pairs:
-                if math.isinf(r):
-                    inner = max(
-                        a_in.max() if a_in.size else 0.0,
-                        a_out.max() if a_out.size else 0.0,
-                    )
-                else:
-                    inner = (om * (np.sum(a_in**r * mi) + np.sum(a_out**r * mo))) ** (1.0 / r)
+            f = self.field_at(t)
+            for q in qs:
                 # factor 2: even extension to t < 0
-                acc[(q, r)][oct_i] += 2.0 * wt * inner**q
-        return {p: (float(np.sum(v) ** (1.0 / p[0])), v) for p, v in acc.items()}
+                acc[q][oct_i] += 2.0 * wt * radial_norm(f, self.measure, self.n, q) ** q
+        return {q: (float(np.sum(v) ** (1.0 / q)), v) for q, v in acc.items()}
 
 
 @dataclass(frozen=True)
@@ -362,38 +350,39 @@ def band_norm_adaptive(
     n: int,
     k: int,
     amplitude: Callable,
-    pairs: Sequence[tuple],
+    qs: Sequence[float],
     T0: float,
     max_doublings: int = 3,
     config: SamplerConfig = DEFAULT_SAMPLER,
     r_window: Optional[tuple] = None,
 ) -> dict:
-    """Norms with the adaptive window rule applied to the time octaves.
+    """L^q_{t,x} norms {q: BandNormResult} with the adaptive window rule
+    applied to the time octaves.
 
-    A pair is `converged` when its last octave adds <= 1% to its norm, i.e.
-    holds <= q% of its q-th power.  The window doubles until every pair is
-    converged, or until the octave-power ratios plateau near 1 (then
-    `nonconvergent`).  A geometric tail extrapolation is attached whenever
-    the ratios decay.
+    An exponent is `converged` when its last octave adds <= 1% to its norm,
+    i.e. holds <= q% of its q-th power.  The window doubles until every
+    exponent is converged, or until the octave-power ratios plateau near 1
+    (then `nonconvergent`).  A geometric tail extrapolation is attached
+    whenever the ratios decay.
     """
     T = T0
     for attempt in range(max_doublings + 1):
         sampler = BandFieldSampler(symbol, n, k, amplitude, T, config, r_window)
-        res = sampler.norms(pairs)
+        res = sampler.norms(qs)
         converged = {}
         worst_ratio = 0.0
-        for q, r in pairs:
-            _, powers = res[(q, r)]
+        for q in qs:
+            _, powers = res[q]
             total = np.sum(powers)
-            converged[(q, r)] = bool(total <= 0 or powers[-1] / total <= q * 1e-2)
+            converged[q] = bool(total <= 0 or powers[-1] / total <= q * 1e-2)
             tail = powers[powers > 0]
             if tail.size >= 2:
                 worst_ratio = max(worst_ratio, tail[-1] / tail[-2])
         done = all(converged.values())
         if done or attempt == max_doublings:
             out = {}
-            for q, r in pairs:
-                norm, powers = res[(q, r)]
+            for q in qs:
+                norm, powers = res[q]
                 nonconv = (not done) and worst_ratio >= 0.9
                 extrap = None
                 tail = powers[powers > 0]
@@ -401,9 +390,7 @@ def band_norm_adaptive(
                     rho = tail[-1] / tail[-2]
                     if rho < 1.0:
                         extrap = float((np.sum(powers) + tail[-1] * rho / (1 - rho)) ** (1.0 / q))
-                out[(q, r)] = BandNormResult(
-                    norm, T, converged[(q, r)], nonconv, extrap, tuple(powers)
-                )
+                out[q] = BandNormResult(norm, T, converged[q], nonconv, extrap, tuple(powers))
             return out
         T *= 2.0
     raise AssertionError("unreachable")

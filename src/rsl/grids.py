@@ -112,6 +112,21 @@ def band_grid(k: int, phase_budget: float, policy: QuadraturePolicy = DEFAULT_PO
     return gauss_panel_grid(lo, hi, n_panels)
 
 
+def require_resolution(
+    grid: FrequencyGrid, phase_rate: float, policy: QuadraturePolicy = DEFAULT_POLICY
+) -> None:
+    """Raises QuadratureUnderresolved unless the largest node step of `grid`
+    times `phase_rate` (radians per unit s) stays within the phase that one
+    panel of PANEL_ORDER nodes may span under `policy`."""
+    max_ds = float(np.max(np.diff(grid.nodes)))
+    budget = policy.max_phase_step * PANEL_ORDER
+    if max_ds * phase_rate > budget:
+        raise QuadratureUnderresolved(
+            f"grid spacing {max_ds:.3g} cannot resolve phase rate {phase_rate:.3g} "
+            f"(budget {budget:.3g} rad per node group)"
+        )
+
+
 @dataclass(frozen=True)
 class PhysicalGrid:
     """Ordered radii r_nodes > 0 and times t_nodes of a space-time sample set."""

@@ -41,8 +41,9 @@ from .cutoffs import smooth_bump
 from .dispersion import DispersionSymbol, fractional_symbol, get_symbol
 from .errors import DomainError, NonContraction, OutOfRangeS, OutOfRangeSigma
 from .grids import FrequencyGrid, PhysicalGrid, gauss_panel_grid, trapezoid_weights, uniform_grid
+from .norms import spacetime_norm
 from .propagator import SpaceTimeField, duhamel_coefficients
-from .transform import RadialProfile, sphere_area
+from .transform import RadialProfile, radial_norm, sphere_area
 
 
 # --------------------------------------------------------------------------
@@ -171,26 +172,9 @@ class ScatteringDiagnostic:
         return bool(np.all(np.diff(tail) <= 1e-12 + 0.05 * np.maximum(tail[:-1], 1e-300)))
 
 
-def _mass(freq: FrequencyGrid, coeff: np.ndarray, n: int) -> float:
-    return float(sphere_area(n) * np.sum(freq.weights * np.abs(coeff) ** 2 * freq.nodes ** (n - 1)))
-
-
 # --------------------------------------------------------------------------
 # Picard iteration
 # --------------------------------------------------------------------------
-
-def _resolution_norm(grid: SolverGrid, phys: np.ndarray, n: int, q: float, r: float) -> float:
-    om = sphere_area(n)
-    meas = grid.wr * grid.r ** (n - 1)
-    if math.isinf(r):
-        inner = np.abs(phys).max(axis=1)
-    else:
-        inner = (om * (np.abs(phys) ** r) @ meas) ** (1.0 / r)
-    wt = trapezoid_weights(grid.t)
-    if math.isinf(q):
-        return float(inner.max())
-    return float(np.sum(wt * inner**q) ** (1.0 / q))
-
 
 def _wave_initial_state(problem: NonlinearProblem, s: np.ndarray) -> np.ndarray:
     """a0 = h1 + i s h0 from real data (u0_hat, u1_hat)."""
@@ -232,9 +216,15 @@ def picard_solve(
         return grid.to_physical(a.imag / s) if wave else grid.to_physical(a)
 
     qr = (float(pairs.q), float(pairs.r))
+    measure = grid.wr * grid.r ** (problem.n - 1)
+    wt = trapezoid_weights(t)
+
+    def resolution_norm(phys):
+        return spacetime_norm(phys, measure, wt, problem.n, *qr)
+
     coeff = linear
     phys = synthesize(coeff)
-    iterate_norms = [_resolution_norm(grid, phys, problem.n, *qr)]
+    iterate_norms = [resolution_norm(phys)]
     diff_norms = []
     gain = 1j * problem.mu if wave else problem.mu
     converged = False
@@ -245,10 +235,10 @@ def picard_solve(
         forcing = grid.to_frequency(np.abs(phys) ** problem.p * phys)
         coeff_new = linear + duhamel_coefficients(omega, t, gain * forcing)
         phys_new = synthesize(coeff_new)
-        diff = _resolution_norm(grid, phys_new - phys, problem.n, *qr)
+        diff = resolution_norm(phys_new - phys)
         diff_norms.append(diff)
         coeff, phys = coeff_new, phys_new
-        iterate_norms.append(_resolution_norm(grid, phys, problem.n, *qr))
+        iterate_norms.append(resolution_norm(phys))
         if diff <= tol * max(iterate_norms[0], 1e-300):
             converged = True
             break
@@ -264,10 +254,10 @@ def picard_solve(
     contraction = float(np.max(factors)) if factors else 0.0
     drift = 0.0
     if not wave:
-        masses = [_mass(grid.freq, coeff[i], problem.n)
-                  for i in range(0, t.size, max(t.size // 16, 1))]
+        masses = radial_norm(coeff[::max(t.size // 16, 1)],
+                             grid.freq.weights * s ** (problem.n - 1), problem.n, 2) ** 2
         if masses[0] > 0:
-            drift = float(np.max(np.abs(np.asarray(masses) - masses[0])) / masses[0])
+            drift = float(np.max(np.abs(masses - masses[0])) / masses[0])
     trace = PicardTrace(
         tuple(iterate_norms), tuple(diff_norms), contraction, converged, drift,
         {"band": band, "T": T, "pair": qr},
@@ -283,8 +273,7 @@ def _sobolev_rows(fgrid: FrequencyGrid, rows: np.ndarray, n: int, s: float) -> n
     Raises ValueError on non-finite rows, as a RadialProfile would."""
     if not np.all(np.isfinite(rows)):
         raise ValueError("frequency trajectory must be finite")
-    weight = fgrid.weights * fgrid.nodes ** (2.0 * s + n - 1)
-    return np.sqrt(sphere_area(n) * (np.abs(rows) ** 2 @ weight))
+    return radial_norm(rows, fgrid.weights * fgrid.nodes ** (2.0 * s + n - 1), n, 2)
 
 
 def scattering_state(field: SpaceTimeField, symbol: DispersionSymbol, s: float) -> ScatteringDiagnostic:
@@ -517,7 +506,6 @@ def fnls_experiment(
     pairs = PairSelection(q, r, q, r, p, 0, "fnls")
     runs = []
     grid = None
-    om = sphere_area(n)
     mu = -1
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -528,17 +516,13 @@ def fnls_experiment(
             grid = build_solver_grid(n, DATA_BAND, p, T, speed)
         fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=EXPERIMENT_MAX_ITER)
         fgrid, coeff = fld.freq
-        # energy: omega [ int s^sigma |u_hat|^2 s^(n-1) ds - mu/(p+2) int |u|^{p+2} r^(n-1) dr ]
-        kin, pot = [], []
-        phys = fld.values
-        for i in range(0, grid.t.size, max(grid.t.size // 16, 1)):
-            kin.append(float(om * np.sum(
-                fgrid.weights * fgrid.nodes ** (sigma + n - 1) * np.abs(coeff[i]) ** 2
-            )))
-            pot.append(float(om * mu / (p + 2.0) * np.sum(
-                grid.wr * grid.r ** (n - 1) * np.abs(phys[i]) ** (p + 2.0)
-            )))
-        energy = np.asarray(kin) - np.asarray(pot)
+        # energy: ||u||_{H^(sigma/2)-dot}^2 - mu/(p+2) ||u||_{L^(p+2)}^(p+2)
+        step = max(grid.t.size // 16, 1)
+        kin = radial_norm(coeff[::step], fgrid.weights * fgrid.nodes ** (sigma + n - 1), n, 2) ** 2
+        pot = mu / (p + 2.0) * radial_norm(
+            fld.values[::step], grid.wr * grid.r ** (n - 1), n, p + 2.0
+        ) ** (p + 2.0)
+        energy = kin - pot
         e_drift = float(np.max(np.abs(energy - energy[0])) / max(abs(energy[0]), 1e-300))
         diag = scattering_state(fld, problem.generator_symbol(), s)
         runs.append({

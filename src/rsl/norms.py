@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainNotCovered
 from .propagator import SpaceTimeField
-from .transform import RadialProfile, sphere_area
+from .transform import RadialProfile, radial_norm
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,18 @@ def _region_mask(field: SpaceTimeField, region: tuple) -> np.ndarray:
     raise ValueError(f"unknown region {region!r}")
 
 
+def spacetime_norm(
+    values: np.ndarray, measure: np.ndarray, wt: np.ndarray, n: int, q: float, r: float
+) -> float:
+    """L^q_t L^r_x norm of samples values[t_i, r_j]: (sum_i wt_i inner_i^q)^(1/q),
+    or max_i inner_i for q = inf, with inner_i the `radial_norm` of row i
+    against the radial measure (weights times r^(n-1))."""
+    inner = radial_norm(values, measure, n, r)
+    if math.isinf(q):
+        return float(inner.max())
+    return float(np.sum(wt * inner**q) ** (1.0 / q))
+
+
 def mixed_norm(field: SpaceTimeField, spec: MixedNormSpec) -> float:
     """( int ( int_Omega |F|^r omega r^(n-1) dr )^(q/r) dt )^(1/q), suprema
     for infinite exponents."""
@@ -68,23 +80,14 @@ def mixed_norm(field: SpaceTimeField, spec: MixedNormSpec) -> float:
     else:
         tmask = np.ones_like(t, dtype=bool)
     rmask = _region_mask(field, spec.region)
-    r = field.grid.r_nodes[rmask]
-    wr = field.grid.r_weights()[rmask]
-    vals = np.abs(field.values[np.ix_(tmask, rmask)])
-    om = sphere_area(field.n)
-    if math.isinf(spec.r):
-        inner = vals.max(axis=1)
-    else:
-        inner = (om * (vals ** spec.r) @ (wr * r ** (field.n - 1))) ** (1.0 / spec.r)
-    if math.isinf(spec.q):
-        return float(inner.max())
-    wt = field.grid.t_weights()[tmask]
-    return float(np.sum(wt * inner ** spec.q) ** (1.0 / spec.q))
+    measure = (field.grid.r_weights() * field.grid.r_nodes ** (field.n - 1))[rmask]
+    return spacetime_norm(field.values[np.ix_(tmask, rmask)], measure,
+                          field.grid.t_weights()[tmask], field.n, spec.q, spec.r)
 
 
 def sobolev_norm(profile: RadialProfile, s: float) -> float:
     """Homogeneous H^s norm: (omega int s^(2s) |h|^2 s^(n-1) ds)^(1/2), same
     convention constant as l2_norm (s = 0 reduces to it)."""
     g = profile.grid
-    val = np.sum(g.weights * np.abs(profile.values) ** 2 * g.nodes ** (2.0 * s + profile.n - 1))
-    return float(np.sqrt(sphere_area(profile.n) * val))
+    measure = g.weights * g.nodes ** (2.0 * s + profile.n - 1)
+    return float(radial_norm(profile.values, measure, profile.n, 2))

@@ -34,17 +34,17 @@ import numpy as np
 from .bessel import radial_kernel
 from .cutoffs import dyadic_cutoff
 from .dispersion import DispersionSymbol
-from .errors import QuadratureUnderresolved, SplitDomainError
+from .errors import SplitDomainError
 from .grids import (
     DEFAULT_POLICY,
-    PANEL_ORDER,
     FrequencyGrid,
     PhysicalGrid,
     QuadraturePolicy,
     band_edges,
     band_grid,
+    require_resolution,
 )
-from .transform import RadialProfile, sphere_area
+from .transform import RadialProfile, radial_norm
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,8 @@ class SpaceTimeField:
 
     def l2_slice(self, i: int) -> float:
         """Physical L^2 norm of the time slice t_i (trapezoid in r)."""
-        w = self.grid.r_weights()
-        r = self.grid.r_nodes
-        val = np.sum(w * np.abs(self.values[i]) ** 2 * r ** (self.n - 1))
-        return float(np.sqrt(sphere_area(self.n) * val))
+        measure = self.grid.r_weights() * self.grid.r_nodes ** (self.n - 1)
+        return float(radial_norm(self.values[i], measure, self.n, 2))
 
 
 def _integration_grid(
@@ -92,12 +90,7 @@ def _integration_grid(
     # un-projected path: integrate on the profile's own grid, checking resolution
     fg = profile.grid
     lo, hi = fg.span
-    budget = t_max * symbol.sup_dphi(lo, hi) + r_max
-    max_ds = float(np.max(np.diff(fg.nodes)))
-    if max_ds * budget > policy.max_phase_step * PANEL_ORDER:
-        raise QuadratureUnderresolved(
-            f"profile grid spacing {max_ds:.3g} too coarse for phase budget {budget:.3g}"
-        )
+    require_resolution(fg, t_max * symbol.sup_dphi(lo, hi) + r_max, policy)
     return fg, profile.values
 
 

@@ -19,10 +19,16 @@ Conventions (fixed once, used everywhere):
 
     with omega_{n-1} = |S^(n-1)| (so c_2 = 2 pi), and Plancherel holds
     exactly against the physical-side norm omega_{n-1} int |T h|^2 r^(n-1) dr.
+
+  * Every radial norm in the package is one reduction, `radial_norm`:
+    (omega_{n-1} sum m |F|^r)^(1/r) against a quadrature measure m, which is
+    w r^(n-1) on the physical side and w s^(2 sigma + n - 1) for the
+    H^sigma-dot norm on the frequency side.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -31,19 +37,22 @@ from scipy import special
 
 from .bessel import radial_kernel
 from .cutoffs import dyadic_cutoff
-from .errors import QuadratureUnderresolved
-from .grids import (
-    DEFAULT_POLICY,
-    PANEL_ORDER,
-    FrequencyGrid,
-    band_edges,
-    uniform_grid,
-)
+from .grids import FrequencyGrid, band_edges, require_resolution, uniform_grid
 
 
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere S^(n-1) in R^n."""
     return float(2.0 * np.pi ** (n / 2.0) / special.gamma(n / 2.0))
+
+
+def radial_norm(values: np.ndarray, measure: np.ndarray, n: int, r: float):
+    """(omega_{n-1} sum measure |values|^r)^(1/r) along the last axis, or
+    max |values| for r = inf: one norm for a 1-D sample vector, one per row
+    for a 2-D array."""
+    a = np.abs(values)
+    if math.isinf(r):
+        return a.max(axis=-1)
+    return (sphere_area(n) * (a**r @ measure)) ** (1.0 / r)
 
 
 @dataclass(frozen=True)
@@ -96,28 +105,21 @@ def project(profile: RadialProfile, k: int) -> RadialProfile:
 def l2_norm(profile: RadialProfile) -> float:
     """(omega_{n-1} int |h|^2 s^(n-1) ds)^(1/2); equals the physical L^2 norm."""
     g = profile.grid
-    val = np.sum(g.weights * np.abs(profile.values) ** 2 * g.nodes ** (profile.n - 1))
-    return float(np.sqrt(sphere_area(profile.n) * val))
+    return float(radial_norm(profile.values, g.weights * g.nodes ** (profile.n - 1), profile.n, 2))
 
 
 def fourier_bessel(profile: RadialProfile, r) -> np.ndarray:
     """Evaluate T[h](r) by quadrature on the profile's own grid.
 
-    The grid must resolve the kernel oscillation: the largest node spacing
-    times max(r) has to stay below the default policy's phase step (scaled
-    for the non-Gauss case by the panel order).
+    The grid must resolve the kernel oscillation at the largest radius
+    (`grids.require_resolution` at the default policy).
     """
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     g = profile.grid
-    max_ds = float(np.max(np.diff(g.nodes)))
-    budget = DEFAULT_POLICY.max_phase_step * PANEL_ORDER
-    if r.size and max_ds * float(np.max(r)) > budget:
-        raise QuadratureUnderresolved(
-            f"grid spacing {max_ds:.3g} cannot resolve radius {np.max(r):.3g} "
-            f"(budget {budget:.3g} rad per node group)"
-        )
+    if r.size:
+        require_resolution(g, float(np.max(r)))
     w = g.weights * profile.values * g.nodes ** (profile.n - 1)
     out = radial_kernel(profile.n, np.outer(r, g.nodes)) @ w
     return out[0] if scalar else out

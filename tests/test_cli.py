@@ -71,7 +71,11 @@ def test_counter_schrodinger_run(tmp_path):
     ["retarded", "--trials", "1"],
     ["conjecture-probe", "--R", "8,16", "--T", "16"],
     ["solve-fnls", "--seeds", "0", "--T", "4"],
-], ids=["smoothing", "fit-k", "retarded", "conjecture-probe", "solve-fnls"])
+    ["norm-sweep", "--T0", "8"],
+    ["fit-j", "--j", "3..4"],
+    ["propagate"],
+], ids=["smoothing", "fit-k", "retarded", "conjecture-probe", "solve-fnls", "norm-sweep",
+        "fit-j", "propagate"])
 def test_determinism_byte_identical(tmp_path, args):
     run([*args], tmp_path, "d1")
     run([*args], tmp_path, "d2")
@@ -205,6 +209,8 @@ def test_readme_examples_validate(line):
     "knapp --sigma 3", "maximal --a=-1", "norm-sweep --q inf --T0 4",
     "fit-j --q inf --j 3..4", "smoothing --q inf", "counter-wave --q inf",
     "knapp --q inf", "knapp --r inf", "counter-schrodinger --q inf",
+    # norm-sweep measures L^q_{t,x}; it has no separate --r
+    "norm-sweep --r 6",
     # validation applies the solver's own range rule: s0(2) + 5e-13
     "--validate-only solve-nlw --s 0.21922359359608484",
     # argparse's own errors, from a flag or a config line

@@ -75,7 +75,7 @@ def test_sampler_outer_field_matches_direct_expansion(name, n, k, T, r_window):
     sampler = BandFieldSampler(get_symbol(name), n, k, canonical_band_amplitude(n, k), T,
                                r_window=r_window)
     for t in (0.0, sampler.t[sampler.t.size // 3], T):
-        fast = sampler.field_at(t)[1]
+        fast = sampler.field_at(t)[sampler.r_in.size:]
         ref = _outer_field_direct(sampler, n, t)
         assert np.max(np.abs(fast - ref)) / np.max(np.abs(ref)) < 1e-10
 
@@ -117,13 +117,12 @@ def test_sampler_field_matches_evolve(name, n, k, r_window):
     amp = canonical_band_amplitude(n, k)
     sampler = BandFieldSampler(sym, n, k, amp, T=T, r_window=r_window)
     prof = profile_from_fn(amp, uniform_grid(*band_edges(k), 8193), n)
-    r = np.concatenate([sampler.r_in, sampler.r_out])
-    sel = slice(0, None, max(r.size // 40, 1))
-    r = r[sel]
+    sel = slice(0, None, max(sampler.r.size // 40, 1))
+    r = sampler.r[sel]
     times = np.array([0.0, T / 2, T])
     ref = evolve(sym, prof, None, PhysicalGrid(np.maximum(r, 1e-12), times)).values
     for t, ref_t in zip(times, ref):
-        vals = np.concatenate(sampler.field_at(t))[sel]
+        vals = sampler.field_at(t)[sel]
         assert np.max(np.abs(vals - ref_t)) / np.max(np.abs(ref_t)) < 1e-7
 
 
@@ -136,17 +135,17 @@ def test_sampler_mass_conservation():
 
 def test_sampler_refinement_stability():
     amp = canonical_band_amplitude(2, 0)
-    base = BandFieldSampler(SCH, 2, 0, amp, T=8.0).norms([(4.0, 4.0)])[(4.0, 4.0)][0]
+    base = BandFieldSampler(SCH, 2, 0, amp, T=8.0).norms([4.0])[4.0][0]
     fine = BandFieldSampler(SCH, 2, 0, amp, T=8.0, config=SamplerConfig().refined()).norms(
-        [(4.0, 4.0)]
-    )[(4.0, 4.0)][0]
+        [4.0]
+    )[4.0][0]
     assert abs(base - fine) / fine < 1e-3
 
 
 def test_adaptive_band_norm_converges():
     amp = canonical_band_amplitude(2, 0)
-    res = band_norm_adaptive(SCH, 2, 0, amp, [(4.0, 4.0)], T0=16.0, max_doublings=4)
-    r = res[(4.0, 4.0)]
+    res = band_norm_adaptive(SCH, 2, 0, amp, [4.0], T0=16.0, max_doublings=4)
+    r = res[4.0]
     assert r.converged
     # octave contributions decay geometrically for q = 4 > 10/3
     tail = [p for p in r.octave_powers if p > 0][-3:]
@@ -160,27 +159,27 @@ def test_adaptive_band_norm_flags_unitary_l2():
     # ||F(t)||_2 is constant in t, so the (2, 2) octave powers grow with the
     # octave length: no saturation and no geometric tail to extrapolate
     amp = canonical_band_amplitude(2, 0)
-    res = band_norm_adaptive(SCH, 2, 0, amp, [(2.0, 2.0)], T0=16.0, max_doublings=1)
-    r = res[(2.0, 2.0)]
+    res = band_norm_adaptive(SCH, 2, 0, amp, [2.0], T0=16.0, max_doublings=1)
+    r = res[2.0]
     assert r.octave_powers[-1] >= r.octave_powers[-2]
     assert r.nonconvergent and not r.converged
     assert r.extrapolated is None
 
 
 def test_adaptive_band_norm_converged_per_pair():
-    # one window, three pairs: the last octave holds 4.5%, 0.4% and 0.0% of
-    # the q-th powers, against the q% rule of each pair
+    # one window, three exponents: the last octave holds 4.5%, 0.4% and 0.0%
+    # of the q-th powers, against the q% rule of each exponent
     amp = canonical_band_amplitude(2, 0)
-    pairs = [(10.0 / 3.0, 10.0 / 3.0), (4.0, 4.0), (6.0, 6.0)]
-    res = band_norm_adaptive(SCH, 2, 0, amp, pairs, T0=128.0, max_doublings=0)
-    assert [res[p].converged for p in pairs] == [False, True, True]
+    qs = [10.0 / 3.0, 4.0, 6.0]
+    res = band_norm_adaptive(SCH, 2, 0, amp, qs, T0=128.0, max_doublings=0)
+    assert [res[q].converged for q in qs] == [False, True, True]
 
 
 def test_adaptive_band_norm_rejects_infinite_q():
     # the time norm must be finite: L^inf_t has no octave powers to sum
     amp = canonical_band_amplitude(2, 0)
     with pytest.raises(OutOfRangeQ):
-        band_norm_adaptive(SCH, 2, 0, amp, [(math.inf, math.inf)], T0=4.0, max_doublings=0)
+        band_norm_adaptive(SCH, 2, 0, amp, [math.inf], T0=4.0, max_doublings=0)
 
 
 def test_annulus_window_restriction():
@@ -189,5 +188,5 @@ def test_annulus_window_restriction():
     sampler = BandFieldSampler(SCH, 2, 0, amp, T=64.0, r_window=(2.0 ** (j - 1), 2.0**j))
     assert sampler.r_in.size == 0
     assert sampler.r_out[0] >= 2.0 ** (j - 1) - 1e-9
-    norm, powers = sampler.norms([(4.0, 4.0)])[(4.0, 4.0)]
+    norm, powers = sampler.norms([4.0])[4.0]
     assert norm > 0

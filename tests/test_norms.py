@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from rsl.dispersion import get_symbol
 from rsl.errors import DomainNotCovered
 from rsl.grids import PhysicalGrid
-from rsl.norms import MixedNormSpec, mixed_norm, sobolev_norm
+from rsl.norms import MixedNormSpec, mixed_norm, sobolev_norm, spacetime_norm
 from rsl.propagator import SpaceTimeField
-from rsl.transform import canonical_band_profile, l2_norm, project
+from rsl.transform import canonical_band_profile, l2_norm, project, radial_norm, sphere_area
 
 
 def _field(values, r, t, n=2):
@@ -122,3 +122,42 @@ def test_grid_refinement_stability():
         fld = evolve(sym, prof, 0, PhysicalGrid(r, t))
         vals.append(mixed_norm(fld, MixedNormSpec(4, 4)))
     assert abs(vals[1] - vals[0]) / vals[1] < 5e-3
+
+
+REDUCTION_CASES = [("x", q, r, None) for q, r in
+                   [(2.0, 2.0), (10.0 / 3.0, 4.0), (4.0, math.inf), (math.inf, 2.0),
+                    (math.inf, math.inf)]] + [("s", None, 2.0, s) for s in (-0.1, 0.0, 0.75)]
+
+
+@pytest.mark.parametrize("side, q, r, s", REDUCTION_CASES,
+                         ids=[f"{c[0]}-q{c[1]}-r{c[2]}-s{c[3]}" for c in REDUCTION_CASES])
+@pytest.mark.parametrize("n", [2, 3])
+def test_shared_reduction_matches_double_loop(side, q, r, s, n):
+    # physical side: spacetime_norm of (t, r) samples; frequency side: the
+    # per-row H^s norms; each against explicit sums over every sample
+    rng = np.random.default_rng(7)
+    nt, nr = 9, 23
+    vals = rng.standard_normal((nt, nr)) + 1j * rng.standard_normal((nt, nr))
+    x = np.sort(rng.uniform(0.1, 5.0, nr))
+    w = rng.uniform(0.05, 1.0, nr)
+    wt = rng.uniform(0.05, 1.0, nt)
+    power = n - 1 if side == "x" else 2.0 * s + n - 1
+    om = sphere_area(n)
+    inner = []
+    for i in range(nt):
+        if math.isinf(r):
+            inner.append(max(abs(vals[i, j]) for j in range(nr)))
+        else:
+            acc = 0.0
+            for j in range(nr):
+                acc += om * w[j] * x[j] ** power * abs(vals[i, j]) ** r
+            inner.append(acc ** (1.0 / r))
+    measure = w * x**power
+    if side == "s":
+        np.testing.assert_allclose(radial_norm(vals, measure, n, r), inner, rtol=1e-13, atol=0)
+        return
+    if math.isinf(q):
+        ref = max(inner)
+    else:
+        ref = sum(wt[i] * inner[i] ** q for i in range(nt)) ** (1.0 / q)
+    assert spacetime_norm(vals, measure, wt, n, q, r) == pytest.approx(ref, rel=1e-13, abs=0)
