@@ -3,7 +3,8 @@ field.json sidecar for runs that sample a field.
 
 Every report embeds the fully-resolved configuration (defaults included) so
 a run can be reproduced from its own artifact.  CSV cells are written with
-repr() of the float64 values, making identical runs byte-identical.
+repr() of the values as Python floats, making identical runs byte-identical
+and every cell a plain number.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ def field_to_csv(field, meta: dict, outdir: Path) -> None:
 
 
 def _fmt(v):
+    # float() first: numpy 2 reprs an np.float64 as "np.float64(...)"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     return v

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rsl.bessel import (
+    HANKEL_X_MIN,
     bessel_asymptotic_split,
     bessel_bound_check,
     bessel_j,
@@ -114,15 +115,17 @@ def test_hankel_phase_coeffs_accuracy():
     for n in (2, 3, 4, 5):
         nu = (n - 2) / 2.0
         b = hankel_phase_coeffs(n)
-        x = np.exp(np.linspace(0, np.log(1e4), 2000))
+        x = np.geomspace(HANKEL_X_MIN, 1e4, 2000)
         zeta = special.hankel1e(nu, x) * np.sqrt(np.pi * x / 2.0) * np.exp(
             1j * (nu * np.pi / 2 + np.pi / 4)
         )
         approx = np.zeros_like(x, dtype=complex)
         for c in b[::-1]:
-            approx = approx / x + c  # Horner in (x_min/x) with x_min = 1
+            approx = approx * (HANKEL_X_MIN / x) + c  # Horner in x_min/x
         assert np.max(np.abs(approx - zeta)) < 1e-10
-    # odd dimensions collapse to their exact finite expansion
+    # even dimensions keep the full degree-8 fit; odd dimensions collapse to
+    # their exact finite expansion
+    assert hankel_phase_coeffs(2).size == 9
     assert hankel_phase_coeffs(3).size == 1
     assert hankel_phase_coeffs(5).size == 2
 
@@ -154,7 +157,7 @@ def test_hankel_phase_coeffs_against_mpmath():
     # checks it against 30-digit mpmath, zeta = H1_nu(x) sqrt(pi x/2) e^{-i(x - nu pi/2 - pi/4)}
     import mpmath
 
-    x = np.geomspace(1.0, 1e4, 300)
+    x = np.geomspace(HANKEL_X_MIN, 1e4, 300)
     for n in (2, 3, 4, 5, 6):
         with mpmath.workdps(30):
             nu = mpmath.mpf(n - 2) / 2
@@ -165,6 +168,6 @@ def test_hankel_phase_coeffs_against_mpmath():
             ])
         approx = np.zeros_like(x, dtype=complex)
         for c in hankel_phase_coeffs(n)[::-1]:
-            approx = approx / x + c   # Horner in x_min/x with x_min = 1
+            approx = approx * (HANKEL_X_MIN / x) + c   # Horner in x_min/x
         err = np.abs(approx - ref)
         assert np.max(err) <= 1e-10, (n, float(x[np.argmax(err)]))

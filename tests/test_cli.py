@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -82,6 +83,17 @@ def test_determinism_byte_identical(tmp_path, args):
     a = (tmp_path / "d1" / "data.csv").read_bytes()
     b = (tmp_path / "d2" / "data.csv").read_bytes()
     assert a == b
+
+
+def test_fit_j_cells_are_numbers(tmp_path):
+    # data.csv and plot.dat hold plain numbers, not numpy reprs
+    assert run(["fit-j", "--j", "3..4"], tmp_path, "fj") == 0
+    rows = (tmp_path / "fj" / "data.csv").read_text().splitlines()
+    assert rows[0] == "j,log2_norm"
+    cells = [c for row in rows[1:] for c in row.split(",")]
+    cells += (tmp_path / "fj" / "plot.dat").read_text().split()
+    assert len(cells) == 8
+    assert all(math.isfinite(float(c)) for c in cells)
 
 
 def test_config_file_roundtrip(tmp_path):

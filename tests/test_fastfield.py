@@ -100,7 +100,8 @@ CATALOG_CASES = [
     ("beam", 5, -2, None),
     ("fourth-order", 2, 1, None),
     ("fractional:1.5", 2, 0, None),
-    ("schrodinger", 4, 0, (8.0, 16.0)),
+    ("schrodinger", 4, 0, (8.0, 16.0)),     # below r_c = 16: the dense block
+    ("schrodinger", 4, 1, (8.0, 16.0)),     # above r_c = 8: the chirp-Z block
     ("wave", 5, 0, (0.0, 6.0)),
 ]
 
@@ -190,3 +191,32 @@ def test_annulus_window_restriction():
     assert sampler.r_out[0] >= 2.0 ** (j - 1) - 1e-9
     norm, powers = sampler.norms([4.0])[4.0]
     assert norm > 0
+
+
+def test_outer_grid_ends_on_window_edge():
+    # the outer radius grid spans exactly its annulus window, so Simpson
+    # integrates [16, 32] and not a window shifted by up to one step
+    amp = canonical_band_amplitude(2, 0)
+    q = 10.0 / 3.0
+    base = BandFieldSampler(SCH, 2, 0, amp, T=128.0, r_window=(16.0, 32.0))
+    fine = BandFieldSampler(SCH, 2, 0, amp, T=128.0, r_window=(16.0, 32.0),
+                            config=SamplerConfig().refined())
+    for sampler in (base, fine):
+        assert sampler.r_in.size == 0
+        assert sampler.r_out[0] == 16.0
+        assert abs(sampler.r_out[-1] - 32.0) <= 1e-12
+    nb, nf = base.norms([q])[q][0], fine.norms([q])[q][0]
+    assert abs(nb - nf) / nf < 1e-4
+
+
+def test_inner_block_real_product_matches_complex():
+    # the inner block runs as one real product over stacked real and
+    # imaginary rows; it must equal the complex product it replaces
+    amp = canonical_band_amplitude(2, 0)
+    sampler = BandFieldSampler(SCH, 2, 0, amp, T=16.0)
+    n_in = sampler.r_in.size
+    assert n_in > 0
+    for t in (0.0, 1.3, 16.0):
+        ref = (sampler.g_in * np.exp(1j * t * sampler.phis_in)) @ sampler.K_in
+        fast = sampler.field_at(t)[:n_in]
+        assert np.max(np.abs(fast - ref)) / np.max(np.abs(ref)) < 1e-14
