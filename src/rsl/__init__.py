@@ -63,7 +63,6 @@ from .nonlinear import (
     picard_solve,
     scattering_state,
 )
-from .norms import MixedNormSpec, mixed_norm, sobolev_norm
 from .propagator import (
     SpaceTimeField,
     evolve,
@@ -76,6 +75,8 @@ from .transform import (
     fourier_bessel,
     l2_norm,
     project,
+    sobolev_norm,
+    spacetime_norm,
 )
 
 __version__ = "0.1.0"

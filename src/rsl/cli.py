@@ -299,13 +299,13 @@ def _dispatch(args, v) -> RunReport:
                                for j, val in zip(fit.indices, fit.log_norms)],
                          plot=list(zip(fit.indices, fit.log_norms)))
     if cmd == "knapp":
-        rep = est.knapp_fractional(v.sigma, v.deltas, float(v.q), float(v.r))
-        ok = abs(rep.slope - rep.predicted_slope) <= 0.1
+        fit = est.knapp_fractional(v.sigma, v.deltas, float(v.q), float(v.r))
+        ok = abs(fit.slope - fit.predicted_slope) <= 0.1
         return RunReport(cmd, cfg, "PASS" if ok else "FAIL",
-                         {"slope": rep.slope, "predicted": rep.predicted_slope},
+                         {"slope": fit.slope, "predicted": fit.predicted_slope},
                          rows=[{"delta": d, "log2_ratio": val}
-                               for d, val in zip(rep.indices, rep.values)],
-                         plot=list(zip(np.log2(rep.indices), rep.values)))
+                               for d, val in zip(v.deltas, fit.log_norms)],
+                         plot=list(zip(fit.indices, fit.log_norms)))
     if cmd == "l6":
         fit = est.strichartz_l6_check(v.symbol, v.k)
         ok = fit.slope <= fit.predicted_slope + 0.1
@@ -381,9 +381,9 @@ def _dispatch(args, v) -> RunReport:
                          rows=[{"R": R, "norm": val} for R, val in zip(rep.indices, rep.values)],
                          plot=list(zip(np.log2(rep.indices), rep.values)))
     if cmd == "propagate":
-        from .grids import PhysicalGrid
+        from .grids import PhysicalGrid, trapezoid_weights
         from .propagator import evolve
-        from .transform import canonical_band_profile, l2_norm, project
+        from .transform import canonical_band_profile, l2_norm, project, radial_norm
 
         prof = canonical_band_profile(v.n, v.k)
         tv = np.asarray(v.t)
@@ -392,8 +392,10 @@ def _dispatch(args, v) -> RunReport:
         r = np.linspace(1e-6, v.rmax, 1200)
         fld = evolve(v.symbol, prof, v.k, PhysicalGrid(r, tv))
         target = l2_norm(project(prof, v.k))
-        dev = max(abs(fld.l2_slice(i) - target) / target for i in range(tv.size))
-        rows = [{"t": float(t), "l2": fld.l2_slice(i)} for i, t in enumerate(tv)]
+        measure = trapezoid_weights(r) * r ** (v.n - 1)
+        l2 = [float(radial_norm(row, measure, v.n, 2)) for row in fld.values]
+        dev = max(abs(x - target) for x in l2) / target
+        rows = [{"t": float(t), "l2": x} for t, x in zip(tv, l2)]
         return RunReport(cmd, cfg, "PASS" if dev <= 1e-3 else "FAIL",
                          {"unitarity_deviation": dev}, rows,
                          field=(fld, {"symbol": v.symbol.name, "k": v.k}))

@@ -29,10 +29,6 @@ class SplitDomainError(RslError):
     """Main/error splitting requested where r*s < 1 for some quadrature pair."""
 
 
-class DomainNotCovered(RslError):
-    """A norm was requested over a domain not covered by the field's grid."""
-
-
 class OutOfRangeQ(RslError):
     """Lebesgue exponent q outside the validity range of the requested estimate."""
 

@@ -45,16 +45,15 @@ from .fastfield import (
     BandFieldSampler,
     SamplerConfig,
     _chirp_z,
+    _ChirpZ,
     band_beat,
     band_norm_adaptive,
     band_plan,
-    czt_points,
     octave_ladder,
 )
-from .grids import PhysicalGrid, band_edges, trapezoid_weights
-from .norms import MixedNormSpec, mixed_norm
-from .propagator import SpaceTimeField, duhamel_coefficients
-from .transform import canonical_band_amplitude, sphere_area
+from .grids import band_edges, trapezoid_weights
+from .propagator import duhamel_coefficients
+from .transform import canonical_band_amplitude, spacetime_norm, sphere_area
 
 
 # --------------------------------------------------------------------------
@@ -413,15 +412,19 @@ def strichartz_l6_check(symbol: DispersionSymbol, k_range: Sequence[int]) -> Exp
         dr = np.pi / (DEFAULT_SAMPLER.dr_frac * hi)
         tail = 60.0 * 2.0 ** (-k)
         m_pts = int(np.ceil((T * (plan.vmax - plan.vmin) + 2 * tail) / dr)) + 1
+        # one fused plan, as in the sampler: the weighted data on the input
+        # side, the output origin e^{i j dr s_0} on the output side
         cz = _chirp_z(plan.s.size, m_pts, dr * plan.ds)
+        fused = _ChirpZ(g * plan.ws * cz.pre, cz.kernel,
+                        cz.post * np.exp(1j * dr * plan.s[0] * np.arange(m_pts)))
         acc = 0.0
         for t, w in zip(t_nodes, wt):
             # J(t, r) = int g e^{i(r s - t phi)} ds = e^{-i t c0} x CZT in the
             # shifted variable u = r - t c1; stationary points live at
             # r = t phi', so the window tracks u in t [vmin - c1, vmax - c1]
-            c = g * plan.ws * np.exp(-1j * t * plan.rho)
+            # from u_0, whose phase e^{i u_0 s} enters per slice
             u0 = t * (plan.vmin - plan.c1) - tail
-            vals = czt_points(c, plan.s[0], plan.ds, u0, dr, m_pts, +1.0, cz)
+            vals = fused(np.exp(1j * (u0 * plan.s - t * plan.rho)))
             # (t, r) -> (-t, -r) symmetry for real band data
             acc += 2.0 * w * np.sum(np.abs(vals) ** 6) * dr
         logs.append(math.log2(acc ** (1.0 / 6.0)))
@@ -676,11 +679,12 @@ def knapp_fractional(
     q: float,
     r: float,
     density: float = 1.0,
-) -> GrowthReport:
+) -> ExponentFit:
     """Tube-data probe in d = 2: evaluates the non-radial evolution of
     1_D, D = {|xi1 - 1| <= delta, |xi2| <= delta}, on the co-moving region
     |t| <= delta^-2 / 2, |sigma t + x1| <= 1 / (2 delta), |x2| <= 1 / (2 delta),
-    and fits the L^q_t L^r_x / L^2 ratio against delta."""
+    and fits log2 of the L^q_t L^r_x / L^2 ratio against log2 delta (the
+    fit's indices) with predicted slope -(2/q + d/r - d/2)."""
     if not (1.0 < sigma < 2.0):
         raise OutOfRangeSigma(f"probe defined for 1 < sigma < 2, got {sigma}")
     if math.isinf(q) or math.isinf(r):
@@ -720,15 +724,9 @@ def knapp_fractional(
         mags = np.stack(u_abs_all) / area
         umins.append(float(mags.min()))
         umaxs.append(float(mags.max()))
-    idx = np.log2(np.asarray(delta_range, dtype=float))
-    slope, intercept = np.polyfit(idx, logs, 1)
-    predicted = -(2.0 / q + d / r - d / 2.0)
-    resid = float(np.max(np.abs(np.asarray(logs) - (slope * idx + intercept))))
-    return GrowthReport(
-        tuple(float(x) for x in delta_range), tuple(logs),
-        monotone=True, saturated=False, slope=float(slope), predicted_slope=predicted,
-        meta={"max_residual": resid, "u_over_D_min": tuple(umins), "u_over_D_max": tuple(umaxs)},
-    )
+    return fit_line(np.log2(np.asarray(delta_range, dtype=float)), logs,
+                    -(2.0 / q + d / r - d / 2.0),
+                    {"u_over_D_min": tuple(umins), "u_over_D_max": tuple(umaxs)})
 
 
 # --------------------------------------------------------------------------
@@ -772,8 +770,10 @@ def retarded_strichartz_check(
     t_nodes = np.linspace(0.0, T, 384)
     r_max = 1.1 * T * sup_dp + 60.0
     r_nodes = np.linspace(1e-6, r_max, int(r_max / (np.pi / (6.0 * hi))) + 2)
-    grid = PhysicalGrid(r_nodes, t_nodes)
+    measure = trapezoid_weights(r_nodes) * r_nodes ** (n - 1)
+    wt = trapezoid_weights(t_nodes)
     kernel = radial_kernel(n, np.outer(s, r_nodes)) * (s ** (n - 1))[:, None]
+    qtd, rtd = float(dual(qt)), float(dual(rt))
     ratios = []
     for trial in range(trials):
         amp = random_band_amplitude(n, k, rng)
@@ -781,12 +781,8 @@ def retarded_strichartz_check(
         env = np.exp(-((t_nodes - T / 4.0) ** 2) / (2 * width**2))
         fvals = env[:, None] * amp(s)[None, :]
         coeff = duhamel_coefficients(omega, t_nodes, fvals)
-        ret = SpaceTimeField(grid, (coeff * ws[None, :]) @ kernel, n)
-        num = mixed_norm(ret, MixedNormSpec(float(q), float(r) if r != math.inf else math.inf))
-        f_field = SpaceTimeField(grid, (fvals * ws[None, :]) @ kernel, n)
-        qtd, rtd = float(dual(qt)), dual(rt)
-        rtd = float(rtd) if rtd != math.inf else math.inf
-        den = mixed_norm(f_field, MixedNormSpec(qtd, rtd))
+        num = spacetime_norm((coeff * ws[None, :]) @ kernel, measure, wt, n, float(q), float(r))
+        den = spacetime_norm((fvals * ws[None, :]) @ kernel, measure, wt, n, qtd, rtd)
         ratios.append(num / den)
     mx = float(np.max(ratios))
     return BoundReport(tuple(ratios), mx, 20.0, mx <= 20.0,

@@ -30,7 +30,11 @@ over all 2P rows and one contraction over p.
 Frequency nodes are uniform with trapezoid weights; the integrand is smooth
 and compactly supported in the band, so the rule is spectrally accurate once
 the node step resolves the time phase left after carrier extraction
-(`band_plan`):  ds * T * max|phi' - c1| <= 0.9 * policy phase step.  The time
+(`band_plan`):  ds * T * max|phi' - c1| <= 0.9 * policy phase step.  The
+sampler also keeps the period 2 pi / ds of the frequency sums beyond its
+radius range plus the transport distance T sup|phi'|, so no alias of the
+incoming packet lands on the radius grid (this binds only for long windows
+of weakly dispersive bands, such as wave band 0 above T = 950).  The time
 grid is octave-structured (`octave_ladder`), matching how dispersive
 envelopes slow down, and norm contributions per time octave are recorded so
 window saturation can be judged and geometric tails extrapolated.
@@ -106,19 +110,6 @@ def _chirp_z(n: int, m: int, theta: float) -> _ChirpZ:
     )
 
 
-def czt_points(c: np.ndarray, s0: float, ds: float, r0: float, dr: float, m: int,
-               sign: float = 1.0, plan: Optional[_ChirpZ] = None) -> np.ndarray:
-    """sum_m c[m] e^{i sign r_j s_m} on r_j = r0 + j dr, s_m = s0 + m ds.
-
-    `plan` is a `_chirp_z(c.shape[-1], m, sign * dr * ds)` to reuse across
-    calls with the same sizes, steps and sign."""
-    n = c.shape[-1]
-    if plan is None:
-        plan = _chirp_z(n, m, sign * dr * ds)
-    out = plan(c * np.exp(1j * sign * r0 * (s0 + ds * np.arange(n))))
-    return out * np.exp(1j * sign * np.arange(m) * dr * s0)
-
-
 @dataclass(frozen=True)
 class BandPlan:
     """Carrier and carrier-residual frequency grid of one dyadic band.
@@ -139,9 +130,14 @@ class BandPlan:
     rho: np.ndarray
 
 
-def band_plan(symbol: DispersionSymbol, k: int, T: float, policy: QuadraturePolicy) -> BandPlan:
+def band_plan(symbol: DispersionSymbol, k: int, T: float, policy: QuadraturePolicy,
+              span: float = 0.0) -> BandPlan:
     """The band-k carrier (from a 513-point phi' probe) and the residual grid
-    for times |t| <= T: ds * T * max|phi' - c1| <= 0.9 * policy phase step."""
+    for times |t| <= T: ds * T * max|phi' - c1| <= 0.9 * policy phase step.
+
+    A sum over the grid is periodic in r with period 2 pi / ds, so a packet
+    at r reappears at r +- 2 pi / ds; the node count is raised until that
+    period is at least `span`, the radius range the sums must represent."""
     slo, shi = band_edges(k)
     dp = symbol.dphi(np.linspace(slo, shi, 513))
     vmin, vmax = float(np.min(dp)), float(np.max(dp))
@@ -150,6 +146,7 @@ def band_plan(symbol: DispersionSymbol, k: int, T: float, policy: QuadraturePoli
     c0 = float(symbol.phi(np.asarray(sc))) - c1 * sc
     kappa = 0.9 * policy.max_phase_step
     ns = int(np.ceil((shi - slo) * max(T * 0.5 * (vmax - vmin), 1.0) / kappa)) + 512
+    ns = max(ns, int(np.ceil((shi - slo) * span / (2.0 * np.pi))) + 1)
     if ns > policy.refinement_limit * PANEL_ORDER:
         raise QuadratureUnderresolved(f"band {k}: {ns} nodes exceed refinement limit")
     s = np.linspace(slo, shi, ns)
@@ -206,7 +203,16 @@ class BandFieldSampler:
         self.config = config
         slo, shi = band_edges(k)
         sup_dp = symbol.sup_dphi(slo, shi)
-        plan = band_plan(symbol, k, T, config.policy)
+        margin = 80.0 * 2.0 ** (-k)
+        if r_window is None:
+            # group transport plus the margin
+            r_hi = 1.1 * T * sup_dp + margin
+            r_lo = 0.0
+        else:
+            r_lo, r_hi = r_window
+        # the incoming (minus-sign) packet sits near r = -t phi'; its alias at
+        # 2 pi / ds - t phi' must stay beyond r_hi for every |t| <= T
+        plan = band_plan(symbol, k, T, config.policy, span=r_hi + T * sup_dp + margin)
         self.c0, self.c1, self.s, self.ds = plan.c0, plan.c1, plan.s, plan.ds
         ns, ws = self.s.size, plan.ws
         kappa = 0.9 * config.policy.max_phase_step
@@ -216,12 +222,6 @@ class BandFieldSampler:
         # radius layout
         self.r_c = HANKEL_X_MIN / slo
         dr = np.pi / (config.dr_frac * shi)
-        if r_window is None:
-            # group transport plus a margin of 80 x 2^-k
-            r_hi = 1.1 * T * sup_dp + 80.0 * 2.0 ** (-k)
-            r_lo = 0.0
-        else:
-            r_lo, r_hi = r_window
         if r_lo < self.r_c:
             # Gauss-Legendre panels keep the radial quadrature high-order
             # (uniform trapezoid leaves an O(dr^2) endpoint term from the

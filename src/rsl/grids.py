@@ -143,9 +143,3 @@ class PhysicalGrid:
             raise NonPositiveSample("physical radii must be positive")
         if np.any(np.diff(r) <= 0) or np.any(np.diff(t) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
-
-    def r_weights(self) -> np.ndarray:
-        return trapezoid_weights(self.r_nodes)
-
-    def t_weights(self) -> np.ndarray:
-        return trapezoid_weights(self.t_nodes)

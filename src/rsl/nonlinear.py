@@ -41,9 +41,8 @@ from .cutoffs import smooth_bump
 from .dispersion import DispersionSymbol, fractional_symbol, get_symbol
 from .errors import DomainError, NonContraction, OutOfRangeS, OutOfRangeSigma
 from .grids import FrequencyGrid, PhysicalGrid, gauss_panel_grid, trapezoid_weights, uniform_grid
-from .norms import spacetime_norm
 from .propagator import SpaceTimeField, duhamel_coefficients
-from .transform import RadialProfile, radial_norm, sphere_area
+from .transform import RadialProfile, radial_norm, spacetime_norm, sphere_area
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +268,7 @@ def picard_solve(
 
 def _sobolev_rows(fgrid: FrequencyGrid, rows: np.ndarray, n: int, s: float) -> np.ndarray:
     """The homogeneous H^s norm of every row in one weighted reduction,
-    sqrt(|S^(n-1)| sum_s w s^(2s+n-1) |row|^2) as in norms.sobolev_norm.
+    sqrt(|S^(n-1)| sum_s w s^(2s+n-1) |row|^2) as in transform.sobolev_norm.
     Raises ValueError on non-finite rows, as a RadialProfile would."""
     if not np.all(np.isfinite(rows)):
         raise ValueError("frequency trajectory must be finite")

@@ -22,6 +22,10 @@ direct evaluation exactly up to rounding because the kernel split is exact.
 `duhamel_coefficients` gives the frequency-side retarded term with the
 multiplier integrated exactly over each time step; its callers (the Picard
 solvers and the retarded-estimate check) synthesize the field themselves.
+
+A `SpaceTimeField` holds samples only.  Its norms are reductions of the
+sample array (`transform.radial_norm` per time slice, `transform.spacetime_norm`
+over the slab) against a measure the caller builds from its own grid.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .grids import (
     band_grid,
     require_resolution,
 )
-from .transform import RadialProfile, radial_norm
+from .transform import RadialProfile
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,6 @@ class SpaceTimeField:
             raise ValueError("field shape must be (n_t, n_r)")
         if not np.all(np.isfinite(v.view(float))):
             raise ValueError("field values must be finite")
-
-    def l2_slice(self, i: int) -> float:
-        """Physical L^2 norm of the time slice t_i (trapezoid in r)."""
-        measure = self.grid.r_weights() * self.grid.r_nodes ** (self.n - 1)
-        return float(radial_norm(self.values[i], measure, self.n, 2))
 
 
 def _integration_grid(

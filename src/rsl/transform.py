@@ -23,7 +23,9 @@ Conventions (fixed once, used everywhere):
   * Every radial norm in the package is one reduction, `radial_norm`:
     (omega_{n-1} sum m |F|^r)^(1/r) against a quadrature measure m, which is
     w r^(n-1) on the physical side and w s^(2 sigma + n - 1) for the
-    H^sigma-dot norm on the frequency side.
+    H^sigma-dot norm on the frequency side (`sobolev_norm`).
+    `spacetime_norm` applies the L^q time reduction to the rows of a
+    (t, r) sample array; this module owns every norm of the package.
 """
 
 from __future__ import annotations
@@ -53,6 +55,18 @@ def radial_norm(values: np.ndarray, measure: np.ndarray, n: int, r: float):
     if math.isinf(r):
         return a.max(axis=-1)
     return (sphere_area(n) * (a**r @ measure)) ** (1.0 / r)
+
+
+def spacetime_norm(
+    values: np.ndarray, measure: np.ndarray, wt: np.ndarray, n: int, q: float, r: float
+) -> float:
+    """L^q_t L^r_x norm of samples values[t_i, r_j]: (sum_i wt_i inner_i^q)^(1/q),
+    or max_i inner_i for q = inf, with inner_i the `radial_norm` of row i
+    against the radial measure (weights times r^(n-1))."""
+    inner = radial_norm(values, measure, n, r)
+    if math.isinf(q):
+        return float(inner.max())
+    return float(np.sum(wt * inner**q) ** (1.0 / q))
 
 
 @dataclass(frozen=True)
@@ -106,6 +120,14 @@ def l2_norm(profile: RadialProfile) -> float:
     """(omega_{n-1} int |h|^2 s^(n-1) ds)^(1/2); equals the physical L^2 norm."""
     g = profile.grid
     return float(radial_norm(profile.values, g.weights * g.nodes ** (profile.n - 1), profile.n, 2))
+
+
+def sobolev_norm(profile: RadialProfile, s: float) -> float:
+    """Homogeneous H^s norm: (omega int s^(2s) |h|^2 s^(n-1) ds)^(1/2), same
+    convention constant as l2_norm (s = 0 reduces to it)."""
+    g = profile.grid
+    measure = g.weights * g.nodes ** (2.0 * s + profile.n - 1)
+    return float(radial_norm(profile.values, measure, profile.n, 2))
 
 
 def fourier_bessel(profile: RadialProfile, r) -> np.ndarray:

@@ -75,8 +75,10 @@ def test_counter_schrodinger_run(tmp_path):
     ["norm-sweep", "--T0", "8"],
     ["fit-j", "--j", "3..4"],
     ["propagate"],
+    ["knapp", "--deltas", "0.125,0.0625"],
+    ["l6", "--k=-1..0"],
 ], ids=["smoothing", "fit-k", "retarded", "conjecture-probe", "solve-fnls", "norm-sweep",
-        "fit-j", "propagate"])
+        "fit-j", "propagate", "knapp", "l6"])
 def test_determinism_byte_identical(tmp_path, args):
     run([*args], tmp_path, "d1")
     run([*args], tmp_path, "d2")

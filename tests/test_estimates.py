@@ -32,10 +32,9 @@ from rsl.estimates import (
     strichartz_l6_check,
 )
 from rsl.fastfield import BandFieldSampler, band_norm_adaptive
-from rsl.grids import PhysicalGrid
-from rsl.norms import MixedNormSpec, mixed_norm
+from rsl.grids import PhysicalGrid, trapezoid_weights
 from rsl.propagator import evolve
-from rsl.transform import canonical_band_amplitude, canonical_band_profile
+from rsl.transform import canonical_band_amplitude, canonical_band_profile, spacetime_norm
 
 SCH = get_symbol("schrodinger")
 WAVE = get_symbol("wave")
@@ -341,7 +340,9 @@ def test_conjecture_probe_matches_dense_evolve():
                          r_window=(0.0, 1.05 * max(R_values))).t
     prof = canonical_band_profile(n, 0)  # 2049 uniform nodes
     for R, value in zip(R_values, rep.values):
-        fld = evolve(symbol, prof, None, PhysicalGrid(np.linspace(2.0, R, 801), t))
+        r = np.linspace(2.0, R, 801)
+        fld = evolve(symbol, prof, None, PhysicalGrid(r, t))
         # factor sqrt(2): the norm over -T <= t <= T of a field even in t
-        ref = math.sqrt(2.0) * mixed_norm(fld, MixedNormSpec(2.0, rep.meta["r_star"]))
+        ref = math.sqrt(2.0) * spacetime_norm(fld.values, trapezoid_weights(r) * r ** (n - 1),
+                                              trapezoid_weights(t), n, 2.0, rep.meta["r_star"])
         assert abs(value - ref) / ref < 1e-3

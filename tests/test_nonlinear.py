@@ -23,9 +23,8 @@ from rsl.nonlinear import (
     scattering_state,
     wave_scattering_state,
 )
-from rsl.norms import sobolev_norm
 from rsl.propagator import evolve
-from rsl.transform import RadialProfile, sphere_area
+from rsl.transform import RadialProfile, sobolev_norm, sphere_area
 
 P_NLS = 20.0 / 11.0  # p at s_sch = -1/10, n = 2
 

@@ -6,75 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsl.dispersion import get_symbol
-from rsl.errors import DomainNotCovered
-from rsl.grids import PhysicalGrid
-from rsl.norms import MixedNormSpec, mixed_norm, sobolev_norm, spacetime_norm
-from rsl.propagator import SpaceTimeField
-from rsl.transform import canonical_band_profile, l2_norm, project, radial_norm, sphere_area
+from rsl.grids import PhysicalGrid, trapezoid_weights
+from rsl.transform import (canonical_band_profile, l2_norm, project, radial_norm, sobolev_norm,
+                           spacetime_norm, sphere_area)
 
 
-def _field(values, r, t, n=2):
-    return SpaceTimeField(PhysicalGrid(r, t), values, n)
+def _norm(values, r, t, q, p, n=2):
+    """L^q_t L^p_x norm of samples on the (t, r) grid, trapezoid in both."""
+    return spacetime_norm(values, trapezoid_weights(r) * r ** (n - 1), trapezoid_weights(t),
+                          n, q, p)
 
 
 def test_indicator_closed_form():
     # F = 1 on t in [0,1], r in [0,1]; n=2, q=r=2 -> sqrt(pi)
     r = np.linspace(1e-9, 1.0, 4000)
     t = np.linspace(0.0, 1.0, 400)
-    fld = _field(np.ones((t.size, r.size)), r, t)
-    assert mixed_norm(fld, MixedNormSpec(2, 2)) == pytest.approx(math.sqrt(math.pi), rel=1e-3)
+    assert _norm(np.ones((t.size, r.size)), r, t, 2, 2) == pytest.approx(math.sqrt(math.pi),
+                                                                         rel=1e-3)
 
 
 def test_sup_norms():
     r = np.linspace(0.5, 2.0, 50)
     t = np.linspace(0.0, 1.0, 20)
     vals = np.outer(1.0 + t, np.ones(r.size))
-    fld = _field(vals, r, t)
-    assert mixed_norm(fld, MixedNormSpec(math.inf, math.inf)) == pytest.approx(2.0)
-    v = mixed_norm(fld, MixedNormSpec(math.inf, 2))
-    inner = math.sqrt(2 * math.pi * np.trapezoid(r, r) * 0 + 2 * math.pi * np.sum(np.gradient(r) * r))
+    assert _norm(vals, r, t, math.inf, math.inf) == pytest.approx(2.0)
+    v = _norm(vals, r, t, math.inf, 2)
     assert v == pytest.approx(2.0 * math.sqrt(2 * math.pi * (2.0**2 - 0.5**2) / 2), rel=1e-3)
-
-
-def test_annulus_additivity_exact():
-    rng = np.random.default_rng(0)
-    r = np.linspace(0.3, 30.0, 700)
-    t = np.linspace(0.0, 2.0, 30)
-    fld = _field(rng.standard_normal((30, 700)), r, t)
-    q = 3.0
-    total = mixed_norm(fld, MixedNormSpec(q, q, region=("tail", r[0])))
-    parts = 0.0
-    for j in range(-1, 6):
-        try:
-            parts += mixed_norm(fld, MixedNormSpec(q, q, region=("annulus", j))) ** q
-        except DomainNotCovered:
-            pass
-    assert parts == pytest.approx(total**q, rel=1e-12)
-
-
-def test_domain_errors():
-    r = np.linspace(0.5, 2.0, 20)
-    t = np.linspace(0.0, 1.0, 5)
-    fld = _field(np.ones((5, 20)), r, t)
-    with pytest.raises(DomainNotCovered):
-        mixed_norm(fld, MixedNormSpec(2, 2, window=(0.0, 9.0)))
-    with pytest.raises(DomainNotCovered):
-        mixed_norm(fld, MixedNormSpec(2, 2, region=("annulus", 12)))
-    with pytest.raises(DomainNotCovered):
-        mixed_norm(fld, MixedNormSpec(2, 2, region=("tail", 100.0)))
-
-
-def test_monotonicity_in_domain():
-    rng = np.random.default_rng(3)
-    r = np.linspace(0.5, 8.0, 300)
-    t = np.linspace(0.0, 4.0, 40)
-    fld = _field(rng.standard_normal((40, 300)) + 1.0, r, t)
-    small = mixed_norm(fld, MixedNormSpec(3, 3, window=(0.0, 2.0)))
-    large = mixed_norm(fld, MixedNormSpec(3, 3, window=(0.0, 4.0)))
-    assert large >= small
-    tail_hi = mixed_norm(fld, MixedNormSpec(3, 3, region=("tail", 4.0)))
-    tail_lo = mixed_norm(fld, MixedNormSpec(3, 3, region=("tail", 1.0)))
-    assert tail_lo >= tail_hi
 
 
 @settings(max_examples=20, deadline=None)
@@ -88,12 +45,10 @@ def test_hoelder_consistency(q, qp, seed):
     rng = np.random.default_rng(seed)
     r = np.linspace(0.5, 4.0, 120)
     t = np.linspace(0.0, 2.0, 25)
-    fld = _field(rng.standard_normal((25, 120)), r, t)
-    lo = mixed_norm(fld, MixedNormSpec(q, q))
-    hi = mixed_norm(fld, MixedNormSpec(qp, qp))
+    vals = rng.standard_normal((25, 120))
+    lo = _norm(vals, r, t, q, q)
+    hi = _norm(vals, r, t, qp, qp)
     om = 2 * math.pi
-    from rsl.grids import trapezoid_weights
-
     measure = (t[-1] - t[0]) * om * float(np.sum(trapezoid_weights(r) * r))
     assert lo <= measure ** (1.0 / q - 1.0 / qp) * hi * (1 + 1e-12)
 
@@ -120,7 +75,7 @@ def test_grid_refinement_stability():
         r = np.linspace(1e-6, 40.0, 600 * factor)
         t = np.linspace(0.0, 4.0, 60 * factor)
         fld = evolve(sym, prof, 0, PhysicalGrid(r, t))
-        vals.append(mixed_norm(fld, MixedNormSpec(4, 4)))
+        vals.append(_norm(fld.values, r, t, 4, 4))
     assert abs(vals[1] - vals[0]) / vals[1] < 5e-3
 
 
