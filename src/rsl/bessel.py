@@ -19,6 +19,8 @@ x_min/x on x >= x_min.  This module owns x_min = 8 and the fit degree 8
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,8 +145,18 @@ _SQRT_2_PI = np.sqrt(2.0 / np.pi)
 # truncated after four terms, relative error < 1e-14 below the n = 5 cut 0.1.
 _N5_SERIES = (1.0 / 3.0, -1.0 / 30.0, 1.0 / 840.0, -1.0 / 45360.0)
 
+KERNEL_BLOCK = 1 << 16   # points per block of a radial_kernel evaluation
+KERNEL_PANEL = 1 << 18   # points per panel of a streamed kernel product
 
-def radial_kernel(n: int, x) -> np.ndarray:
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The kernel block workers, one per core this process may run on."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return ThreadPoolExecutor(cores or 1, thread_name_prefix="rsl-kernel")
+
+
+def radial_kernel(n: int, x, out=None) -> np.ndarray:
     """x^(-(n-2)/2) J_((n-2)/2)(x), the radial Fourier kernel.
 
     Backends, each with its own small-x series where the closed form loses
@@ -157,28 +169,50 @@ def radial_kernel(n: int, x) -> np.ndarray:
       other   x^(-nu) special.jv(nu, x)         (series below 1e-6)
     Checked against 30-digit mpmath for n = 2..6 on x = 0 and [1e-9, 1e4]:
     error <= 1e-12 relative to max(|K_n|, min(1, x^(-(n-1)/2))).
+
+    The points are evaluated in blocks of KERNEL_BLOCK on the kernel
+    workers; each block is computed by the same code wherever it runs, so
+    the result does not depend on the number of cores.  `out`, a
+    C-contiguous float array of x's shape, receives the values and may be
+    x itself (evaluation in place).
     """
-    nu = (n - 2) / 2.0
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x < 0):
+    if x.size and x.min() < 0:
         raise DomainError("negative argument")
+    if out is None:
+        out = np.empty(x.shape)
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    inplace = np.may_share_memory(x, out)
+
+    def block(lo):
+        xb = xs[lo:lo + KERNEL_BLOCK]
+        _kernel_block(n, xb.copy() if inplace else xb, outs[lo:lo + KERNEL_BLOCK])
+
+    starts = range(0, xs.size, KERNEL_BLOCK)
+    if len(starts) > 1:
+        list(_pool().map(block, starts))
+    elif starts:
+        block(0)
+    return out[()] if out.ndim == 0 else out
+
+
+def _kernel_block(n: int, x: np.ndarray, out: np.ndarray) -> None:
+    """Write K_n(x) into out (same shape, distinct memory) for one block."""
     series = ()  # Taylor coefficients in x^2 used below x = cut
     with np.errstate(divide="ignore", invalid="ignore"):
         if n == 2:
-            out = special.j0(x)
+            special.j0(x, out=out)
         elif n == 3:
-            out = np.sin(x)
+            np.sin(x, out=out)
             out /= x
             out *= _SQRT_2_PI
             cut, series = 1e-4, (_SQRT_2_PI, -_SQRT_2_PI / 6.0)
         elif n == 4:
-            out = special.j1(x)
+            special.j1(x, out=out)
             out /= x
             cut, series = 1e-4, (0.5, -1.0 / 16.0)
         elif n == 5:
-            out = np.sin(x)
+            np.sin(x, out=out)
             tmp = np.cos(x)
             tmp *= x
             out -= tmp
@@ -188,7 +222,8 @@ def radial_kernel(n: int, x) -> np.ndarray:
             out *= _SQRT_2_PI
             cut, series = 0.1, tuple(_SQRT_2_PI * c for c in _N5_SERIES)
         else:
-            out = special.jv(nu, x)
+            nu = (n - 2) / 2.0
+            special.jv(nu, x, out=out)
             out *= x ** (-nu)
             lim = 2.0 ** (-nu) / special.gamma(nu + 1.0)
             cut, series = 1e-6, (lim, -lim / (4.0 * (nu + 1.0)))
@@ -201,7 +236,40 @@ def radial_kernel(n: int, x) -> np.ndarray:
                 val *= xs2
                 val += c
             out[small] = val
-    return out[0] if scalar else out
+
+
+def kernel_matrix(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix K_n(a_i b_j), evaluated in place over the outer product:
+    one array of its size, no temporary beside it."""
+    x = np.multiply.outer(a, b)
+    return radial_kernel(n, x, out=x)
+
+
+def kernel_panels(n: int, a: np.ndarray, b: np.ndarray):
+    """Yield (rows, kernel_matrix(n, a[rows], b)) over row slices of about
+    KERNEL_PANEL points each, so a caller contracts the kernel matrix of
+    a x b one panel at a time and never holds all of it."""
+    step = max(1, KERNEL_PANEL // max(b.size, 1))
+    for lo in range(0, a.size, step):
+        rows = slice(lo, lo + step)
+        yield rows, kernel_matrix(n, a[rows], b)
+
+
+def real_matmul(x: np.ndarray, m: np.ndarray, weights=None) -> np.ndarray:
+    """(x * weights) @ m, or x @ m without weights, for a real matrix m in
+    real arithmetic.  A complex x sends its real and imaginary rows through
+    one real GEMM (no complex copy of m, two real products per entry instead
+    of four); a real x stays real."""
+    if not np.iscomplexobj(x):
+        return (x if weights is None else x * weights) @ m
+    rows = np.stack((x.real, x.imag))
+    if weights is not None:
+        rows *= weights
+    prod = (rows.reshape(-1, x.shape[-1]) @ m).reshape(2, *x.shape[:-1], m.shape[-1])
+    out = np.empty(prod.shape[1:], dtype=complex)
+    out.real = prod[0]
+    out.imag = prod[1]
+    return out
 
 
 HANKEL_X_MIN = 8.0

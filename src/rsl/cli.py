@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -428,7 +429,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"config keys {unknown} name no flag of {args.command!r}")
         violations, values = validate(args)
         if args.validate_only:
-            print(json.dumps({"violations": violations}, indent=2))
+            _print_lines([json.dumps({"violations": violations}, indent=2)])
             return 2 if violations else 0
         if violations:
             print(json.dumps({"error": "invalid config", "violations": violations}),
@@ -440,10 +441,22 @@ def main(argv=None) -> int:
         return 2
     run_id = args.run_id or f"{args.command}-{int(t0)}"
     path = report.emit(resolve_outdir(args.output, run_id))
-    print(f"[{report.verdict}] {args.command} ({time.time() - t0:.1f}s) -> {path}")
-    for key, val in report.results.items():
-        print(f"  {key}: {val}")
+    _print_lines([f"[{report.verdict}] {args.command} ({time.time() - t0:.1f}s) -> {path}",
+                  *(f"  {key}: {val}" for key, val in report.results.items())])
     return 0 if report.verdict in ("PASS", "INFO", "UNKNOWN") else 1
+
+
+def _print_lines(lines) -> None:
+    """Print result lines to stdout.  When the reader has closed the pipe
+    (`rsl ... | head`), the rest is dropped without a traceback and the run
+    keeps its own exit status."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

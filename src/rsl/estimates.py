@@ -29,7 +29,7 @@ from .admissibility import (
     q_threshold,
     dual,
 )
-from .bessel import radial_kernel
+from .bessel import kernel_matrix, real_matmul
 from .cutoffs import dyadic_cutoff, smooth_bump
 from .dispersion import DispersionSymbol, fractional_symbol, regime_exponents
 from .errors import (
@@ -772,7 +772,8 @@ def retarded_strichartz_check(
     r_nodes = np.linspace(1e-6, r_max, int(r_max / (np.pi / (6.0 * hi))) + 2)
     measure = trapezoid_weights(r_nodes) * r_nodes ** (n - 1)
     wt = trapezoid_weights(t_nodes)
-    kernel = radial_kernel(n, np.outer(s, r_nodes)) * (s ** (n - 1))[:, None]
+    kernel = kernel_matrix(n, s, r_nodes)
+    kernel *= (s ** (n - 1))[:, None]
     qtd, rtd = float(dual(qt)), float(dual(rt))
     ratios = []
     for trial in range(trials):
@@ -781,8 +782,8 @@ def retarded_strichartz_check(
         env = np.exp(-((t_nodes - T / 4.0) ** 2) / (2 * width**2))
         fvals = env[:, None] * amp(s)[None, :]
         coeff = duhamel_coefficients(omega, t_nodes, fvals)
-        num = spacetime_norm((coeff * ws[None, :]) @ kernel, measure, wt, n, float(q), float(r))
-        den = spacetime_norm((fvals * ws[None, :]) @ kernel, measure, wt, n, qtd, rtd)
+        num = spacetime_norm(real_matmul(coeff, kernel, ws), measure, wt, n, float(q), float(r))
+        den = spacetime_norm(real_matmul(fvals, kernel, ws), measure, wt, n, qtd, rtd)
         ratios.append(num / den)
     mx = float(np.max(ratios))
     return BoundReport(tuple(ratios), mx, 20.0, mx <= 20.0,

@@ -49,7 +49,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from .bessel import HANKEL_X_MIN, hankel_phase_coeffs, radial_kernel
+from .bessel import HANKEL_X_MIN, hankel_phase_coeffs, kernel_matrix, real_matmul
 from .dispersion import DispersionSymbol
 from .errors import OutOfRangeQ, QuadratureUnderresolved
 from .grids import (
@@ -243,9 +243,8 @@ class BandFieldSampler:
             ws_in[-1] *= 0.5
             self.g_in = np.asarray(amplitude(self.s_in), dtype=complex) * ws_in
             self.phis_in = symbol.phi(self.s_in)
-            self.K_in = radial_kernel(n, np.outer(self.s_in, self.r_in)) * (
-                self.s_in ** (n - 1)
-            )[:, None]
+            self.K_in = kernel_matrix(n, self.s_in, self.r_in)
+            self.K_in *= (self.s_in ** (n - 1))[:, None]
         else:
             self.r_in = w_in = np.empty(0)
         out_lo = max(r_lo, self.r_c)
@@ -300,11 +299,7 @@ class BandFieldSampler:
         f = np.zeros(self.r.size, dtype=complex)
         n_in = self.r_in.size
         if n_in and t <= self.t_inner_max:
-            # the real and imaginary rows against the real K_in in one real
-            # product (a complex operand would make numpy copy K_in to complex)
-            a = self.g_in * np.exp(1j * t * self.phis_in)
-            y = np.stack([a.real, a.imag]) @ self.K_in
-            f[:n_in] = y[0] + 1j * y[1]
+            f[:n_in] = real_matmul(self.g_in * np.exp(1j * t * self.phis_in), self.K_in)
         # past t_inner_max transport has left the inner region; the residual
         # there is below the sampler's accuracy floor (non-stationary phase)
         if not self.r_out.size:

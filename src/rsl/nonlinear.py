@@ -8,9 +8,11 @@ on a physical radius grid reached through a fixed quadrature
 synthesis/analysis pair.  Because analysis is the weighted adjoint of
 synthesis, the discrete nonlinear mass flux Im <|u|^p u, u> vanishes exactly
 and the measured mass drift isolates the time-integration error.  Both
-transforms are real GEMMs: a complex operand is split into its real and
-imaginary rows, stacked, multiplied by the real folded kernel in one product
-and recombined, so the kernel is never promoted to a complex copy.
+transforms are real GEMMs against one kernel matrix K_n(s r): a complex
+operand is split into its real and imaginary rows, stacked, weighted,
+multiplied by the kernel (or its transpose view) in one product and
+recombined (`bessel.real_matmul`), so the kernel is never promoted to a
+complex copy and no weighted copy of it exists.
 
 Generator multipliers (NonlinearProblem.generator_symbol, group e^{i t omega}):
 
@@ -36,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .admissibility import PairSelection, choose_pairs_nls, choose_pairs_nlw, in_nlw_range
-from .bessel import radial_kernel
+from .bessel import kernel_matrix, real_matmul
 from .cutoffs import smooth_bump
 from .dispersion import DispersionSymbol, fractional_symbol, get_symbol
 from .errors import DomainError, NonContraction, OutOfRangeS, OutOfRangeSigma
@@ -77,34 +79,33 @@ class NonlinearProblem:
 
 @dataclass(frozen=True)
 class SolverGrid:
-    """Fixed quadrature pair between the frequency and radius grids."""
+    """Fixed quadrature pair between the frequency and radius grids: one
+    kernel matrix, with the quadrature weights applied to the operands."""
 
     freq: FrequencyGrid
     r: np.ndarray
     wr: np.ndarray
     t: np.ndarray
-    synth: np.ndarray    # (n_s, n_r): ws s^(n-1) K_n(s r) folded
-    anal: np.ndarray     # (n_r, n_s): wr r^(n-1) K_n(s r) folded
+    kernel: np.ndarray          # (n_s, n_r): K_n(s r)
+    synth_weights: np.ndarray   # (n_s,): ws s^(n-1)
+    anal_weights: np.ndarray    # (n_r,): wr r^(n-1), the radial measure
+
+    @property
+    def synth(self) -> np.ndarray:
+        """The synthesis matrix (n_s, n_r), before the weights synth_weights."""
+        return self.kernel
+
+    @property
+    def anal(self) -> np.ndarray:
+        """The analysis matrix (n_r, n_s), before the weights anal_weights:
+        the transpose view of the kernel."""
+        return self.kernel.T
 
     def to_physical(self, coeff: np.ndarray) -> np.ndarray:
-        return _real_matmul(coeff, self.synth)
+        return real_matmul(coeff, self.synth, self.synth_weights)
 
     def to_frequency(self, phys: np.ndarray) -> np.ndarray:
-        return _real_matmul(phys, self.anal)
-
-
-def _real_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m for a real matrix m in real arithmetic.  A complex x sends its
-    real and imaginary rows through one real GEMM (no complex copy of m, two
-    real products per entry instead of four); a real x stays real."""
-    if not np.iscomplexobj(x):
-        return x @ m
-    rows = np.stack((x.real, x.imag)).reshape(-1, x.shape[-1])
-    prod = (rows @ m).reshape(2, *x.shape[:-1], m.shape[-1])
-    out = np.empty(prod.shape[1:], dtype=complex)
-    out.real = prod[0]
-    out.imag = prod[1]
-    return out
+        return real_matmul(phys, self.anal, self.anal_weights)
 
 
 def build_solver_grid(
@@ -135,13 +136,10 @@ def build_solver_grid(
     rgrid = gauss_panel_grid(1e-9, r_max, n_pan_r)
     r, wr = rgrid.nodes, rgrid.weights
     s = freq.nodes
-    kern = radial_kernel(n, np.outer(s, r))
-    synth = kern * (freq.weights * s ** (n - 1))[:, None]
-    kern *= (wr * r ** (n - 1))[None, :]   # in place: no third kernel-sized array
-    anal = kern.T
     nt = int(np.ceil(T * (p + 1.0) * max(abs(s_hi_d) ** 2, 1.0) * 8.0 / np.pi)) + 1
     t = np.linspace(0.0, T, max(nt, 65))
-    return SolverGrid(freq, r, wr, t, synth, anal)
+    return SolverGrid(freq, r, wr, t, kernel_matrix(n, s, r), freq.weights * s ** (n - 1),
+                      wr * r ** (n - 1))
 
 
 # --------------------------------------------------------------------------
@@ -215,11 +213,10 @@ def picard_solve(
         return grid.to_physical(a.imag / s) if wave else grid.to_physical(a)
 
     qr = (float(pairs.q), float(pairs.r))
-    measure = grid.wr * grid.r ** (problem.n - 1)
     wt = trapezoid_weights(t)
 
     def resolution_norm(phys):
-        return spacetime_norm(phys, measure, wt, problem.n, *qr)
+        return spacetime_norm(phys, grid.anal_weights, wt, problem.n, *qr)
 
     coeff = linear
     phys = synthesize(coeff)
@@ -253,8 +250,8 @@ def picard_solve(
     contraction = float(np.max(factors)) if factors else 0.0
     drift = 0.0
     if not wave:
-        masses = radial_norm(coeff[::max(t.size // 16, 1)],
-                             grid.freq.weights * s ** (problem.n - 1), problem.n, 2) ** 2
+        masses = radial_norm(coeff[::max(t.size // 16, 1)], grid.synth_weights,
+                             problem.n, 2) ** 2
         if masses[0] > 0:
             drift = float(np.max(np.abs(masses - masses[0])) / masses[0])
     trace = PicardTrace(

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bessel import radial_kernel
+from .bessel import kernel_panels, real_matmul
 from .cutoffs import dyadic_cutoff
 from .dispersion import DispersionSymbol
 from .errors import SplitDomainError
@@ -102,10 +102,18 @@ def evolve(
 ) -> SpaceTimeField:
     """S_phi(t) P_k u0 on the physical grid (k=None skips the projection)."""
     fg, vals = _integration_grid(symbol, profile, k, grid, policy)
-    s, w = fg.nodes, fg.weights
-    kernel = radial_kernel(profile.n, np.outer(s, grid.r_nodes)) * (s ** (profile.n - 1))[:, None]
-    mult = np.exp(1j * np.outer(grid.t_nodes, symbol.phi(s))) * (vals * w)[None, :]
-    return SpaceTimeField(grid, mult @ kernel, profile.n, source="direct")
+    s, mult = _multiplier(symbol, fg, vals, grid.t_nodes, profile.n)
+    out = np.empty((grid.t_nodes.size, grid.r_nodes.size), dtype=complex)
+    for cols, kernel in kernel_panels(profile.n, grid.r_nodes, s):
+        out[:, cols] = real_matmul(mult, kernel.T)
+    return SpaceTimeField(grid, out, profile.n, source="direct")
+
+
+def _multiplier(symbol, fg, vals, t, n):
+    """The quadrature nodes s and the (t, s) operand e^{i t phi(s)} h(s) w s^(n-1)
+    that contracts against the kernel K_n(s r)."""
+    s = fg.nodes
+    return s, np.exp(1j * np.outer(t, symbol.phi(s))) * (vals * fg.weights * s ** (n - 1))[None, :]
 
 
 def main_error_split(
@@ -117,23 +125,26 @@ def main_error_split(
     """(M, E) with M from the two leading kernel oscillations and E the exact
     residual; requires r s >= 1 on every quadrature pair."""
     fg, vals = _integration_grid(symbol, profile, k, grid, DEFAULT_POLICY)
-    s, w = fg.nodes, fg.weights
     n = profile.n
+    s, mult = _multiplier(symbol, fg, vals, grid.t_nodes, n)
+    r = grid.r_nodes
+    x_min = float(s.min() * r.min())   # s, r > 0: the least product
+    if x_min < 1.0:
+        raise SplitDomainError(f"split needs r*s >= 1 everywhere; min r*s = {x_min:.3g}")
     nu = (n - 2) / 2.0
-    x = np.outer(s, grid.r_nodes)
-    if float(x.min()) < 1.0:
-        raise SplitDomainError(
-            f"split needs r*s >= 1 everywhere; min r*s = {float(x.min()):.3g}"
-        )
     beta = (n - 1) * np.pi / 4.0
-    # main kernel: s^(n-1) (sr)^(-(n-2)/2) * sqrt(2/(pi sr)) cos(sr - beta)
-    amp = (s ** (n - 1))[:, None] * x ** (-nu) * np.sqrt(2.0 / (np.pi * x))
-    kern_main = amp * np.cos(x - beta)
-    kern_err = (s ** (n - 1))[:, None] * radial_kernel(n, x) - kern_main
-    mult = np.exp(1j * np.outer(grid.t_nodes, symbol.phi(s))) * (vals * w)[None, :]
-    main = SpaceTimeField(grid, mult @ kern_main, n, source="main_term")
-    err = SpaceTimeField(grid, mult @ kern_err, n, source="error_term")
-    return main, err
+    main = np.empty((grid.t_nodes.size, r.size), dtype=complex)
+    err = np.empty_like(main)
+    for cols, kernel in kernel_panels(n, r, s):
+        # main kernel: (sr)^(-(n-2)/2) sqrt(2/(pi sr)) cos(sr - beta); the
+        # error kernel is what the exact one leaves
+        x = np.multiply.outer(r[cols], s)
+        kern_main = x ** (-nu) * np.sqrt(2.0 / (np.pi * x)) * np.cos(x - beta)
+        kernel -= kern_main
+        main[:, cols] = real_matmul(mult, kern_main.T)
+        err[:, cols] = real_matmul(mult, kernel.T)
+    return (SpaceTimeField(grid, main, n, source="main_term"),
+            SpaceTimeField(grid, err, n, source="error_term"))
 
 
 def oracle_wave_cosine_3d(g: Callable, t: float, r) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .bessel import radial_kernel
+from .bessel import kernel_panels
 from .cutoffs import dyadic_cutoff
 from .grids import FrequencyGrid, band_edges, require_resolution, uniform_grid
 
@@ -143,7 +143,10 @@ def fourier_bessel(profile: RadialProfile, r) -> np.ndarray:
     if r.size:
         require_resolution(g, float(np.max(r)))
     w = g.weights * profile.values * g.nodes ** (profile.n - 1)
-    out = radial_kernel(profile.n, np.outer(r, g.nodes)) @ w
+    out = np.empty(r.size, dtype=complex)
+    for rows, kernel in kernel_panels(profile.n, r, g.nodes):
+        # the complex product of each row, as the whole matrix would give it
+        out[rows] = kernel @ w
     return out[0] if scalar else out
 
 

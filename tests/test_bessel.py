@@ -1,8 +1,12 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from rsl import bessel
 from rsl.bessel import (
     HANKEL_X_MIN,
+    KERNEL_BLOCK,
     bessel_asymptotic_split,
     bessel_bound_check,
     bessel_j,
@@ -171,3 +175,28 @@ def test_hankel_phase_coeffs_against_mpmath():
             approx = approx * (HANKEL_X_MIN / x) + c   # Horner in x_min/x
         err = np.abs(approx - ref)
         assert np.max(err) <= 1e-10, (n, float(x[np.argmax(err)]))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_blocked_radial_kernel_is_bitwise_one_block(monkeypatch, workers):
+    # the block workers against one evaluation of the whole array; block
+    # edges fall inside every small-x series range (cuts 1e-6, 1e-4, 0.1)
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        np.geomspace(1e-9, 0.2, KERNEL_BLOCK - 5),   # edge at ~0.2 * (1 - 1e-4)
+        np.linspace(0.0, 0.2, KERNEL_BLOCK + 11),    # edge near 1e-6 ... 0.2
+        np.geomspace(1e-9, 1e4, 2 * KERNEL_BLOCK),
+        rng.uniform(0.0, 60.0, KERNEL_BLOCK // 3),
+    ])
+    pool = ThreadPoolExecutor(workers)
+    monkeypatch.setattr(bessel, "_pool", lambda: pool)
+    try:
+        for n in (2, 3, 4, 5, 6):
+            one = np.empty_like(x)
+            bessel._kernel_block(n, x, one)
+            assert np.array_equal(radial_kernel(n, x), one), n
+            inplace = x[None, :].copy()
+            radial_kernel(n, inplace, out=inplace)
+            assert np.array_equal(inplace[0], one), n
+    finally:
+        pool.shutdown()

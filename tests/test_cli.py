@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rsl
 from rsl.cli import main, read_config
 
 
@@ -66,25 +70,74 @@ def test_counter_schrodinger_run(tmp_path):
     assert len(rows) == 5
 
 
-@pytest.mark.parametrize("args", [
-    ["smoothing", "--symbol", "schrodinger", "--k", "0", "--q", "4", "--trials", "4"],
-    ["fit-k", "--k=-1..0", "--T0", "8"],
-    ["retarded", "--trials", "1"],
-    ["conjecture-probe", "--R", "8,16", "--T", "16"],
-    ["solve-fnls", "--seeds", "0", "--T", "4"],
-    ["norm-sweep", "--T0", "8"],
-    ["fit-j", "--j", "3..4"],
-    ["propagate"],
-    ["knapp", "--deltas", "0.125,0.0625"],
-    ["l6", "--k=-1..0"],
-], ids=["smoothing", "fit-k", "retarded", "conjecture-probe", "solve-fnls", "norm-sweep",
-        "fit-j", "propagate", "knapp", "l6"])
+DETERMINISM_CASES = {
+    "smoothing": ["smoothing", "--symbol", "schrodinger", "--k", "0", "--q", "4", "--trials", "4"],
+    "fit-k": ["fit-k", "--k=-1..0", "--T0", "8"],
+    "retarded": ["retarded", "--trials", "1"],
+    "conjecture-probe": ["conjecture-probe", "--R", "8,16", "--T", "16"],
+    "solve-fnls": ["solve-fnls", "--seeds", "0", "--T", "4"],
+    "norm-sweep": ["norm-sweep", "--T0", "8"],
+    "fit-j": ["fit-j", "--j", "3..4"],
+    "propagate": ["propagate"],
+    "knapp": ["knapp", "--deltas", "0.125,0.0625"],
+    "l6": ["l6", "--k=-1..0"],
+}
+
+
+@pytest.mark.parametrize("args", DETERMINISM_CASES.values(), ids=DETERMINISM_CASES.keys())
 def test_determinism_byte_identical(tmp_path, args):
     run([*args], tmp_path, "d1")
     run([*args], tmp_path, "d2")
     a = (tmp_path / "d1" / "data.csv").read_bytes()
     b = (tmp_path / "d2" / "data.csv").read_bytes()
     assert a == b
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+FREE = "import sys; from rsl.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _child_env():
+    src = str(Path(rsl.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("args", DETERMINISM_CASES.values(), ids=DETERMINISM_CASES.keys())
+def test_data_csv_independent_of_core_count(tmp_path, args):
+    # one child on every core this process may use and one pinned to a
+    # single core (so one kernel worker) write the same bytes.  BLAS runs one
+    # thread in both: its own thread count moves the last digits of the
+    # GEMM-based commands (propagate, solve-fnls) whatever the kernel does
+    env = {**_child_env(), **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+    pin = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+           "from rsl.cli import main; sys.exit(main(sys.argv[1:]))")
+    codes = [
+        subprocess.run([sys.executable, "-c", code, "--output", str(tmp_path), "--run-id",
+                        run_id, *args], env=env, capture_output=True).returncode
+        for code, run_id in [(FREE, "free"), (pin, "pinned")]
+    ]
+    assert codes[0] == codes[1] and codes[0] in (0, 1)
+    a = (tmp_path / "free" / "data.csv").read_bytes()
+    b = (tmp_path / "pinned" / "data.csv").read_bytes()
+    assert a == b
+
+
+@pytest.mark.parametrize("args, status", [
+    (["thresholds", "--n", "3"], 0),
+    (["admissible", "--family", "schrodinger", "--n", "2", "--q", "2", "--r", "2"], 1),
+], ids=["pass", "fail"])
+def test_closed_stdout_exits_quietly(tmp_path, args, status):
+    # a reader that closes the pipe early (`rsl ... | head`): no traceback,
+    # and the run's own exit status
+    proc = subprocess.Popen([sys.executable, "-m", "rsl.cli", "--output", str(tmp_path), *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == status
+    assert err == b""
 
 
 def test_fit_j_cells_are_numbers(tmp_path):

@@ -1,0 +1,52 @@
+"""Peak-memory bounds of the dense kernel layer (tracemalloc, which sees
+numpy's buffers).  Each dense product streams kernel panels, so its peak
+is set by the panel size, not by the kernel matrix it contracts."""
+
+import tracemalloc
+
+import numpy as np
+
+from rsl.cutoffs import smooth_bump
+from rsl.dispersion import get_symbol
+from rsl.grids import PhysicalGrid, gauss_panel_grid
+from rsl.nonlinear import build_solver_grid
+from rsl.propagator import evolve
+from rsl.transform import RadialProfile, fourier_bessel, profile_from_fn
+
+MB = 1e6
+
+
+def _peak(fn):
+    """(result, peak bytes allocated while fn runs)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_oracle_products_stream():
+    # the dense-oracle bench sizes: a 6,000 x 600 Fourier-Bessel kernel
+    # (29 MB as one matrix) and the evolutions of criterion 8
+    rg = gauss_panel_grid(1e-6, 1.0, 60)
+    prof = RadialProfile(rg, smooth_bump(2.0 * rg.nodes), 3)
+    sf = gauss_panel_grid(1e-4, 240.0, 600)
+    fb, peak = _peak(lambda: fourier_bessel(prof, sf.nodes))
+    assert peak <= 16 * MB, peak / MB
+    ghat = RadialProfile(sf, fb, 3)
+    grid = PhysicalGrid(np.linspace(0.05, 3.0, 60), np.array([0.5, 2.0]))
+    _, peak = _peak(lambda: evolve(get_symbol("wave"), ghat, None, grid))
+    assert peak <= 16 * MB, peak / MB
+    g = gauss_panel_grid(1e-6, 14.0, 700)
+    gauss = profile_from_fn(lambda s: np.exp(-(s**2) / 2.0), g, 2)
+    grid = PhysicalGrid(np.linspace(1e-6, 8.0, 41), np.array([0.0, 0.7, 2.0, 5.0]))
+    _, peak = _peak(lambda: evolve(get_symbol("schrodinger"), gauss, None, grid))
+    assert peak <= 16 * MB, peak / MB
+
+
+def test_solver_grid_holds_one_kernel_matrix():
+    # criterion 11's NLS grid at T = 16 (2,070 x 2,100, 35 MB): the kernel is
+    # filled in place, with no outer-product temporary and no weighted copy
+    grid, peak = _peak(lambda: build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 16.0, 4.0))
+    assert np.shares_memory(grid.synth, grid.anal)
+    assert peak <= 1.1 * grid.synth.nbytes, (peak / MB, grid.synth.nbytes / MB)

@@ -72,7 +72,8 @@ def test_solver_grid_round_trip():
 
 
 def test_real_transforms_match_complex_product():
-    # the benchmark's NLS grid; the split real GEMMs against the complex product
+    # the benchmark's NLS grid; the split real GEMMs against the complex
+    # product with the weighted matrices (weights w times synth or anal)
     grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 4.0, 4.0)
     rng = np.random.default_rng(7)
 
@@ -81,15 +82,15 @@ def test_real_transforms_match_complex_product():
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     coeff, phys = operand(grid.freq.nodes.size), operand(grid.r.size)
-    for transform, m, x in [
-        (grid.to_physical, grid.synth, coeff),
-        (grid.to_physical, grid.synth, coeff[5]),
-        (grid.to_physical, grid.synth, coeff.real),
-        (grid.to_frequency, grid.anal, phys),
-        (grid.to_frequency, grid.anal, phys[5]),
-        (grid.to_frequency, grid.anal, phys.real),
+    for transform, m, w, x in [
+        (grid.to_physical, grid.synth, grid.synth_weights, coeff),
+        (grid.to_physical, grid.synth, grid.synth_weights, coeff[5]),
+        (grid.to_physical, grid.synth, grid.synth_weights, coeff.real),
+        (grid.to_frequency, grid.anal, grid.anal_weights, phys),
+        (grid.to_frequency, grid.anal, grid.anal_weights, phys[5]),
+        (grid.to_frequency, grid.anal, grid.anal_weights, phys.real),
     ]:
-        ref = x.astype(complex) @ m.astype(complex)
+        ref = x.astype(complex) @ (w[:, None] * m).astype(complex)
         got = transform(x)
         assert got.shape == ref.shape
         assert np.iscomplexobj(got) == np.iscomplexobj(x)
