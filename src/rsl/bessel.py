@@ -255,6 +255,26 @@ def kernel_panels(n: int, a: np.ndarray, b: np.ndarray):
         yield rows, kernel_matrix(n, a[rows], b)
 
 
+def real_rows(x: np.ndarray, weights=None) -> np.ndarray:
+    """The real operand (2 m, k) of a complex x of shape (m, k) or (k,): the
+    rows of x.real times weights, then the rows of x.imag times weights.  A
+    caller that contracts one operand against many matrices splits it once."""
+    rows = np.stack((x.real, x.imag))
+    if weights is not None:
+        rows *= weights
+    return rows.reshape(-1, x.shape[-1])
+
+
+def complex_rows(prod: np.ndarray) -> np.ndarray:
+    """The complex (m, c) array whose real rows are the first m rows of the
+    real product prod (2 m, c) and whose imaginary rows are the last m."""
+    m = prod.shape[0] // 2
+    out = np.empty((m, prod.shape[1]), dtype=complex)
+    out.real = prod[:m]
+    out.imag = prod[m:]
+    return out
+
+
 def real_matmul(x: np.ndarray, m: np.ndarray, weights=None) -> np.ndarray:
     """(x * weights) @ m, or x @ m without weights, for a real matrix m in
     real arithmetic.  A complex x sends its real and imaginary rows through
@@ -262,14 +282,7 @@ def real_matmul(x: np.ndarray, m: np.ndarray, weights=None) -> np.ndarray:
     of four); a real x stays real."""
     if not np.iscomplexobj(x):
         return (x if weights is None else x * weights) @ m
-    rows = np.stack((x.real, x.imag))
-    if weights is not None:
-        rows *= weights
-    prod = (rows.reshape(-1, x.shape[-1]) @ m).reshape(2, *x.shape[:-1], m.shape[-1])
-    out = np.empty(prod.shape[1:], dtype=complex)
-    out.real = prod[0]
-    out.imag = prod[1]
-    return out
+    return complex_rows(real_rows(x, weights) @ m).reshape(*x.shape[:-1], m.shape[-1])
 
 
 HANKEL_X_MIN = 8.0

@@ -14,6 +14,14 @@ multiplied by the kernel (or its transpose view) in one product and
 recombined (`bessel.real_matmul`), so the kernel is never promoted to a
 complex copy and no weighted copy of it exists.
 
+The free group e^{i t omega} on the grid's (t, s) nodes is one table per
+grid and generator (`SolverGrid.free_group`), built on first use: every
+seed's linear part and every scattering pullback on that grid read it.  The
+data vanish outside their band, so the linear part is added on the band's
+columns only, and the first synthesis contracts those columns alone.  A
+solve holds the table, the current field and the current iterate; the linear
+part is never stored as a trajectory of its own.
+
 Generator multipliers (NonlinearProblem.generator_symbol, group e^{i t omega}):
 
     semilinear Schrodinger   omega(s) = -s^2
@@ -89,6 +97,9 @@ class SolverGrid:
     kernel: np.ndarray          # (n_s, n_r): K_n(s r)
     synth_weights: np.ndarray   # (n_s,): ws s^(n-1)
     anal_weights: np.ndarray    # (n_r,): wr r^(n-1), the radial measure
+    # free-group tables by generator, filled by free_group; a grid made by
+    # dataclasses.replace (another t, say) starts with none
+    _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def synth(self) -> np.ndarray:
@@ -100,6 +111,19 @@ class SolverGrid:
         """The analysis matrix (n_r, n_s), before the weights anal_weights:
         the transpose view of the kernel."""
         return self.kernel.T
+
+    def free_group(self, omega: np.ndarray) -> np.ndarray:
+        """The read-only table e^{i t omega(s)} on t x freq.nodes for the
+        generator values omega on the nodes: built on the first call for
+        these values and kept with the grid, so the seeds solved on one grid
+        and their scattering pullbacks share it."""
+        key = np.asarray(omega, dtype=float).tobytes()
+        table = self._groups.get(key)
+        if table is None:
+            table = np.exp(1j * np.outer(self.t, omega))
+            table.flags.writeable = False
+            self._groups[key] = table
+        return table
 
     def to_physical(self, coeff: np.ndarray) -> np.ndarray:
         return real_matmul(coeff, self.synth, self.synth_weights)
@@ -157,6 +181,15 @@ class PicardTrace:
 
 
 @dataclass(frozen=True)
+class SolverField(SpaceTimeField):
+    """A Picard solution with the solver grid it was computed on; `freq`
+    holds its frequency trajectory on that grid's nodes and times, and the
+    scattering pullbacks read the grid's free-group tables."""
+
+    solver_grid: SolverGrid = field(kw_only=True, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
 class ScatteringDiagnostic:
     times: tuple
     deviation: tuple
@@ -189,7 +222,7 @@ def picard_solve(
     grid: Optional[SolverGrid] = None,
     max_iter: int = 10,
     tol: float = 1e-10,
-) -> tuple[SpaceTimeField, PicardTrace]:
+) -> tuple[SolverField, PicardTrace]:
     """Iterate the Duhamel map until the resolution-norm difference of
     successive iterates falls below tol (relative to the first iterate).
 
@@ -207,10 +240,21 @@ def picard_solve(
     omega = generator.phi(s)
     h0 = _wave_initial_state(problem, s) if wave else problem.data.at(s)
     t = grid.t
-    linear = np.exp(1j * np.outer(t, omega)) * h0[None, :]
+    group = grid.free_group(omega)
+    # the data, and with them the linear part e^{i t omega} h0, vanish
+    # outside the columns `cols`
+    nz = np.flatnonzero(h0)
+    cols = slice(nz[0], nz[-1] + 1) if nz.size else slice(0)
+
+    def linear_cols():
+        return group[:, cols] * h0[cols]
+
+    def with_linear(coeff):
+        coeff[:, cols] += linear_cols()
+        return coeff
 
     def synthesize(a):
-        return grid.to_physical(a.imag / s) if wave else grid.to_physical(a)
+        return grid.to_physical(a.imag / s if wave else a)
 
     qr = (float(pairs.q), float(pairs.r))
     wt = trapezoid_weights(t)
@@ -218,8 +262,12 @@ def picard_solve(
     def resolution_norm(phys):
         return spacetime_norm(phys, grid.anal_weights, wt, problem.n, *qr)
 
-    coeff = linear
-    phys = synthesize(coeff)
+    # the first iterate is the linear part: its synthesis contracts `cols` only
+    lin = linear_cols()
+    phys = real_matmul(lin.imag / s[cols] if wave else lin, grid.synth[cols],
+                       grid.synth_weights[cols])
+    del lin
+    coeff = None          # the iterate, once it is more than the linear part
     iterate_norms = [resolution_norm(phys)]
     diff_norms = []
     gain = 1j * problem.mu if wave else problem.mu
@@ -228,12 +276,14 @@ def picard_solve(
         if problem.mu == 0:
             converged = True
             break
-        forcing = grid.to_frequency(np.abs(phys) ** problem.p * phys)
-        coeff_new = linear + duhamel_coefficients(omega, t, gain * forcing)
-        phys_new = synthesize(coeff_new)
+        forcing = gain * grid.to_frequency(np.abs(phys) ** problem.p * phys)
+        coeff = None      # release the previous iterate before the next one
+        coeff = with_linear(duhamel_coefficients(omega, t, forcing))
+        del forcing
+        phys_new = synthesize(coeff)
         diff = resolution_norm(phys_new - phys)
         diff_norms.append(diff)
-        coeff, phys = coeff_new, phys_new
+        phys = phys_new
         iterate_norms.append(resolution_norm(phys))
         if diff <= tol * max(iterate_norms[0], 1e-300):
             converged = True
@@ -242,6 +292,8 @@ def picard_solve(
             diff_norms[-i] >= diff_norms[-i - 1] for i in (1, 2)
         ) and diff_norms[-1] > iterate_norms[0]:
             raise NonContraction(f"diff norms non-decreasing: {diff_norms[-3:]}")
+    if coeff is None:
+        coeff = with_linear(np.zeros((t.size, s.size), dtype=complex))
     factors = [
         diff_norms[i + 1] / diff_norms[i]
         for i in range(len(diff_norms) - 1)
@@ -258,8 +310,8 @@ def picard_solve(
         tuple(iterate_norms), tuple(diff_norms), contraction, converged, drift,
         {"band": band, "T": T, "pair": qr},
     )
-    fld = SpaceTimeField(PhysicalGrid(grid.r, t), phys, problem.n, source="duhamel",
-                         freq=(grid.freq, coeff))
+    fld = SolverField(PhysicalGrid(grid.r, t), phys, problem.n, source="duhamel",
+                      freq=(grid.freq, coeff), solver_grid=grid)
     return fld, trace
 
 
@@ -272,33 +324,46 @@ def _sobolev_rows(fgrid: FrequencyGrid, rows: np.ndarray, n: int, s: float) -> n
     return radial_norm(rows, fgrid.weights * fgrid.nodes ** (2.0 * s + n - 1), n, 2)
 
 
-def scattering_state(field: SpaceTimeField, symbol: DispersionSymbol, s: float) -> ScatteringDiagnostic:
+def _trajectory(field: SolverField) -> tuple:
+    """The field's (FrequencyGrid, coeff) trajectory; raises ValueError when
+    it is not a solver field that carries one."""
+    if field.freq is None or getattr(field, "solver_grid", None) is None:
+        raise ValueError("field carries no solver frequency trajectory")
+    return field.freq
+
+
+def scattering_state(field: SolverField, symbol: DispersionSymbol, s: float) -> ScatteringDiagnostic:
     """Pull the stored frequency trajectory back along the free group and
     report || v(t) - v(T) ||_{H^s-dot} on the time grid."""
-    if field.freq is None:
-        raise ValueError("field carries no frequency trajectory")
-    fgrid, coeff = field.freq
+    fgrid, coeff = _trajectory(field)
     t = field.grid.t_nodes
-    omega = symbol.phi(fgrid.nodes)
-    pullback = np.exp(-1j * np.outer(t, omega)) * coeff
-    devs = _sobolev_rows(fgrid, pullback - pullback[-1], field.n, s)
-    u_plus = RadialProfile(fgrid, pullback[-1], field.n)
-    return ScatteringDiagnostic(tuple(t), tuple(devs.tolist()), u_plus)
+    pullback = np.conj(field.solver_grid.free_group(symbol.phi(fgrid.nodes)))
+    pullback *= coeff
+    v_plus = pullback[-1].copy()
+    pullback -= v_plus
+    devs = _sobolev_rows(fgrid, pullback, field.n, s)
+    return ScatteringDiagnostic(tuple(t), tuple(devs.tolist()),
+                                RadialProfile(fgrid, v_plus, field.n))
 
 
-def wave_scattering_state(field: SpaceTimeField, s_w: float) -> ScatteringDiagnostic:
+def wave_scattering_state(field: SolverField, s_w: float) -> ScatteringDiagnostic:
     """Free-group pullback of a = u_t + i s u, read back as the pair
     (u, u_t) = (Im / s, Re); deviation in the product norm
     H^{s_w}-dot x H^{s_w - 1}-dot."""
-    fgrid, coeff = field.freq
+    fgrid, coeff = _trajectory(field)
     t = field.grid.t_nodes
     s = fgrid.nodes
-    pull = np.exp(-1j * np.outer(t, s)) * coeff
-    u, u_t = pull.imag / s, pull.real
-    devs = (_sobolev_rows(fgrid, u - u[-1], field.n, s_w)
-            + _sobolev_rows(fgrid, u_t - u_t[-1], field.n, s_w - 1.0))
+    pull = np.conj(field.solver_grid.free_group(s))
+    pull *= coeff
+    u, u_t = pull.imag, pull.real     # views: (u, u_t) is formed in place
+    u /= s
+    u_plus = u[-1].copy()
+    u -= u_plus
+    u_t -= u_t[-1].copy()
+    devs = (_sobolev_rows(fgrid, u, field.n, s_w)
+            + _sobolev_rows(fgrid, u_t, field.n, s_w - 1.0))
     return ScatteringDiagnostic(tuple(t), tuple(devs.tolist()),
-                                RadialProfile(fgrid, u[-1], field.n))
+                                RadialProfile(fgrid, u_plus, field.n))
 
 
 # --------------------------------------------------------------------------
@@ -429,6 +494,7 @@ def nls_small_data_experiment(
             "max_tail_deviation": max(diag.deviation[len(diag.deviation) // 2:-1] or (0.0,)),
             "tail_decreasing": diag.tail_decreasing,
         })
+        del fld, diag     # the next seed's solve need not hold this one's arrays
     return ExperimentReport(
         "nls", {"n": n, "s_sch": float(s_sch_f), "delta": delta, "p": p, "T": T, "band": DATA_BAND},
         (float(pairs.q), float(pairs.r)), tuple(runs),
@@ -473,6 +539,7 @@ def nlw_small_data_experiment(
             "final_deviation": diag.deviation[-2] if len(diag.deviation) > 1 else 0.0,
             "tail_decreasing": diag.tail_decreasing,
         })
+        del fld, diag
     return ExperimentReport(
         "nlw", {"n": n, "s_w": float(s_w), "delta": delta, "p": p, "T": T,
                 "band": DATA_BAND, "case": pairs.case},
@@ -530,6 +597,7 @@ def fnls_experiment(
             "energy_positive": bool(np.all(energy > 0)),
             "final_deviation": diag.deviation[-2] if len(diag.deviation) > 1 else 0.0,
         })
+        del fld, coeff, diag
     return ExperimentReport(
         "fnls", {"n": n, "sigma": sigma, "p": p, "s": s, "delta": delta, "T": T,
                  "band": DATA_BAND, "mu": mu},

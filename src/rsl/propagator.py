@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bessel import kernel_panels, real_matmul
+from .bessel import complex_rows, kernel_panels, real_rows
 from .cutoffs import dyadic_cutoff
 from .dispersion import DispersionSymbol
 from .errors import SplitDomainError
@@ -102,18 +102,20 @@ def evolve(
 ) -> SpaceTimeField:
     """S_phi(t) P_k u0 on the physical grid (k=None skips the projection)."""
     fg, vals = _integration_grid(symbol, profile, k, grid, policy)
-    s, mult = _multiplier(symbol, fg, vals, grid.t_nodes, profile.n)
+    s, rows = _multiplier(symbol, fg, vals, grid.t_nodes, profile.n)
     out = np.empty((grid.t_nodes.size, grid.r_nodes.size), dtype=complex)
     for cols, kernel in kernel_panels(profile.n, grid.r_nodes, s):
-        out[:, cols] = real_matmul(mult, kernel.T)
+        out[:, cols] = complex_rows(rows @ kernel.T)
     return SpaceTimeField(grid, out, profile.n, source="direct")
 
 
 def _multiplier(symbol, fg, vals, t, n):
     """The quadrature nodes s and the (t, s) operand e^{i t phi(s)} h(s) w s^(n-1)
-    that contracts against the kernel K_n(s r)."""
+    that contracts against the kernel K_n(s r), split once into its real rows
+    (`bessel.real_rows`) for every kernel panel."""
     s = fg.nodes
-    return s, np.exp(1j * np.outer(t, symbol.phi(s))) * (vals * fg.weights * s ** (n - 1))[None, :]
+    return s, real_rows(np.exp(1j * np.outer(t, symbol.phi(s)))
+                        * (vals * fg.weights * s ** (n - 1))[None, :])
 
 
 def main_error_split(
@@ -126,7 +128,7 @@ def main_error_split(
     residual; requires r s >= 1 on every quadrature pair."""
     fg, vals = _integration_grid(symbol, profile, k, grid, DEFAULT_POLICY)
     n = profile.n
-    s, mult = _multiplier(symbol, fg, vals, grid.t_nodes, n)
+    s, rows = _multiplier(symbol, fg, vals, grid.t_nodes, n)
     r = grid.r_nodes
     x_min = float(s.min() * r.min())   # s, r > 0: the least product
     if x_min < 1.0:
@@ -141,8 +143,8 @@ def main_error_split(
         x = np.multiply.outer(r[cols], s)
         kern_main = x ** (-nu) * np.sqrt(2.0 / (np.pi * x)) * np.cos(x - beta)
         kernel -= kern_main
-        main[:, cols] = real_matmul(mult, kern_main.T)
-        err[:, cols] = real_matmul(mult, kernel.T)
+        main[:, cols] = complex_rows(rows @ kern_main.T)
+        err[:, cols] = complex_rows(rows @ kernel.T)
     return (SpaceTimeField(grid, main, n, source="main_term"),
             SpaceTimeField(grid, err, n, source="error_term"))
 

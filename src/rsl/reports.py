@@ -4,18 +4,23 @@ field.json sidecar for runs that sample a field.
 Every report embeds the fully-resolved configuration (defaults included) so
 a run can be reproduced from its own artifact.  CSV cells are written with
 repr() of the values as Python floats, making identical runs byte-identical
-and every cell a plain number.
+and every cell a plain number.  The GEMM-based commands reproduce data.csv
+byte for byte only at one BLAS thread count, so report.json also records
+the BLAS library, its thread count and the usable cores (`environment`).
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
 from dataclasses import asdict, dataclass, field, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 
 def _jsonable(obj):
@@ -54,6 +59,7 @@ class RunReport:
                     "config": _jsonable(self.config),
                     "verdict": self.verdict,
                     "results": _jsonable(self.results),
+                    "environment": environment(),
                 },
                 f,
                 indent=2,
@@ -73,6 +79,45 @@ class RunReport:
         if self.field:
             field_to_csv(*self.field, outdir)
         return outdir / "report.json"
+
+
+# the thread-count getter of OpenBLAS under its plain and its
+# scipy-openblas (64-bit integer, prefixed) builds
+_OPENBLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                            "scipy_openblas_get_num_threads64_",
+                            "scipy_openblas_get_num_threads")
+
+
+def environment() -> dict:
+    """The BLAS numpy was built with (name and version), the thread count of
+    the OpenBLAS loaded in this process (None when none is, or it cannot be
+    asked) and the number of cores this process may use."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count()
+    return {"blas": blas.get("name"), "blas_version": blas.get("version"),
+            "blas_threads": _openblas_threads(), "cores": cores}
+
+
+def _openblas_threads() -> Optional[int]:
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:       # a mapping whose file is gone
+            continue
+        for name in _OPENBLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                return int(getter())
+    return None
 
 
 def field_to_csv(field, meta: dict, outdir: Path) -> None:

@@ -124,6 +124,21 @@ def test_data_csv_independent_of_core_count(tmp_path, args):
     assert a == b
 
 
+def test_report_records_blas(tmp_path):
+    # data.csv repeats byte for byte only at one BLAS thread count, so the
+    # report names the BLAS, the thread count it ran with and the usable cores
+    env = {**_child_env(), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", FREE, "--output", str(tmp_path), "--run-id",
+                           "blas", "thresholds", "--n", "3"], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads((tmp_path / "blas" / "report.json").read_text())["environment"]
+    assert set(facts) == {"blas", "blas_version", "blas_threads", "cores"}
+    assert facts["cores"] >= 1
+    if "openblas" not in str(facts["blas"]):
+        pytest.skip(f"numpy is built with {facts['blas']}, not OpenBLAS")
+    assert facts["blas_threads"] == 1
+
+
 @pytest.mark.parametrize("args, status", [
     (["thresholds", "--n", "3"], 0),
     (["admissible", "--family", "schrodinger", "--n", "2", "--q", "2", "--r", "2"], 1),

@@ -1,15 +1,18 @@
-"""Peak-memory bounds of the dense kernel layer (tracemalloc, which sees
-numpy's buffers).  Each dense product streams kernel panels, so its peak
-is set by the panel size, not by the kernel matrix it contracts."""
+"""Peak-memory bounds of the dense kernel layer and the Picard solver
+(tracemalloc, which sees numpy's buffers).  Each dense product streams kernel
+panels, so its peak is set by the panel size, not by the kernel matrix it
+contracts; a solve holds one kernel, the grid's free-group table and a few
+trajectory-sized arrays."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 
 from rsl.cutoffs import smooth_bump
 from rsl.dispersion import get_symbol
 from rsl.grids import PhysicalGrid, gauss_panel_grid
-from rsl.nonlinear import build_solver_grid
+from rsl.nonlinear import build_solver_grid, nls_small_data_experiment
 from rsl.propagator import evolve
 from rsl.transform import RadialProfile, fourier_bessel, profile_from_fn
 
@@ -50,3 +53,14 @@ def test_solver_grid_holds_one_kernel_matrix():
     grid, peak = _peak(lambda: build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 16.0, 4.0))
     assert np.shares_memory(grid.synth, grid.anal)
     assert peak <= 1.1 * grid.synth.nbytes, (peak / MB, grid.synth.nbytes / MB)
+
+
+def test_nls_experiment_peak():
+    # the bench's NLS experiment (n = 2, s = -1/10, T = 4, four seeds): a
+    # 1,230 x 1,240 kernel (12.2 MB) and (116 x 1,240)-sample trajectories
+    # (2.3 MB each).  It peaked at 26.1 MB with one free-group table per grid
+    # and 37.6 MB when every seed built its own linear trajectory.
+    rep, peak = _peak(lambda: nls_small_data_experiment(2, Fraction(-1, 10), 1e-3,
+                                                        seeds=range(4), T=4.0))
+    assert rep.all_converged
+    assert peak <= 31 * MB, peak / MB
