@@ -8,14 +8,15 @@ error).  Rational exponents may be given as 'a/b' strings and are kept exact
 where the arithmetic is exact.
 
 Each flag is declared once, with its default and a parser that holds its
-domain: numbers finite; n >= 2; T0, T, delta, rmax > 0; trials >= 1;
-refinements in 2..7; ranges and lists non-empty; a list fitted by a slope has
-two or more strictly monotone values, radii positive and increasing; times
-increasing.  argparse parses numbers; text values (exponents, ranges, lists,
-symbols, choices) keep their raw text for report.json and are parsed once,
-by `validate`.  A configuration error prints one JSON object on stderr and
-exits 2: {"error": "invalid config", "violations": [...]} for values that
-fail to parse or break a solver's range, else {"error": <type>, "detail": ...}.
+domain: numbers finite; n >= 2; T0, T, delta, rmax > 0; trials and samples
+>= 1; refinements in 2..7; band and annulus indices (k, j) in -64..64;
+ranges and lists non-empty; a list fitted by a slope has two or more strictly
+monotone values, radii positive and increasing; times increasing.  argparse
+parses numbers; text values (exponents, ranges, lists, symbols, choices) keep
+their raw text for report.json and are parsed once, by `validate`.  A
+configuration error prints one JSON object on stderr and exits 2:
+{"error": "invalid config", "violations": [...]} for values that fail to
+parse or break a solver's range, else {"error": <type>, "detail": ...}.
 """
 
 from __future__ import annotations
@@ -89,16 +90,25 @@ def _one_of(*choices) -> Callable:
     return _text(_check(str, choices.__contains__, "one of " + ", ".join(choices)))
 
 
+def _indices(v) -> bool:
+    """Band and annulus indices lie in -64..64: 2^(k+-1), the windows
+    T0 2^(-+4k) and the symbols at the band edges stay finite there."""
+    return all(-64 <= k <= 64 for k in v)
+
+
 DIM = _check(int, lambda n: n >= 2, ">= 2")
 FINITE = _check(float, math.isfinite, "finite")
 POSITIVE = _check(float, lambda x: 0 < x < math.inf, "finite and > 0")
-TRIALS = _check(int, lambda m: m >= 1, ">= 1")
+COUNT = _check(int, lambda m: m >= 1, ">= 1")
+INDEX = _check(int, lambda k: _indices([k]), "in -64..64")
 EXPONENT = _text(adm.parse_exponent)
 NORM_EXPONENT = _text(_check(adm.parse_exponent, lambda q: q >= 2, ">= 2"))
 RATIONAL = _text(Fraction)
 SYMBOL = _text(get_symbol)
 INTS = _text(_check(_ints, len, "non-empty"))
-SLOPE = _text(_check(_ints, _monotone, "two or more strictly monotone values"))
+INDICES = _text(_check(_ints, lambda v: len(v) and _indices(v), "non-empty and in -64..64"))
+SLOPE = _text(_check(_ints, lambda v: _monotone(v) and _indices(v),
+                     "two or more strictly monotone values in -64..64"))
 RADII = _text(_check(_floats, lambda v: len(v) > 1 and _increasing(v, 0),
                      "two or more increasing radii in (0, inf)"))
 DELTAS = _text(_check(_floats, lambda v: _monotone(v) and min(v) > 0,
@@ -163,14 +173,14 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
 
     common = {"symbol": ("schrodinger", SYMBOL), "n": (2, DIM)}
     solver = {"delta": (1e-3, POSITIVE), "seeds": ("0..3", INTS), "T": (16.0, POSITIVE)}
-    add("propagate", **common, k=(0, int), t=("0,1,2", TIMES), rmax=(40.0, POSITIVE))
-    add("split", **common, k=(0, int), j=(4, int), t=("0,1,2", TIMES))
-    add("norm-sweep", **common, k=(0, int), q=("4", NORM_EXPONENT), T0=(64.0, POSITIVE))
+    add("propagate", **common, k=(0, INDEX), t=("0,1,2", TIMES), rmax=(40.0, POSITIVE))
+    add("split", **common, k=(0, INDEX), j=(4, INDEX), t=("0,1,2", TIMES))
+    add("norm-sweep", **common, k=(0, INDEX), q=("4", NORM_EXPONENT), T0=(64.0, POSITIVE))
     add("fit-k", **common, q=("4", NORM_EXPONENT), k=("-3..3", SLOPE), T0=(64.0, POSITIVE))
-    add("fit-j", **common, q=("4", NORM_EXPONENT), k=(0, int), j=("3..8", SLOPE),
+    add("fit-j", **common, q=("4", NORM_EXPONENT), k=(0, INDEX), j=("3..8", SLOPE),
         regime=("outer_thm2", _one_of("inner", "outer_thm1", "outer_thm2")))
-    add("smoothing", **common, k=(0, int), q=("4", NORM_EXPONENT), trials=(8, TRIALS))
-    add("maximal", a=(2.0, FINITE), k=("2..6", SLOPE), samples=(768, int))
+    add("smoothing", **common, k=(0, INDEX), q=("4", NORM_EXPONENT), trials=(8, COUNT))
+    add("maximal", a=(2.0, FINITE), k=("2..6", SLOPE), samples=(768, COUNT))
     # each refinement level quadruples hls_bilinear_check's peak memory:
     # 6, 25, 97 and 386 MiB at 4..7 levels, so 8 would pass 1 GB
     add("hls", q=("10/3", EXPONENT), n=(2, DIM),
@@ -181,12 +191,12 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
         deltas=("0.125,0.0625,0.03125,0.015625", DELTAS))
     add("l6", **common, k=("-2..2", SLOPE))
     add("retarded", **common, q=("10/3", NORM_EXPONENT), r=("10/3", NORM_EXPONENT),
-        qt=("10/3", NORM_EXPONENT), rt=("10/3", NORM_EXPONENT), trials=(4, TRIALS))
+        qt=("10/3", NORM_EXPONENT), rt=("10/3", NORM_EXPONENT), trials=(4, COUNT))
     add("admissible", family=("schrodinger", _one_of("schrodinger", "wave")), n=(2, DIM),
         q=("10/3", NORM_EXPONENT), r=("10/3", NORM_EXPONENT))
     add("thresholds", n=(2, DIM), p=(None, RATIONAL))
     add("constants", equation=("klein_gordon", _one_of("klein_gordon", "beam")),
-        n=(2, DIM), q=("6", EXPONENT), k=(1, int))
+        n=(2, DIM), q=("6", EXPONENT), k=(1, INDEX))
     add("pairs", equation=("nls", _one_of("nls", "nlw")), n=(2, DIM),
         s=("-1/10", RATIONAL), s_sch=(None, RATIONAL), theta=(None, RATIONAL))
     add("solve-nls", n=(2, DIM), s=("-1/10", RATIONAL), **solver)
@@ -195,7 +205,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
         **solver)
     add("conjecture-probe", a=(2.0, FINITE), n=(2, DIM), R=("8,16,32,64,128", RADII),
         T=(256.0, POSITIVE))
-    add("hypotheses", **common, k=("-8..8", INTS))
+    add("hypotheses", **common, k=("-8..8", INDICES))
     return ap
 
 

@@ -225,8 +225,9 @@ class BandFieldSampler:
         if r_lo < self.r_c:
             # Gauss-Legendre panels keep the radial quadrature high-order
             # (uniform trapezoid leaves an O(dr^2) endpoint term from the
-            # nonvanishing slope of |F|^2 r^(n-1) at r = 0)
-            in_lo, in_hi = max(r_lo, 1e-9), min(self.r_c, r_hi)
+            # nonvanishing slope of |F|^2 r^(n-1) at r = 0); only r = 0
+            # itself moves to 1e-9, so annuli below 1e-9 keep their window
+            in_lo, in_hi = r_lo or 1e-9, min(self.r_c, r_hi)
             n_pan = max(int(np.ceil((in_hi - in_lo) * 2.0 * shi / 4.0)), 3)
             rg_in = gauss_panel_grid(in_lo, in_hi, n_pan)
             self.r_in, w_in = rg_in.nodes, rg_in.weights

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -182,16 +182,16 @@ class PicardTrace:
 
 @dataclass(frozen=True)
 class SolverField(SpaceTimeField):
-    """A Picard solution with the solver grid it was computed on; `freq`
-    holds its frequency trajectory on that grid's nodes and times, and the
-    scattering pullbacks read the grid's free-group tables."""
+    """A Picard solution with the solver grid it was computed on.  `coeff`
+    is its frequency trajectory on that grid's times and `solver_grid.freq`
+    nodes; the scattering pullbacks read the grid's free-group tables."""
 
     solver_grid: SolverGrid = field(kw_only=True, repr=False, compare=False)
+    coeff: np.ndarray = field(kw_only=True, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class ScatteringDiagnostic:
-    times: tuple
     deviation: tuple
     u_plus: RadialProfile
 
@@ -205,6 +205,11 @@ class ScatteringDiagnostic:
 # --------------------------------------------------------------------------
 # Picard iteration
 # --------------------------------------------------------------------------
+
+def _drift_rows(t: np.ndarray) -> slice:
+    """The time rows a conservation law is checked on: every (n_t // 16)-th."""
+    return slice(None, None, max(t.size // 16, 1))
+
 
 def _wave_initial_state(problem: NonlinearProblem, s: np.ndarray) -> np.ndarray:
     """a0 = h1 + i s h0 from real data (u0_hat, u1_hat)."""
@@ -228,7 +233,7 @@ def picard_solve(
 
     The iterate is the frequency trajectory a(t, s) of a' = i omega a - i G
     with G = mu |u|^p u (Schrodinger kinds, u = a) or G = i mu |u|^p u
-    (wave, u = Im(a) / s); the returned field stores a in `freq`.
+    (wave, u = Im(a) / s); the returned field stores a in `coeff`.
     mu = 0 reproduces the linear evolution exactly (bit-for-bit, same code
     path)."""
     wave = problem.kind == "nlw"
@@ -302,8 +307,7 @@ def picard_solve(
     contraction = float(np.max(factors)) if factors else 0.0
     drift = 0.0
     if not wave:
-        masses = radial_norm(coeff[::max(t.size // 16, 1)], grid.synth_weights,
-                             problem.n, 2) ** 2
+        masses = radial_norm(coeff[_drift_rows(t)], grid.synth_weights, problem.n, 2) ** 2
         if masses[0] > 0:
             drift = float(np.max(np.abs(masses - masses[0])) / masses[0])
     trace = PicardTrace(
@@ -311,7 +315,7 @@ def picard_solve(
         {"band": band, "T": T, "pair": qr},
     )
     fld = SolverField(PhysicalGrid(grid.r, t), phys, problem.n, source="duhamel",
-                      freq=(grid.freq, coeff), solver_grid=grid)
+                      solver_grid=grid, coeff=coeff)
     return fld, trace
 
 
@@ -324,37 +328,26 @@ def _sobolev_rows(fgrid: FrequencyGrid, rows: np.ndarray, n: int, s: float) -> n
     return radial_norm(rows, fgrid.weights * fgrid.nodes ** (2.0 * s + n - 1), n, 2)
 
 
-def _trajectory(field: SolverField) -> tuple:
-    """The field's (FrequencyGrid, coeff) trajectory; raises ValueError when
-    it is not a solver field that carries one."""
-    if field.freq is None or getattr(field, "solver_grid", None) is None:
-        raise ValueError("field carries no solver frequency trajectory")
-    return field.freq
-
-
 def scattering_state(field: SolverField, symbol: DispersionSymbol, s: float) -> ScatteringDiagnostic:
     """Pull the stored frequency trajectory back along the free group and
     report || v(t) - v(T) ||_{H^s-dot} on the time grid."""
-    fgrid, coeff = _trajectory(field)
-    t = field.grid.t_nodes
+    fgrid = field.solver_grid.freq
     pullback = np.conj(field.solver_grid.free_group(symbol.phi(fgrid.nodes)))
-    pullback *= coeff
+    pullback *= field.coeff
     v_plus = pullback[-1].copy()
     pullback -= v_plus
     devs = _sobolev_rows(fgrid, pullback, field.n, s)
-    return ScatteringDiagnostic(tuple(t), tuple(devs.tolist()),
-                                RadialProfile(fgrid, v_plus, field.n))
+    return ScatteringDiagnostic(tuple(devs.tolist()), RadialProfile(fgrid, v_plus, field.n))
 
 
 def wave_scattering_state(field: SolverField, s_w: float) -> ScatteringDiagnostic:
     """Free-group pullback of a = u_t + i s u, read back as the pair
     (u, u_t) = (Im / s, Re); deviation in the product norm
     H^{s_w}-dot x H^{s_w - 1}-dot."""
-    fgrid, coeff = _trajectory(field)
-    t = field.grid.t_nodes
+    fgrid = field.solver_grid.freq
     s = fgrid.nodes
     pull = np.conj(field.solver_grid.free_group(s))
-    pull *= coeff
+    pull *= field.coeff
     u, u_t = pull.imag, pull.real     # views: (u, u_t) is formed in place
     u /= s
     u_plus = u[-1].copy()
@@ -362,8 +355,7 @@ def wave_scattering_state(field: SolverField, s_w: float) -> ScatteringDiagnosti
     u_t -= u_t[-1].copy()
     devs = (_sobolev_rows(fgrid, u, field.n, s_w)
             + _sobolev_rows(fgrid, u_t, field.n, s_w - 1.0))
-    return ScatteringDiagnostic(tuple(t), tuple(devs.tolist()),
-                                RadialProfile(fgrid, u_plus, field.n))
+    return ScatteringDiagnostic(tuple(devs.tolist()), RadialProfile(fgrid, u_plus, field.n))
 
 
 # --------------------------------------------------------------------------
@@ -414,8 +406,8 @@ def random_band_profile(
     )
     scale = target / math.sqrt(float(z2))
 
-    def fn(s, _raw=raw, _sc=scale):
-        return _sc * _raw(s)
+    def fn(s):
+        return scale * raw(s)
 
     grid = uniform_grid(lo, hi, 1025)
     return RadialProfile(grid, fn(grid.nodes), n, fn=fn)
@@ -429,7 +421,7 @@ class ExperimentReport:
     runs: tuple          # per-seed dicts
     all_converged: bool
     max_contraction: float
-    max_mass_drift: float
+    max_mass_drift: float   # 0.0 for nlw, which has no mass law
 
 
 def check_nls_range(n: int, s_sch) -> Fraction:
@@ -457,80 +449,78 @@ def check_fnls_range(n: int, sigma: float, p: float) -> None:
         raise OutOfRangeSigma(f"critical scheme needs p >= 2 sigma / n, got p={p}")
 
 
-def nls_small_data_experiment(
-    n: int,
-    s_sch,
-    delta: float,
-    seeds: Sequence[int],
-    T: float = 16.0,
-) -> ExperimentReport:
+def _run_seeds(kind: str, params: dict, pairs: PairSelection, seeds: Sequence[int],
+               T: float, draw: Callable, row: Callable) -> ExperimentReport:
+    """The seed loop of every experiment.  Each seed draws its problem with
+    draw(rng, mu) from its own rng and sign (mu = +1 on even seeds, -1 on
+    odd), is solved on the first solve's grid, and keeps only its run dict
+    row(seed, problem, field, trace): no field or diagnostic outlives it."""
+    runs = []
+    grid = None
+    for seed in seeds:
+        problem = draw(np.random.default_rng(seed), 1 if seed % 2 == 0 else -1)
+        fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=EXPERIMENT_MAX_ITER)
+        grid = fld.solver_grid
+        runs.append(row(seed, problem, fld, trace))
+        del fld
+    return ExperimentReport(
+        kind, params, (float(pairs.q), float(pairs.r)), tuple(runs),
+        all(r["converged"] for r in runs),
+        max(r["contraction"] for r in runs),
+        max(r.get("mass_drift", 0.0) for r in runs),
+    )
+
+
+def nls_small_data_experiment(n: int, s_sch, delta: float, seeds: Sequence[int],
+                              T: float = 16.0) -> ExperimentReport:
     """Small-data runs of the semilinear Schrodinger fixed point at critical
     regularity s_sch < 0: contraction, the resolution-norm bound, and the
     scattering pullback, per seed."""
     s_sch_f = check_nls_range(n, s_sch)
     pairs = choose_pairs_nls(n, s_sch_f, s_sch_f)
     p = float(pairs.p)
-    runs = []
-    grid = None
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
+
+    def draw(rng, mu):
         data = random_band_profile(n, rng, s_norm=float(s_sch_f), target=delta)
-        problem = NonlinearProblem("nls", n, p, mu=1 if seed % 2 == 0 else -1, data=data)
-        if grid is None:
-            speed = problem.generator_symbol().sup_dphi(*DATA_BAND)
-            grid = build_solver_grid(n, DATA_BAND, p, T, speed)
-        fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=EXPERIMENT_MAX_ITER)
+        return NonlinearProblem("nls", n, p, mu=mu, data=data)
+
+    def row(seed, problem, fld, trace):
         diag = scattering_state(fld, problem.generator_symbol(), float(s_sch_f))
-        sol_norm = trace.iterate_norms[-1]
-        runs.append({
+        return {
             "seed": seed,
             "mu": problem.mu,
             "converged": trace.converged,
             "contraction": trace.contraction_factor,
             "mass_drift": trace.mass_drift,
-            "solution_norm": sol_norm,
-            "bound_constant": sol_norm / delta,
+            "solution_norm": trace.iterate_norms[-1],
+            "bound_constant": trace.iterate_norms[-1] / delta,
             "final_deviation": diag.deviation[-2] if len(diag.deviation) > 1 else 0.0,
             "max_tail_deviation": max(diag.deviation[len(diag.deviation) // 2:-1] or (0.0,)),
             "tail_decreasing": diag.tail_decreasing,
-        })
-        del fld, diag     # the next seed's solve need not hold this one's arrays
-    return ExperimentReport(
+        }
+
+    return _run_seeds(
         "nls", {"n": n, "s_sch": float(s_sch_f), "delta": delta, "p": p, "T": T, "band": DATA_BAND},
-        (float(pairs.q), float(pairs.r)), tuple(runs),
-        all(r["converged"] for r in runs),
-        max(r["contraction"] for r in runs),
-        max(r["mass_drift"] for r in runs),
-    )
+        pairs, seeds, T, draw, row)
 
 
-def nlw_small_data_experiment(
-    n: int,
-    s_w,
-    delta: float,
-    seeds: Sequence[int],
-    T: float = 16.0,
-) -> ExperimentReport:
+def nlw_small_data_experiment(n: int, s_w, delta: float, seeds: Sequence[int],
+                              T: float = 16.0) -> ExperimentReport:
     """Small-data semilinear wave runs in the pair norm at regularity s_w."""
     check_nlw_range(n, s_w)
     pairs = choose_pairs_nlw(n, s_w)
     p = float(pairs.p)
-    runs = []
-    grid = None
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
+
+    def draw(rng, mu):
         d0 = random_band_profile(n, rng, s_norm=float(s_w), target=delta / 2.0,
                                  real_valued=True)
         d1 = random_band_profile(n, rng, s_norm=float(s_w) - 1.0, target=delta / 2.0,
                                  real_valued=True)
-        problem = NonlinearProblem("nlw", n, p, mu=1 if seed % 2 == 0 else -1,
-                                   data=d0, data_velocity=d1)
-        if grid is None:
-            speed = problem.generator_symbol().sup_dphi(*DATA_BAND)
-            grid = build_solver_grid(n, DATA_BAND, p, T, speed)
-        fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=EXPERIMENT_MAX_ITER)
+        return NonlinearProblem("nlw", n, p, mu=mu, data=d0, data_velocity=d1)
+
+    def row(seed, problem, fld, trace):
         diag = wave_scattering_state(fld, float(s_w))
-        runs.append({
+        return {
             "seed": seed,
             "mu": problem.mu,
             "converged": trace.converged,
@@ -538,28 +528,16 @@ def nlw_small_data_experiment(
             "solution_norm": trace.iterate_norms[-1],
             "final_deviation": diag.deviation[-2] if len(diag.deviation) > 1 else 0.0,
             "tail_decreasing": diag.tail_decreasing,
-        })
-        del fld, diag
-    return ExperimentReport(
+        }
+
+    return _run_seeds(
         "nlw", {"n": n, "s_w": float(s_w), "delta": delta, "p": p, "T": T,
                 "band": DATA_BAND, "case": pairs.case},
-        (float(pairs.q), float(pairs.r) if pairs.r != math.inf else math.inf),
-        tuple(runs),
-        all(r["converged"] for r in runs),
-        max(r["contraction"] for r in runs),
-        0.0,
-    )
+        pairs, seeds, T, draw, row)
 
 
-def fnls_experiment(
-    n: int,
-    sigma: float,
-    p: float,
-    s: float,
-    delta: float,
-    seeds: Sequence[int],
-    T: float = 16.0,
-) -> ExperimentReport:
+def fnls_experiment(n: int, sigma: float, p: float, s: float, delta: float,
+                    seeds: Sequence[int], T: float = 16.0) -> ExperimentReport:
     """Defocusing (mu = -1) fractional-order runs with the symmetric scheme
     pairs q = p + 2, r = 2n(p+2)/(2(n - sigma) + n p); monitors mass and
     energy."""
@@ -567,28 +545,24 @@ def fnls_experiment(
     q = p + 2.0
     r = 2.0 * n * (p + 2.0) / (2.0 * (n - sigma) + n * p)
     pairs = PairSelection(q, r, q, r, p, 0, "fnls")
-    runs = []
-    grid = None
     mu = -1
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
+
+    def draw(rng, _seed_mu):
         data = random_band_profile(n, rng, s_norm=s, target=delta)
-        problem = NonlinearProblem("fnls", n, p, mu=mu, data=data, sigma=sigma)
-        if grid is None:
-            speed = problem.generator_symbol().sup_dphi(*DATA_BAND)
-            grid = build_solver_grid(n, DATA_BAND, p, T, speed)
-        fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=EXPERIMENT_MAX_ITER)
-        fgrid, coeff = fld.freq
+        return NonlinearProblem("fnls", n, p, mu=mu, data=data, sigma=sigma)
+
+    def row(seed, problem, fld, trace):
+        grid = fld.solver_grid
+        rows = _drift_rows(grid.t)
         # energy: ||u||_{H^(sigma/2)-dot}^2 - mu/(p+2) ||u||_{L^(p+2)}^(p+2)
-        step = max(grid.t.size // 16, 1)
-        kin = radial_norm(coeff[::step], fgrid.weights * fgrid.nodes ** (sigma + n - 1), n, 2) ** 2
-        pot = mu / (p + 2.0) * radial_norm(
-            fld.values[::step], grid.wr * grid.r ** (n - 1), n, p + 2.0
-        ) ** (p + 2.0)
+        kin = radial_norm(fld.coeff[rows], grid.freq.weights * grid.freq.nodes ** (sigma + n - 1),
+                          n, 2) ** 2
+        pot = mu / (p + 2.0) * radial_norm(fld.values[rows], grid.anal_weights,
+                                            n, p + 2.0) ** (p + 2.0)
         energy = kin - pot
         e_drift = float(np.max(np.abs(energy - energy[0])) / max(abs(energy[0]), 1e-300))
         diag = scattering_state(fld, problem.generator_symbol(), s)
-        runs.append({
+        return {
             "seed": seed,
             "converged": trace.converged,
             "contraction": trace.contraction_factor,
@@ -596,13 +570,9 @@ def fnls_experiment(
             "energy_drift": e_drift,
             "energy_positive": bool(np.all(energy > 0)),
             "final_deviation": diag.deviation[-2] if len(diag.deviation) > 1 else 0.0,
-        })
-        del fld, coeff, diag
-    return ExperimentReport(
+        }
+
+    return _run_seeds(
         "fnls", {"n": n, "sigma": sigma, "p": p, "s": s, "delta": delta, "T": T,
                  "band": DATA_BAND, "mu": mu},
-        (q, r), tuple(runs),
-        all(r["converged"] for r in runs),
-        max(r["contraction"] for r in runs),
-        max(r["mass_drift"] for r in runs),
-    )
+        pairs, seeds, T, draw, row)

@@ -53,20 +53,20 @@ from .transform import RadialProfile
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """Complex samples F(t_i, r_j) of a radial space-time function."""
+    """Samples F(t_i, r_j) of a radial space-time function: complex, or
+    float64 for a real field."""
 
     grid: PhysicalGrid
     values: np.ndarray  # shape (n_t, n_r)
     n: int
     source: str = "direct"
-    freq: Optional[tuple] = None  # (FrequencyGrid, coeff matrix) when available
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.t_nodes.size, self.grid.r_nodes.size):
             raise ValueError("field shape must be (n_t, n_r)")
-        if not np.all(np.isfinite(v.view(float))):
+        if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
 
 

@@ -279,7 +279,13 @@ def test_readme_examples_validate(line):
     # windows and amplitudes > 0, trial and refinement counts
     "fit-k --T0 0", "fit-k --T0=-4", "solve-nls --T 0", "solve-nls --delta 0",
     "smoothing --trials 0", "retarded --trials 0", "hls --refinements 1",
-    "hls --refinements 8",
+    "hls --refinements 8", "maximal --samples -3 --k 2..3", "maximal --samples 0",
+    # band and annulus indices lie in -64..64, as single values and in ranges
+    "propagate --k 2000", "smoothing --k 5000", "split --j 3000",
+    "norm-sweep --symbol klein-gordon --k=-600", "norm-sweep --symbol beam --k 600 --T0 1",
+    "smoothing --k 600", "norm-sweep --k 600 --T0 1", "split --k=-65", "fit-j --k 65",
+    "constants --k 65", "fit-k --k 64..65", "fit-j --j=-65..-64", "l6 --k 63..65",
+    "hypotheses --k=-65..0", "maximal --k 64..65", "counter-schrodinger --j 64..65",
     # empty ranges
     "hypotheses --k 5..1", "solve-nls --seeds 3..1",
     # a slope needs two or more strictly monotone values; radii are positive
@@ -309,3 +315,37 @@ def test_bad_input_exits_2(line, tmp_path, capsys):
     assert "Traceback" not in out + err
     assert isinstance(json.loads(report), dict)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, status", [
+    ("norm-sweep --k=64", 0), ("norm-sweep --symbol wave --k=-64", 0),
+    ("constants --k=-64", 0), ("hypotheses --k=-64..64", 0), ("l6 --k=-64..-63", 0),
+    ("fit-j --j=-64..-63 --regime inner", 0), ("smoothing --k=64 --trials 1", 0),
+    ("propagate --k=64", 2), ("split --j=64", 2), ("split --k=-64", 2),
+    ("fit-j --k=64 --j 3..4", 2), ("l6 --k 63..64", 2),
+])
+def test_index_extremes_finish(line, status, tmp_path, capsys):
+    # at the ends of -64..64 a run finishes or ends in a typed error
+    assert main(["--output", str(tmp_path), *shlex.split(line)]) == status
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if status == 2:
+        assert set(json.loads(err)) == {"error", "detail"}
+
+
+SOLVE_COLUMNS = {
+    "solve-nls": "seed,mu,converged,contraction,mass_drift,solution_norm,bound_constant,"
+                 "final_deviation,max_tail_deviation,tail_decreasing",
+    "solve-nlw": "seed,mu,converged,contraction,solution_norm,final_deviation,tail_decreasing",
+    "solve-fnls": "seed,converged,contraction,mass_drift,energy_drift,energy_positive,"
+                  "final_deviation",
+}
+
+
+@pytest.mark.parametrize("command", SOLVE_COLUMNS)
+def test_solve_data_csv_columns(command, tmp_path):
+    # each experiment's run dict keys, in order, are its data.csv columns
+    assert run([command, "--seeds", "0..1", "--T", "2"], tmp_path, "cols") in (0, 1)
+    rows = (tmp_path / "cols" / "data.csv").read_text().splitlines()
+    assert rows[0] == SOLVE_COLUMNS[command]
+    assert len(rows) == 3

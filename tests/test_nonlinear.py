@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import rsl.nonlinear as nonlinear
 from rsl.admissibility import choose_pairs_nls, choose_pairs_nlw, s0
 from rsl.dispersion import get_symbol
 from rsl.errors import DomainError, OutOfRangeS, OutOfRangeSigma
@@ -106,7 +107,7 @@ def test_linear_consistency_bitwise():
     s = grid.freq.nodes
     omega = prob.generator_symbol().phi(s)
     linear = np.exp(1j * np.outer(grid.t, omega)) * prob.data.fn(s)[None, :]
-    assert np.array_equal(fld.freq[1], linear)
+    assert np.array_equal(fld.coeff, linear)
     # and against the propagator module on the same nodes
     sub_t = grid.t[:: max(grid.t.size // 8, 1)]
     ref = evolve(prob.generator_symbol(), prob.data, None,
@@ -225,7 +226,7 @@ def test_nlw_energy_conserved():
     grid = build_solver_grid(2, (0.5, 2.0), prob.p, 8.0, _speed(prob))
     fld, trace = picard_solve(prob, pairs, 8.0, grid=grid)
     assert trace.converged
-    fgrid, a = fld.freq
+    fgrid, a = fld.solver_grid.freq, fld.coeff
     om = sphere_area(2)
     kin = 0.5 * om * np.sum(fgrid.weights * np.abs(a) ** 2 * fgrid.nodes, axis=1)
     pot = om * prob.mu / (prob.p + 2.0) * np.sum(
@@ -288,7 +289,7 @@ def test_mass_drift_improves_under_time_refinement():
 
 
 def _pulled_back(fld, omega):
-    fgrid, coeff = fld.freq
+    fgrid, coeff = fld.solver_grid.freq, fld.coeff
     return fgrid, np.exp(-1j * np.outer(fld.grid.t_nodes, omega)) * coeff
 
 
@@ -299,14 +300,14 @@ def test_scattering_deviation_matches_sobolev_loop():
     fld, _ = picard_solve(prob, pairs, 4.0, max_iter=6)
     gen = prob.generator_symbol()
     diag = scattering_state(fld, gen, -0.1)
-    fgrid, pull = _pulled_back(fld, gen.phi(fld.freq[0].nodes))
+    fgrid, pull = _pulled_back(fld, gen.phi(fld.solver_grid.freq.nodes))
     ref = np.array([sobolev_norm(RadialProfile(fgrid, row - pull[-1], 2), -0.1) for row in pull])
     assert np.max(np.abs(np.asarray(diag.deviation) - ref)) <= 1e-14 * ref.max()
 
     wprob, wpairs = _nlw_problem(delta=0.3)
     wfld, _ = picard_solve(wprob, wpairs, 4.0)
     wdiag = wave_scattering_state(wfld, 0.3)
-    fgrid, pull = _pulled_back(wfld, wfld.freq[0].nodes)
+    fgrid, pull = _pulled_back(wfld, wfld.solver_grid.freq.nodes)
     u, u_t = pull.imag / fgrid.nodes, pull.real
     wref = np.array([
         sobolev_norm(RadialProfile(fgrid, u[i] - u[-1], 2), 0.3)
@@ -318,11 +319,10 @@ def test_scattering_deviation_matches_sobolev_loop():
     # a non-finite trajectory is still refused
     for field, measure in [(fld, lambda f: scattering_state(f, gen, -0.1)),
                            (wfld, lambda f: wave_scattering_state(f, 0.3))]:
-        fgrid, coeff = field.freq
-        bad = coeff.copy()
+        bad = field.coeff.copy()
         bad[3, 7] = np.nan
         with pytest.raises(ValueError):
-            measure(dataclasses.replace(field, freq=(fgrid, bad)))
+            measure(dataclasses.replace(field, coeff=bad))
 
 
 def _solve_record(prob, pairs, grid):
@@ -346,7 +346,7 @@ def test_seeds_on_one_grid_match_fresh_grids():
         ref_fld, ref_trace, ref_diag = _solve_record(prob, pairs, fresh)
         assert trace == ref_trace
         assert np.array_equal(fld.values, ref_fld.values)
-        assert np.array_equal(fld.freq[1], ref_fld.freq[1])
+        assert np.array_equal(fld.coeff, ref_fld.coeff)
         assert diag.deviation == ref_diag.deviation
         assert np.array_equal(diag.u_plus.values, ref_diag.u_plus.values)
 
@@ -367,7 +367,7 @@ def test_table_does_not_outlive_its_time_grid():
     ref_fld, ref_trace, ref_diag = _solve_record(prob, pairs, dataclasses.replace(grid(), t=t_fine))
     assert trace == ref_trace
     assert np.array_equal(fld.values, ref_fld.values)
-    assert np.array_equal(fld.freq[1], ref_fld.freq[1])
+    assert np.array_equal(fld.coeff, ref_fld.coeff)
     assert diag.deviation == ref_diag.deviation
 
 
@@ -385,3 +385,35 @@ def test_band_limited_first_synthesis():
     assert 0 < np.count_nonzero(h0) < 0.5 * s.size
     full = grid.to_physical(np.exp(1j * np.outer(grid.t, prob.generator_symbol().phi(s))) * h0)
     assert np.max(np.abs(fld.values - full)) <= 4e-15 * np.max(np.abs(full))
+
+
+def test_nlw_field_stays_real():
+    # the wave field u = Im(a) / s is real and is kept as float64, not as a
+    # complex copy twice its size: the last synthesis, bit for bit
+    prob, pairs = _nlw_problem(delta=0.3)
+    fld, trace = picard_solve(prob, pairs, 4.0)
+    assert trace.converged and len(trace.diff_norms) > 0
+    assert fld.values.dtype == np.float64
+    s = fld.solver_grid.freq.nodes
+    assert np.array_equal(fld.values, fld.solver_grid.to_physical(fld.coeff.imag / s))
+
+
+@pytest.mark.parametrize("experiment, args", [
+    (nls_small_data_experiment, (2, Fraction(-1, 10), 1e-3)),
+    (nlw_small_data_experiment, (2, Fraction(3, 10), 1e-3)),
+    (fnls_experiment, (2, 1.5, 1.5, 0.0, 1e-3)),
+], ids=["nls", "nlw", "fnls"])
+def test_experiment_builds_one_grid(monkeypatch, experiment, args):
+    # every seed after the first is solved on the first solve's grid
+    build = nonlinear.build_solver_grid
+    calls = []
+
+    def counting(*a, **kw):
+        calls.append(a)
+        return build(*a, **kw)
+
+    monkeypatch.setattr(nonlinear, "build_solver_grid", counting)
+    for seeds in ([0], [0, 1, 2]):
+        calls.clear()
+        rep = experiment(*args, seeds=seeds, T=2.0)
+        assert len(calls) == 1 and len(rep.runs) == len(seeds)
