@@ -173,7 +173,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
 
     common = {"symbol": ("schrodinger", SYMBOL), "n": (2, DIM)}
     solver = {"delta": (1e-3, POSITIVE), "seeds": ("0..3", INTS), "T": (16.0, POSITIVE)}
-    add("propagate", **common, k=(0, INDEX), t=("0,1,2", TIMES), rmax=(40.0, POSITIVE))
+    add("propagate", **common, k=(0, INDEX), t=("0,1,2", TIMES), rmax=(None, POSITIVE))
     add("split", **common, k=(0, INDEX), j=(4, INDEX), t=("0,1,2", TIMES))
     add("norm-sweep", **common, k=(0, INDEX), q=("4", NORM_EXPONENT), T0=(64.0, POSITIVE))
     add("fit-k", **common, q=("4", NORM_EXPONENT), k=("-3..3", SLOPE), T0=(64.0, POSITIVE))
@@ -400,7 +400,9 @@ def _dispatch(args, v) -> RunReport:
         tv = np.asarray(v.t)
         if tv[0] > 0:
             tv = np.concatenate([[0.0], tv])
-        r = np.linspace(1e-6, v.rmax, 1200)
+        # a band-k packet is about 2^-k wide: the default range grows with it
+        rmax = v.rmax if v.rmax is not None else 40.0 * 2.0 ** max(-v.k, 0)
+        r = np.linspace(1e-6, rmax, 1200)
         fld = evolve(v.symbol, prof, v.k, PhysicalGrid(r, tv))
         target = l2_norm(project(prof, v.k))
         measure = trapezoid_weights(r) * r ** (v.n - 1)
@@ -408,7 +410,7 @@ def _dispatch(args, v) -> RunReport:
         dev = max(abs(x - target) for x in l2) / target
         rows = [{"t": float(t), "l2": x} for t, x in zip(tv, l2)]
         return RunReport(cmd, cfg, "PASS" if dev <= 1e-3 else "FAIL",
-                         {"unitarity_deviation": dev}, rows,
+                         {"unitarity_deviation": dev, "rmax": rmax}, rows,
                          field=(fld, {"symbol": v.symbol.name, "k": v.k}))
     if cmd == "split":
         from .grids import PhysicalGrid

@@ -29,7 +29,6 @@ from .admissibility import (
     q_threshold,
     dual,
 )
-from .bessel import kernel_matrix, real_matmul
 from .cutoffs import dyadic_cutoff, smooth_bump
 from .dispersion import DispersionSymbol, fractional_symbol, regime_exponents
 from .errors import (
@@ -44,14 +43,14 @@ from .fastfield import (
     DEFAULT_SAMPLER,
     BandFieldSampler,
     SamplerConfig,
-    _chirp_z,
-    _ChirpZ,
     band_beat,
     band_norm_adaptive,
     band_plan,
+    chirp_z,
     octave_ladder,
 )
-from .grids import band_edges, trapezoid_weights
+from .grids import band_edges, trapezoid_weights, uniform_grid
+from .nonlinear import SolverGrid
 from .propagator import duhamel_coefficients
 from .transform import canonical_band_amplitude, spacetime_norm, sphere_area
 
@@ -413,10 +412,8 @@ def strichartz_l6_check(symbol: DispersionSymbol, k_range: Sequence[int]) -> Exp
         tail = 60.0 * 2.0 ** (-k)
         m_pts = int(np.ceil((T * (plan.vmax - plan.vmin) + 2 * tail) / dr)) + 1
         # one fused plan, as in the sampler: the weighted data on the input
-        # side, the output origin e^{i j dr s_0} on the output side
-        cz = _chirp_z(plan.s.size, m_pts, dr * plan.ds)
-        fused = _ChirpZ(g * plan.ws * cz.pre, cz.kernel,
-                        cz.post * np.exp(1j * dr * plan.s[0] * np.arange(m_pts)))
+        # side; the radius origin u_0 enters per slice
+        fused = chirp_z(plan.s, 0.0, dr, m_pts, pre=g * plan.ws)
         acc = 0.0
         for t, w in zip(t_nodes, wt):
             # J(t, r) = int g e^{i(r s - t phi)} ds = e^{-i t c0} x CZT in the
@@ -660,12 +657,10 @@ def counterexample_schrodinger(
         u = np.linspace(-(2.0**j), 2.0**j, int(128 * density) + 1)
         wr = trapezoid_weights(r)
         wu = trapezoid_weights(u) / 2.0  # dt = du/2 at fixed r
-        t_grid = (r[None, :] - u[:, None]) / 2.0
-        # I(t, r) = int h(s) e^{i(t s^2 - r s)} ds on the (u, r) region
-        acc = np.zeros((u.size, r.size), dtype=complex)
-        for si, wsi, hi in zip(s, ws, h):
-            acc += (wsi * hi) * np.exp(1j * (t_grid * si**2 - r[None, :] * si))
-        mag = np.abs(acc)
+        # I(t, r) = int h(s) e^{i(t s^2 - r s)} ds on the (u, r) region; at
+        # t = (r - u) / 2 the phase separates as -u s^2 / 2 + r (s^2 / 2 - s)
+        mag = np.abs((np.exp(-0.5j * np.outer(u, s**2)) * (ws * h))
+                     @ np.exp(1j * np.outer(s**2 / 2.0 - s, r)))
         weight = r ** ((n - 1) * (1 - q / 2.0))
         power = float(np.sum(wu[:, None] * wr[None, :] * mag**q * weight[None, :]))
         logs.append(math.log2(power ** (1.0 / q)))
@@ -745,9 +740,9 @@ def retarded_strichartz_check(
     from L^{qt'} L^{rt'} to L^q L^r for randomized band-limited forcings on
     0 <= t <= 24; PASS when every ratio is at most 20.
 
-    Forcing and response are synthesized on one uniform frequency grid
-    (at most 0.5 rad of time phase per step) through one folded kernel
-    s^(n-1) K_n(s r)."""
+    Forcing and response are synthesized on one nonlinear.SolverGrid: a
+    uniform frequency grid (at most 0.5 rad of time phase per step) and a
+    uniform radius grid, both with trapezoid weights."""
     q, r = (parse_exponent(pair[0]), parse_exponent(pair[1]))
     qt, rt = (parse_exponent(pair_t[0]), parse_exponent(pair_t[1]))
     family = "wave" if symbol.name == "wave" else "schrodinger"
@@ -763,17 +758,14 @@ def retarded_strichartz_check(
     k = 0
     lo, hi = band_edges(k)
     sup_dp = symbol.sup_dphi(lo, hi)
-    ns = max(int((hi - lo) * T * sup_dp / 0.5), 512)
-    s = np.linspace(lo, hi, ns)
-    ws = trapezoid_weights(s)
-    omega = symbol.phi(s)
-    t_nodes = np.linspace(0.0, T, 384)
     r_max = 1.1 * T * sup_dp + 60.0
-    r_nodes = np.linspace(1e-6, r_max, int(r_max / (np.pi / (6.0 * hi))) + 2)
-    measure = trapezoid_weights(r_nodes) * r_nodes ** (n - 1)
+    grid = SolverGrid.on(
+        n, uniform_grid(lo, hi, max(int((hi - lo) * T * sup_dp / 0.5), 512)),
+        uniform_grid(1e-6, r_max, int(r_max / (np.pi / (6.0 * hi))) + 2),
+        np.linspace(0.0, T, 384))
+    s, t_nodes = grid.freq.nodes, grid.t
+    omega = symbol.phi(s)
     wt = trapezoid_weights(t_nodes)
-    kernel = kernel_matrix(n, s, r_nodes)
-    kernel *= (s ** (n - 1))[:, None]
     qtd, rtd = float(dual(qt)), float(dual(rt))
     ratios = []
     for trial in range(trials):
@@ -782,8 +774,9 @@ def retarded_strichartz_check(
         env = np.exp(-((t_nodes - T / 4.0) ** 2) / (2 * width**2))
         fvals = env[:, None] * amp(s)[None, :]
         coeff = duhamel_coefficients(omega, t_nodes, fvals)
-        num = spacetime_norm(real_matmul(coeff, kernel, ws), measure, wt, n, float(q), float(r))
-        den = spacetime_norm(real_matmul(fvals, kernel, ws), measure, wt, n, qtd, rtd)
+        num = spacetime_norm(grid.to_physical(coeff), grid.anal_weights, wt, n,
+                             float(q), float(r))
+        den = spacetime_norm(grid.to_physical(fvals), grid.anal_weights, wt, n, qtd, rtd)
         ratios.append(num / den)
     mx = float(np.max(ratios))
     return BoundReport(tuple(ratios), mx, 20.0, mx <= 20.0,

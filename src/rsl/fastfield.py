@@ -20,7 +20,7 @@ range at r_c = x_min / s_min:
     so the dyadic annuli up to [8, 16] are carried by the exact kernel.
 
 The chirp-Z transform is an in-house Bluestein convolution on scipy.fft
-(`_chirp_z`).  The sampler fuses every slice-independent factor once: the
+(`chirp_z`).  The sampler fuses every slice-independent factor once: the
 powers s_pow with the pre-chirp and the radius origin on the input side,
 and the expansion weights with the post-chirp and the grid-origin phase on
 the output side.  The minus-sign transform runs as the conjugate of a
@@ -87,9 +87,9 @@ class _ChirpZ:
     post-chirped; the convolution is circular at length L >= n + m_out - 1,
     with the lags d = j - m < 0 wrapped to L + d."""
 
-    pre: np.ndarray      # e^{i theta m^2 / 2}, m < n
+    pre: np.ndarray      # e^{i theta m^2 / 2}, m < n, times the input weights
     kernel: np.ndarray   # FFT of the wrapped chirp e^{-i theta d^2 / 2}, length L
-    post: np.ndarray     # e^{i theta j^2 / 2}, j < m_out
+    post: np.ndarray     # e^{i theta j^2 / 2}, j < m_out, times the output weights
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         y = fft(x * self.pre, self.kernel.size, axis=-1)
@@ -97,16 +97,22 @@ class _ChirpZ:
         return ifft(y, axis=-1)[..., : self.post.shape[-1]] * self.post
 
 
-def _chirp_z(n: int, m: int, theta: float) -> _ChirpZ:
+def chirp_z(s: np.ndarray, r0: float, dr: float, m: int, pre=1.0, post=1.0) -> _ChirpZ:
+    """Plan for y_j = post_j sum_k pre_k x_k e^{i r_j s_k} on the uniform
+    frequency nodes s and the radii r_j = r0 + j dr, j < m.  With
+    r_j s_k = r0 s_k + j dr s_0 + j k dr ds, the origin phases e^{i r0 s} and
+    e^{i j dr s_0} are fused with the weights pre (input side) and post
+    (output side) around a Bluestein transform at theta = dr ds."""
+    n = s.size
     L = next_fast_len(n + m - 1)
-    half = 0.5 * theta
+    half = 0.5 * (dr * (s[1] - s[0]))
     h = np.zeros(L, dtype=complex)
     h[:m] = np.exp(-1j * half * np.arange(m) ** 2)
     h[L - n + 1:] = np.exp(-1j * half * np.arange(n - 1, 0, -1) ** 2)
     return _ChirpZ(
-        np.exp(1j * half * np.arange(n) ** 2),
+        pre * (np.exp(1j * r0 * s) * np.exp(1j * half * np.arange(n) ** 2)),
         fft(h),
-        np.exp(1j * half * np.arange(m) ** 2),
+        post * (np.exp(1j * half * np.arange(m) ** 2) * np.exp(1j * dr * s[0] * np.arange(m))),
     )
 
 
@@ -214,7 +220,7 @@ class BandFieldSampler:
         # 2 pi / ds - t phi' must stay beyond r_hi for every |t| <= T
         plan = band_plan(symbol, k, T, config.policy, span=r_hi + T * sup_dp + margin)
         self.c0, self.c1, self.s, self.ds = plan.c0, plan.c1, plan.s, plan.ds
-        ns, ws = self.s.size, plan.ws
+        ws = plan.ws
         kappa = 0.9 * config.policy.max_phase_step
         self.g = np.asarray(amplitude(self.s), dtype=complex)
         self.c_base = self.g * ws
@@ -276,16 +282,10 @@ class BandFieldSampler:
             p_idx = np.arange(b.size)[:, None]
             s_pow = (self.s ** ((n - 1) / 2.0))[None, :] * (HANKEL_X_MIN / self.s)[None, :] ** p_idx
             r_pow = (self.r_out ** (-(n - 1) / 2.0))[None, :] * (1.0 / self.r_out)[None, :] ** p_idx
-            m = self.r_out.size
-            cz = _chirp_z(ns, m, dr * self.ds)
             beta = (n - 1) * np.pi / 4.0
-            j_phase = np.exp(1j * dr * self.s[0] * np.arange(m))
-            self.outer = _ChirpZ(
-                s_pow * (np.exp(1j * self.r_out[0] * self.s) * cz.pre),
-                cz.kernel,
-                (np.exp(-1j * beta) / np.sqrt(2.0 * np.pi)) * b[:, None] * r_pow
-                * (cz.post * j_phase),
-            )
+            self.outer = chirp_z(
+                self.s, self.r_out[0], dr, self.r_out.size, pre=s_pow,
+                post=(np.exp(-1j * beta) / np.sqrt(2.0 * np.pi)) * b[:, None] * r_pow)
             # phi - c0 = c1 s + rho: the envelope phase per unit time
             self.phase_rate = plan.rho + plan.c1 * self.s
         # octave time grid on [0, T] (amplitude real => |F| even in t)

@@ -92,7 +92,6 @@ class SolverGrid:
 
     freq: FrequencyGrid
     r: np.ndarray
-    wr: np.ndarray
     t: np.ndarray
     kernel: np.ndarray          # (n_s, n_r): K_n(s r)
     synth_weights: np.ndarray   # (n_s,): ws s^(n-1)
@@ -111,6 +110,15 @@ class SolverGrid:
         """The analysis matrix (n_r, n_s), before the weights anal_weights:
         the transpose view of the kernel."""
         return self.kernel.T
+
+    @classmethod
+    def on(cls, n: int, freq: FrequencyGrid, rgrid: FrequencyGrid, t: np.ndarray) -> "SolverGrid":
+        """The pair between the nodes of `freq` and `rgrid` (its weights wr)
+        in dimension n at times t: the kernel K_n(s r), the synthesis weights
+        ws s^(n-1) and the analysis weights wr r^(n-1)."""
+        s, r = freq.nodes, rgrid.nodes
+        return cls(freq, r, t, kernel_matrix(n, s, r), freq.weights * s ** (n - 1),
+                   rgrid.weights * r ** (n - 1))
 
     def free_group(self, omega: np.ndarray) -> np.ndarray:
         """The read-only table e^{i t omega(s)} on t x freq.nodes for the
@@ -156,14 +164,9 @@ def build_solver_grid(
     r_max = 1.15 * T * group_speed + r_margin
     n_pan_s = int(np.ceil((s_hi - s_lo) * r_max / 4.0)) + 2
     n_pan_r = int(np.ceil(r_max * s_hi / 4.0)) + 2
-    freq = gauss_panel_grid(s_lo, s_hi, n_pan_s)
-    rgrid = gauss_panel_grid(1e-9, r_max, n_pan_r)
-    r, wr = rgrid.nodes, rgrid.weights
-    s = freq.nodes
     nt = int(np.ceil(T * (p + 1.0) * max(abs(s_hi_d) ** 2, 1.0) * 8.0 / np.pi)) + 1
-    t = np.linspace(0.0, T, max(nt, 65))
-    return SolverGrid(freq, r, wr, t, kernel_matrix(n, s, r), freq.weights * s ** (n - 1),
-                      wr * r ** (n - 1))
+    return SolverGrid.on(n, gauss_panel_grid(s_lo, s_hi, n_pan_s),
+                         gauss_panel_grid(1e-9, r_max, n_pan_r), np.linspace(0.0, T, max(nt, 65)))
 
 
 # --------------------------------------------------------------------------
@@ -182,10 +185,12 @@ class PicardTrace:
 
 @dataclass(frozen=True)
 class SolverField(SpaceTimeField):
-    """A Picard solution with the solver grid it was computed on.  `coeff`
-    is its frequency trajectory on that grid's times and `solver_grid.freq`
-    nodes; the scattering pullbacks read the grid's free-group tables."""
+    """A Picard solution of `problem` with the solver grid it was computed
+    on.  `coeff` is its frequency trajectory on that grid's times and
+    `solver_grid.freq` nodes; the scattering pullback reads the grid's
+    free-group table of the problem's generator."""
 
+    problem: NonlinearProblem = field(kw_only=True, repr=False, compare=False)
     solver_grid: SolverGrid = field(kw_only=True, repr=False, compare=False)
     coeff: np.ndarray = field(kw_only=True, repr=False, compare=False)
 
@@ -315,7 +320,7 @@ def picard_solve(
         {"band": band, "T": T, "pair": qr},
     )
     fld = SolverField(PhysicalGrid(grid.r, t), phys, problem.n, source="duhamel",
-                      solver_grid=grid, coeff=coeff)
+                      problem=problem, solver_grid=grid, coeff=coeff)
     return fld, trace
 
 
@@ -328,34 +333,26 @@ def _sobolev_rows(fgrid: FrequencyGrid, rows: np.ndarray, n: int, s: float) -> n
     return radial_norm(rows, fgrid.weights * fgrid.nodes ** (2.0 * s + n - 1), n, 2)
 
 
-def scattering_state(field: SolverField, symbol: DispersionSymbol, s: float) -> ScatteringDiagnostic:
-    """Pull the stored frequency trajectory back along the free group and
-    report || v(t) - v(T) ||_{H^s-dot} on the time grid."""
+def scattering_state(field: SolverField, s: float) -> ScatteringDiagnostic:
+    """Pull the stored frequency trajectory back along the free group of
+    `field.problem` and report || v(t) - v(T) || on the time grid: in
+    H^s-dot, or for NLW, whose a = u_t + i s u is read back in place as the
+    pair (u, u_t) = (Im / s, Re), in the product norm H^s-dot x H^(s-1)-dot."""
     fgrid = field.solver_grid.freq
-    pullback = np.conj(field.solver_grid.free_group(symbol.phi(fgrid.nodes)))
-    pullback *= field.coeff
-    v_plus = pullback[-1].copy()
-    pullback -= v_plus
-    devs = _sobolev_rows(fgrid, pullback, field.n, s)
-    return ScatteringDiagnostic(tuple(devs.tolist()), RadialProfile(fgrid, v_plus, field.n))
-
-
-def wave_scattering_state(field: SolverField, s_w: float) -> ScatteringDiagnostic:
-    """Free-group pullback of a = u_t + i s u, read back as the pair
-    (u, u_t) = (Im / s, Re); deviation in the product norm
-    H^{s_w}-dot x H^{s_w - 1}-dot."""
-    fgrid = field.solver_grid.freq
-    s = fgrid.nodes
-    pull = np.conj(field.solver_grid.free_group(s))
+    nodes = fgrid.nodes
+    pull = np.conj(field.solver_grid.free_group(field.problem.generator_symbol().phi(nodes)))
     pull *= field.coeff
-    u, u_t = pull.imag, pull.real     # views: (u, u_t) is formed in place
-    u /= s
-    u_plus = u[-1].copy()
-    u -= u_plus
-    u_t -= u_t[-1].copy()
-    devs = (_sobolev_rows(fgrid, u, field.n, s_w)
-            + _sobolev_rows(fgrid, u_t, field.n, s_w - 1.0))
-    return ScatteringDiagnostic(tuple(devs.tolist()), RadialProfile(fgrid, u_plus, field.n))
+    if field.problem.kind == "nlw":
+        u, u_t = pull.imag, pull.real     # views: (u, u_t) is formed in place
+        u /= nodes
+        parts = ((u, s), (u_t, s - 1.0))
+    else:
+        parts = ((pull, s),)
+    v_plus = parts[0][0][-1].copy()
+    for rows, _ in parts:
+        rows -= rows[-1].copy()
+    devs = sum(_sobolev_rows(fgrid, rows, field.n, reg) for rows, reg in parts)
+    return ScatteringDiagnostic(tuple(devs.tolist()), RadialProfile(fgrid, v_plus, field.n))
 
 
 # --------------------------------------------------------------------------
@@ -485,7 +482,7 @@ def nls_small_data_experiment(n: int, s_sch, delta: float, seeds: Sequence[int],
         return NonlinearProblem("nls", n, p, mu=mu, data=data)
 
     def row(seed, problem, fld, trace):
-        diag = scattering_state(fld, problem.generator_symbol(), float(s_sch_f))
+        diag = scattering_state(fld, float(s_sch_f))
         return {
             "seed": seed,
             "mu": problem.mu,
@@ -519,7 +516,7 @@ def nlw_small_data_experiment(n: int, s_w, delta: float, seeds: Sequence[int],
         return NonlinearProblem("nlw", n, p, mu=mu, data=d0, data_velocity=d1)
 
     def row(seed, problem, fld, trace):
-        diag = wave_scattering_state(fld, float(s_w))
+        diag = scattering_state(fld, float(s_w))
         return {
             "seed": seed,
             "mu": problem.mu,
@@ -561,7 +558,7 @@ def fnls_experiment(n: int, sigma: float, p: float, s: float, delta: float,
                                             n, p + 2.0) ** (p + 2.0)
         energy = kin - pot
         e_drift = float(np.max(np.abs(energy - energy[0])) / max(abs(energy[0]), 1e-300))
-        diag = scattering_state(fld, problem.generator_symbol(), s)
+        diag = scattering_state(fld, s)
         return {
             "seed": seed,
             "converged": trace.converged,

@@ -333,6 +333,18 @@ def test_index_extremes_finish(line, status, tmp_path, capsys):
         assert set(json.loads(err)) == {"error", "detail"}
 
 
+@pytest.mark.parametrize("k", [-3, -5])
+def test_propagate_low_bands_pass(k, tmp_path):
+    # the default radius range grows with the packet width 2^-k: 40 2^-k
+    assert run(["propagate", f"--k={k}"], tmp_path, "p") == 0
+    results = json.loads((tmp_path / "p" / "report.json").read_text())["results"]
+    assert results["rmax"] == 40.0 * 2.0 ** -k
+    assert results["unitarity_deviation"] <= 1e-4
+    # an explicit --rmax is used as given
+    assert run(["propagate", f"--k={k}", "--rmax", "40"], tmp_path, "p40") == 1
+    assert json.loads((tmp_path / "p40" / "report.json").read_text())["results"]["rmax"] == 40.0
+
+
 SOLVE_COLUMNS = {
     "solve-nls": "seed,mu,converged,contraction,mass_drift,solution_norm,bound_constant,"
                  "final_deviation,max_tail_deviation,tail_decreasing",

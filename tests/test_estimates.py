@@ -316,6 +316,16 @@ def test_retarded_bounded_and_violations():
         retarded_strichartz_check(SCH, 2, (2, 2), (Fraction(10, 3), Fraction(10, 3)))
 
 
+@pytest.mark.parametrize("symbol, n, pair, ratios", [
+    (SCH, 2, (Fraction(10, 3), Fraction(10, 3)), (0.13270617372264765, 0.06565015992013813)),
+    (WAVE, 3, (4, 4), (0.022943414467727796, 0.009895753932208748)),
+])
+def test_retarded_ratios_pinned(symbol, n, pair, ratios):
+    # pinned to 1e-12: a change of the check's grids, kernel or weights moves them
+    rep = retarded_strichartz_check(symbol, n, pair, pair, trials=2)
+    np.testing.assert_allclose(rep.ratios, ratios, rtol=1e-12, atol=0.0)
+
+
 def test_retarded_fractional_gap_line():
     # sigma = 1.5, n = 2, symmetric pair on the gamma = 0 gap line: q = 7/2
     rep = retarded_strichartz_check(

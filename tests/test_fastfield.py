@@ -12,7 +12,7 @@ from rsl.bessel import HANKEL_X_MIN, hankel_phase_coeffs
 from rsl.dispersion import get_symbol
 from rsl.errors import OutOfRangeQ
 from rsl.estimates import canonical_band_amplitude
-from rsl.fastfield import BandFieldSampler, SamplerConfig, _chirp_z, band_norm_adaptive
+from rsl.fastfield import BandFieldSampler, SamplerConfig, band_norm_adaptive, chirp_z
 from rsl.grids import PhysicalGrid, band_edges, uniform_grid
 from rsl.propagator import evolve
 from rsl.transform import profile_from_fn
@@ -22,10 +22,9 @@ SCH = get_symbol("schrodinger")
 
 def _czt(c, s0, ds, r0, dr, m, sign):
     """sum_m c[m] e^{i sign r_j s_m} on r_j = r0 + j dr, s_m = s0 + m ds through
-    `_chirp_z`: the origins r0 and s0 enter as input and output phases."""
+    `chirp_z`, the minus sign as the plan on the reflected radii -r_j."""
     s = s0 + ds * np.arange(c.size)
-    plan = _chirp_z(c.size, m, sign * dr * ds)
-    return plan(c * np.exp(1j * sign * r0 * s)) * np.exp(1j * sign * dr * s0 * np.arange(m))
+    return chirp_z(s, sign * r0, sign * dr, m)(c)
 
 
 def test_czt_matches_direct_sum():

@@ -1,0 +1,27 @@
+"""Module boundaries of the rsl package: a module uses only the public
+names of another rsl module.  Read from the import statements with `ast`,
+so nothing is imported or run."""
+
+import ast
+from pathlib import Path
+
+import rsl
+
+SRC = Path(rsl.__file__).parent
+
+
+def _private_imports(path):
+    """(module, name) for every underscore name that `path` imports from
+    another rsl module."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "rsl"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.module or ".", alias.name
+
+
+def test_no_private_names_across_modules():
+    found = {f"{path.name}: {mod}.{name}"
+             for path in sorted(SRC.glob("*.py")) for mod, name in _private_imports(path)}
+    assert not found, sorted(found)

@@ -22,7 +22,6 @@ from rsl.nonlinear import (
     picard_solve,
     random_band_profile,
     scattering_state,
-    wave_scattering_state,
 )
 from rsl.propagator import evolve
 from rsl.transform import RadialProfile, sobolev_norm, sphere_area
@@ -124,7 +123,7 @@ def test_small_data_contraction_and_scattering():
     assert trace.converged
     assert trace.contraction_factor <= 0.5
     assert trace.mass_drift <= 1e-6
-    diag = scattering_state(fld, prob.generator_symbol(), -0.1)
+    diag = scattering_state(fld, -0.1)
     # linear-only pullback is constant; nonlinear deviation decays on the tail
     tail = np.asarray(diag.deviation)[len(diag.deviation) // 2:]
     assert tail[-2] <= 1e-2 * 1e-3
@@ -134,7 +133,7 @@ def test_scattering_pullback_constant_for_linear():
     prob = _nls_problem(seed=4, mu=0)
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
     fld, _ = picard_solve(prob, pairs, 8.0)
-    diag = scattering_state(fld, prob.generator_symbol(), -0.1)
+    diag = scattering_state(fld, -0.1)
     assert max(diag.deviation) < 1e-12
 
 
@@ -215,7 +214,7 @@ def test_nlw_linear_matches_dense_evolve():
                  PhysicalGrid(fld.grid.r_nodes, fld.grid.t_nodes[::step])).values.real
     assert np.max(np.abs(fld.values[::step] - ref)) / np.max(np.abs(ref)) <= 1e-8
     # the free pullback of a linear solution does not move
-    diag = wave_scattering_state(fld, 0.3)
+    diag = scattering_state(fld, 0.3)
     assert max(diag.deviation) <= 1e-12 * 1e-3
 
 
@@ -230,7 +229,7 @@ def test_nlw_energy_conserved():
     om = sphere_area(2)
     kin = 0.5 * om * np.sum(fgrid.weights * np.abs(a) ** 2 * fgrid.nodes, axis=1)
     pot = om * prob.mu / (prob.p + 2.0) * np.sum(
-        grid.wr * grid.r * np.abs(fld.values) ** (prob.p + 2.0), axis=1)
+        grid.anal_weights * np.abs(fld.values) ** (prob.p + 2.0), axis=1)
     energy = kin - pot
     assert np.ptp(energy) / energy[0] <= 1e-8
 
@@ -299,14 +298,14 @@ def test_scattering_deviation_matches_sobolev_loop():
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
     fld, _ = picard_solve(prob, pairs, 4.0, max_iter=6)
     gen = prob.generator_symbol()
-    diag = scattering_state(fld, gen, -0.1)
+    diag = scattering_state(fld, -0.1)
     fgrid, pull = _pulled_back(fld, gen.phi(fld.solver_grid.freq.nodes))
     ref = np.array([sobolev_norm(RadialProfile(fgrid, row - pull[-1], 2), -0.1) for row in pull])
     assert np.max(np.abs(np.asarray(diag.deviation) - ref)) <= 1e-14 * ref.max()
 
     wprob, wpairs = _nlw_problem(delta=0.3)
     wfld, _ = picard_solve(wprob, wpairs, 4.0)
-    wdiag = wave_scattering_state(wfld, 0.3)
+    wdiag = scattering_state(wfld, 0.3)
     fgrid, pull = _pulled_back(wfld, wfld.solver_grid.freq.nodes)
     u, u_t = pull.imag / fgrid.nodes, pull.real
     wref = np.array([
@@ -317,17 +316,16 @@ def test_scattering_deviation_matches_sobolev_loop():
     assert np.max(np.abs(np.asarray(wdiag.deviation) - wref)) <= 1e-14 * wref.max()
 
     # a non-finite trajectory is still refused
-    for field, measure in [(fld, lambda f: scattering_state(f, gen, -0.1)),
-                           (wfld, lambda f: wave_scattering_state(f, 0.3))]:
+    for field, s in ((fld, -0.1), (wfld, 0.3)):
         bad = field.coeff.copy()
         bad[3, 7] = np.nan
         with pytest.raises(ValueError):
-            measure(dataclasses.replace(field, coeff=bad))
+            scattering_state(dataclasses.replace(field, coeff=bad), s)
 
 
 def _solve_record(prob, pairs, grid):
     fld, trace = picard_solve(prob, pairs, 8.0, grid=grid, max_iter=6)
-    diag = scattering_state(fld, prob.generator_symbol(), -0.1)
+    diag = scattering_state(fld, -0.1)
     return fld, trace, diag
 
 
