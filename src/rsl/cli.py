@@ -234,69 +234,82 @@ def validate(args) -> tuple[list, argparse.Namespace]:
     return bad, values
 
 
-def _dispatch(args, v) -> RunReport:
-    """Runs `args.command` on the parsed flag values `v`."""
-    cmd = args.command
-    cfg = {k: val for k, val in vars(args).items() if k not in ("config", "output", "run_id")}
+def _verdict(ok) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _slope(fit, ok, index="k", residual=False, plot=True, xs=None, column="log2_norm") -> tuple:
+    """A fitted slope: one row per index (or per `xs`) and its log2 value,
+    the (index, value) plot unless `plot` is false."""
+    results = {"slope": fit.slope, "predicted": fit.predicted_slope}
+    if residual:
+        results["max_residual"] = fit.max_residual
+    rows = [{index: x, column: val}
+            for x, val in zip(fit.indices if xs is None else xs, fit.log_norms)]
+    return (_verdict(ok), results, rows,
+            list(zip(fit.indices, fit.log_norms)) if plot else None)
+
+
+def _ratios(rep, **extra) -> tuple:
+    """Bound ratios: one row per trial, PASS when the report's bound holds."""
+    return (_verdict(rep.passed), {"max_ratio": rep.max_ratio, **extra},
+            [{"trial": i, "ratio": r} for i, r in enumerate(rep.ratios)])
+
+
+def _growth(rep, verdict, results) -> tuple:
+    """A growth probe: one row per radius R, plotted against log2 R."""
+    return (verdict, results,
+            [{"R": R, "norm": val} for R, val in zip(rep.indices, rep.values)],
+            list(zip(np.log2(rep.indices), rep.values)))
+
+
+def _experiment(rep, ok, **extra) -> tuple:
+    """A solver experiment: one row per seed run."""
+    return (_verdict(ok),
+            {"all_converged": rep.all_converged, "max_contraction": rep.max_contraction, **extra},
+            [dict(r) for r in rep.runs])
+
+
+def _dispatch(cmd, v) -> tuple:
+    """Runs `cmd` on the parsed flag values `v`: the verdict, results and
+    optionally the rows, plot and field of its RunReport, in that order."""
     if cmd == "hypotheses":
         rep = verify_hypotheses(v.symbol, v.k)
-        return RunReport(cmd, cfg, "PASS" if rep.passed else "FAIL",
-                         {"symbol": v.symbol.name, "passed": rep.passed,
-                          "dphi_reference": rep.dphi_reference},
-                         rows=[{"k": o.k, "dphi_min": o.dphi_min, "dphi_max": o.dphi_max}
-                               for o in rep.octaves])
+        return (_verdict(rep.passed),
+                {"symbol": v.symbol.name, "passed": rep.passed,
+                 "dphi_reference": rep.dphi_reference},
+                [{"k": o.k, "dphi_min": o.dphi_min, "dphi_max": o.dphi_max} for o in rep.octaves])
     if cmd == "fit-k":
         fit = est.fit_frequency_scaling(v.symbol, v.n, v.q, v.k, T0=v.T0)
         ok = fit.predicted_slope is not None and abs(fit.slope - fit.predicted_slope) <= 0.1
-        rows = [{"k": k, "log2_norm": val} for k, val in zip(fit.indices, fit.log_norms)]
-        return RunReport(cmd, cfg, "PASS" if ok and fit.reliable else "FAIL",
-                         {"slope": fit.slope, "predicted": fit.predicted_slope,
-                          "max_residual": fit.max_residual}, rows,
-                         plot=list(zip(fit.indices, fit.log_norms)))
+        return _slope(fit, ok and fit.reliable, residual=True)
     if cmd == "fit-j":
         fit = est.fit_annulus_scaling(v.symbol, v.n, v.q, v.k, v.j, v.regime)
-        rows = [{"j": j, "log2_norm": val} for j, val in zip(fit.indices, fit.log_norms)]
-        return RunReport(cmd, cfg, "PASS" if fit.passed_upper else "FAIL",
-                         {"slope": fit.slope, "predicted": fit.predicted_slope,
-                          "max_residual": fit.max_residual}, rows,
-                         plot=list(zip(fit.indices, fit.log_norms)))
+        return _slope(fit, fit.passed_upper, index="j", residual=True)
     if cmd == "norm-sweep":
         # L^q_{t,x}: the r column repeats q
         q = float(v.q)
         res = est.measure_frequency_norms(v.symbol, v.n, [q], [v.k], T0=v.T0)[q][v.k]
-        return RunReport(cmd, cfg, "INFO",
-                         {"norm": res.norm, "T": res.T, "converged": res.converged},
-                         rows=[{"symbol": v.symbol.name, "n": v.n, "k": v.k, "j": "",
-                                "q": q, "r": q, "T": res.T, "value": res.norm}])
+        return ("INFO", {"norm": res.norm, "T": res.T, "converged": res.converged},
+                [{"symbol": v.symbol.name, "n": v.n, "k": v.k, "j": "",
+                  "q": q, "r": q, "T": res.T, "value": res.norm}])
     if cmd == "smoothing":
         rep = est.smoothing_lemma_check(v.symbol, v.k, float(v.q), v.trials, v.seed)
-        return RunReport(cmd, cfg, "PASS" if rep.passed else "FAIL",
-                         {"max_ratio": rep.max_ratio, "bound": rep.bound_constant},
-                         rows=[{"trial": i, "ratio": r} for i, r in enumerate(rep.ratios)])
+        return _ratios(rep, bound=rep.bound_constant)
     if cmd == "maximal":
         fit = est.maximal_check(v.a, v.k, v.samples)
-        ok = abs(fit.slope - fit.predicted_slope) <= 0.1
-        return RunReport(cmd, cfg, "PASS" if ok else "FAIL",
-                         {"slope": fit.slope, "predicted": fit.predicted_slope},
-                         rows=[{"k": k, "log2_norm": val}
-                               for k, val in zip(fit.indices, fit.log_norms)],
-                         plot=list(zip(fit.indices, fit.log_norms)))
+        return _slope(fit, abs(fit.slope - fit.predicted_slope) <= 0.1)
     if cmd == "hls":
         rep = est.hls_bilinear_check(v.q, v.n, refinements=v.refinements)
-        return RunReport(cmd, cfg, "PASS" if rep.passed else "FAIL",
-                         {"max_ratio": rep.max_ratio, "stability": rep.meta["stability"]},
-                         rows=[{"trial": i, "ratio": r} for i, r in enumerate(rep.ratios)])
+        return _ratios(rep, stability=rep.meta["stability"])
     if cmd == "counter-wave":
         rep = est.counterexample_wave(v.n, v.q, v.R)
-        verdict = "PASS" if rep.diverges else "FAIL"
+        ok = rep.diverges
         qc = 2.0 * v.n / (v.n - 1)
         if float(v.q) > qc + 1e-9:  # control: saturation expected
-            verdict = "PASS" if rep.saturated else "FAIL"
-        return RunReport(cmd, cfg, verdict,
-                         {"monotone": rep.monotone, "saturated": rep.saturated,
-                          "slope_vs_logR": rep.slope},
-                         rows=[{"R": R, "norm": val} for R, val in zip(rep.indices, rep.values)],
-                         plot=list(zip(np.log2(rep.indices), rep.values)))
+            ok = rep.saturated
+        return _growth(rep, _verdict(ok), {"monotone": rep.monotone, "saturated": rep.saturated,
+                                          "slope_vs_logR": rep.slope})
     if cmd == "counter-schrodinger":
         fit = est.counterexample_schrodinger(v.n, v.q, v.j)
         endpoint = abs(float(v.q) - (4 * v.n + 2) / (2 * v.n - 1)) < 1e-9
@@ -304,46 +317,29 @@ def _dispatch(args, v) -> RunReport:
             ok = abs(fit.slope) <= 0.05
         else:
             ok = fit.slope >= fit.predicted_slope - 0.05 and fit.slope > 0
-        return RunReport(cmd, cfg, "PASS" if ok else "FAIL",
-                         {"slope": fit.slope, "predicted": fit.predicted_slope},
-                         rows=[{"j": j, "log2_norm": val}
-                               for j, val in zip(fit.indices, fit.log_norms)],
-                         plot=list(zip(fit.indices, fit.log_norms)))
+        return _slope(fit, ok, index="j")
     if cmd == "knapp":
         fit = est.knapp_fractional(v.sigma, v.deltas, float(v.q), float(v.r))
-        ok = abs(fit.slope - fit.predicted_slope) <= 0.1
-        return RunReport(cmd, cfg, "PASS" if ok else "FAIL",
-                         {"slope": fit.slope, "predicted": fit.predicted_slope},
-                         rows=[{"delta": d, "log2_ratio": val}
-                               for d, val in zip(v.deltas, fit.log_norms)],
-                         plot=list(zip(fit.indices, fit.log_norms)))
+        return _slope(fit, abs(fit.slope - fit.predicted_slope) <= 0.1, index="delta",
+                      xs=v.deltas, column="log2_ratio")
     if cmd == "l6":
         fit = est.strichartz_l6_check(v.symbol, v.k)
-        ok = fit.slope <= fit.predicted_slope + 0.1
-        return RunReport(cmd, cfg, "PASS" if ok else "FAIL",
-                         {"slope": fit.slope, "predicted": fit.predicted_slope},
-                         rows=[{"k": k, "log2_norm": val}
-                               for k, val in zip(fit.indices, fit.log_norms)])
+        return _slope(fit, fit.slope <= fit.predicted_slope + 0.1, plot=False)
     if cmd == "retarded":
-        rep = est.retarded_strichartz_check(v.symbol, v.n, (v.q, v.r), (v.qt, v.rt),
-                                            trials=v.trials, seed=v.seed)
-        return RunReport(cmd, cfg, "PASS" if rep.passed else "FAIL",
-                         {"max_ratio": rep.max_ratio},
-                         rows=[{"trial": i, "ratio": r} for i, r in enumerate(rep.ratios)])
+        return _ratios(est.retarded_strichartz_check(v.symbol, v.n, (v.q, v.r), (v.qt, v.rt),
+                                                     trials=v.trials, seed=v.seed))
     if cmd == "admissible":
         if v.family == "schrodinger":
             adm_v = adm.is_radial_schrodinger_admissible(v.n, v.q, v.r)
-            verdict = "UNKNOWN" if adm_v.unknown else ("PASS" if adm_v.admissible else "FAIL")
-            res = {"admissible": adm_v.admissible, "boundary": adm_v.boundary,
-                   "unknown": adm_v.unknown}
-        else:
-            adm_v = adm.is_radial_wave_admissible(v.n, v.q, v.r)
-            verdict = "PASS" if adm_v.admissible else "FAIL"
-            res = {"admissible": adm_v.admissible, "exception_2_inf_3": adm_v.exception_2_inf_3}
-        return RunReport(cmd, cfg, verdict, res)
+            return ("UNKNOWN" if adm_v.unknown else _verdict(adm_v.admissible),
+                    {"admissible": adm_v.admissible, "boundary": adm_v.boundary,
+                     "unknown": adm_v.unknown})
+        adm_v = adm.is_radial_wave_admissible(v.n, v.q, v.r)
+        return (_verdict(adm_v.admissible),
+                {"admissible": adm_v.admissible, "exception_2_inf_3": adm_v.exception_2_inf_3})
     if cmd == "thresholds":
         th = adm.thresholds(v.n, v.p)
-        return RunReport(cmd, cfg, "INFO", {
+        return ("INFO", {
             "s0": th.s0,
             "s1": None if th.s1 is None else str(th.s1),
             "s2": None if th.s2 is None else str(th.s2),
@@ -351,46 +347,29 @@ def _dispatch(args, v) -> RunReport:
         })
     if cmd == "constants":
         rate = adm.kg_beam_constants(v.equation, v.n, v.q, v.k)
-        return RunReport(cmd, cfg, "INFO", {"log2_rate_per_k": str(rate), "float": float(rate)})
+        return "INFO", {"log2_rate_per_k": str(rate), "float": float(rate)}
     if cmd == "pairs":
         if v.equation == "nls":
             sel = adm.choose_pairs_nls(v.n, v.s, v.s if v.s_sch is None else v.s_sch)
         else:
             sel = adm.choose_pairs_nlw(v.n, v.s, theta=v.theta)
-        return RunReport(cmd, cfg, "INFO", {
-            "q": str(sel.q), "r": str(sel.r), "qt": str(sel.qt), "rt": str(sel.rt),
-            "p": str(sel.p), "case": sel.case,
-        })
+        return ("INFO", {"q": str(sel.q), "r": str(sel.r), "qt": str(sel.qt),
+                         "rt": str(sel.rt), "p": str(sel.p), "case": sel.case})
     if cmd == "solve-nls":
         rep = nls_small_data_experiment(v.n, v.s, v.delta, v.seeds, T=v.T)
-        ok = rep.all_converged and rep.max_contraction <= 0.5
-        return RunReport(cmd, cfg, "PASS" if ok else "FAIL", {
-            "all_converged": rep.all_converged,
-            "max_contraction": rep.max_contraction,
-            "max_mass_drift": rep.max_mass_drift,
-        }, rows=[dict(r) for r in rep.runs])
+        return _experiment(rep, rep.all_converged and rep.max_contraction <= 0.5,
+                           max_mass_drift=rep.max_mass_drift)
     if cmd == "solve-nlw":
         rep = nlw_small_data_experiment(v.n, v.s, v.delta, v.seeds, T=v.T)
-        ok = rep.all_converged and rep.max_contraction <= 0.5
-        return RunReport(cmd, cfg, "PASS" if ok else "FAIL", {
-            "all_converged": rep.all_converged,
-            "max_contraction": rep.max_contraction,
-            "case": rep.params["case"],
-        }, rows=[dict(r) for r in rep.runs])
+        return _experiment(rep, rep.all_converged and rep.max_contraction <= 0.5,
+                           case=rep.params["case"])
     if cmd == "solve-fnls":
         rep = fnls_experiment(v.n, v.sigma, v.p, float(v.s), v.delta, v.seeds, T=v.T)
-        ok = rep.all_converged and rep.max_mass_drift <= 1e-4
-        return RunReport(cmd, cfg, "PASS" if ok else "FAIL", {
-            "all_converged": rep.all_converged,
-            "max_contraction": rep.max_contraction,
-            "max_mass_drift": rep.max_mass_drift,
-        }, rows=[dict(r) for r in rep.runs])
+        return _experiment(rep, rep.all_converged and rep.max_mass_drift <= 1e-4,
+                           max_mass_drift=rep.max_mass_drift)
     if cmd == "conjecture-probe":
         rep = est.conjecture_probe(v.a, v.n, v.R, T=v.T)
-        return RunReport(cmd, cfg, "INFO",
-                         {"slope_sq_vs_logR": rep.slope, "saturated": rep.saturated},
-                         rows=[{"R": R, "norm": val} for R, val in zip(rep.indices, rep.values)],
-                         plot=list(zip(np.log2(rep.indices), rep.values)))
+        return _growth(rep, "INFO", {"slope_sq_vs_logR": rep.slope, "saturated": rep.saturated})
     if cmd == "propagate":
         from .grids import PhysicalGrid, trapezoid_weights
         from .propagator import evolve
@@ -408,10 +387,9 @@ def _dispatch(args, v) -> RunReport:
         measure = trapezoid_weights(r) * r ** (v.n - 1)
         l2 = [float(radial_norm(row, measure, v.n, 2)) for row in fld.values]
         dev = max(abs(x - target) for x in l2) / target
-        rows = [{"t": float(t), "l2": x} for t, x in zip(tv, l2)]
-        return RunReport(cmd, cfg, "PASS" if dev <= 1e-3 else "FAIL",
-                         {"unitarity_deviation": dev, "rmax": rmax}, rows,
-                         field=(fld, {"symbol": v.symbol.name, "k": v.k}))
+        return (_verdict(dev <= 1e-3), {"unitarity_deviation": dev, "rmax": rmax},
+                [{"t": float(t), "l2": x} for t, x in zip(tv, l2)], None,
+                (fld, {"symbol": v.symbol.name, "k": v.k}))
     if cmd == "split":
         from .grids import PhysicalGrid
         from .propagator import evolve, main_error_split
@@ -423,9 +401,8 @@ def _dispatch(args, v) -> RunReport:
         m, e = main_error_split(v.symbol, prof, v.k, grid)
         f = evolve(v.symbol, prof, v.k, grid)
         err = float(np.max(np.abs(m.values + e.values - f.values)) / np.max(np.abs(f.values)))
-        return RunReport(cmd, cfg, "PASS" if err <= 1e-6 else "FAIL",
-                         {"reassembly_error": err})
-    raise ConfigError(f"unknown command {args.command!r}")
+        return _verdict(err <= 1e-6), {"reassembly_error": err}
+    raise ConfigError(f"unknown command {cmd!r}")
 
 
 def main(argv=None) -> int:
@@ -447,7 +424,8 @@ def main(argv=None) -> int:
             print(json.dumps({"error": "invalid config", "violations": violations}),
                   file=sys.stderr)
             return 2
-        report = _dispatch(args, values)
+        cfg = {k: val for k, val in vars(args).items() if k not in ("config", "output", "run_id")}
+        report = RunReport(args.command, cfg, *_dispatch(args.command, values))
     except RslError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return 2

@@ -154,10 +154,18 @@ def _wave() -> DispersionSymbol:
     )
 
 
+def _massive(s, d: int):
+    """sqrt(1 + s^d) - 1 as s^d / (1 + sqrt(1 + s^d)): no cancellation, so
+    it keeps its s^d / 2 limit where 1 + s^d rounds to 1."""
+    sd = np.asarray(s, dtype=float) ** d
+    return sd / (1.0 + np.sqrt(1.0 + sd))
+
+
 def _klein_gordon() -> DispersionSymbol:
+    # sqrt(1 + s^2) less its value at s = 0: a global phase e^{-it}
     return DispersionSymbol(
         "klein-gordon",
-        phi=lambda s: np.sqrt(1.0 + np.asarray(s, dtype=float)**2),
+        phi=lambda s: _massive(s, 2),
         dphi=lambda s: s / np.sqrt(1.0 + s**2),
         d2phi=lambda s: (1.0 + s**2) ** (-1.5),
         m1=1.0, m2=2.0, alpha1=-1.0, alpha2=2.0,
@@ -165,9 +173,10 @@ def _klein_gordon() -> DispersionSymbol:
 
 
 def _beam() -> DispersionSymbol:
+    # sqrt(1 + s^4) less its value at s = 0: a global phase e^{-it}
     return DispersionSymbol(
         "beam",
-        phi=lambda s: np.sqrt(1.0 + np.asarray(s, dtype=float)**4),
+        phi=lambda s: _massive(s, 4),
         dphi=lambda s: 2.0 * s**3 / np.sqrt(1.0 + s**4),
         d2phi=lambda s: (6.0 * s**2 + 2.0 * s**6) / (1.0 + s**4) ** 1.5,
         m1=2.0, m2=4.0, alpha1=2.0, alpha2=4.0,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.fft import ifft
 
 from .admissibility import (
     is_radial_schrodinger_admissible,
@@ -295,7 +296,9 @@ def measure_annulus_norms(
             raise RegimeViolation(f"outer regime needs j + k >= 2, got j={j}, k={k}")
     amp = canonical_band_amplitude(n, k)
     lo, hi = band_edges(k)
-    min_dp = max(symbol.min_dphi(lo, hi), 1e-9)
+    min_dp = symbol.min_dphi(lo, hi)
+    if not min_dp > 0:
+        raise DomainError(f"{symbol.name}: min |phi'| over band {k} is {min_dp}, not positive")
     m = regime_exponents(symbol, k).m
     qs = [float(q) for q in qs]
     out = {q: {} for q in qs}
@@ -431,6 +434,9 @@ def strichartz_l6_check(symbol: DispersionSymbol, k_range: Sequence[int]) -> Exp
     return fit_line(list(k_range), logs, predicted)
 
 
+_MAXIMAL_BLOCK = 32  # time nodes per inverse-FFT call of `maximal_check`
+
+
 def maximal_check(
     a: float,
     k_range: Sequence[int],
@@ -467,11 +473,12 @@ def maximal_check(
         n_t = max(samples, min(int(2.0 * c_time * speed * width / 0.25) + 1, 8192))
         t_nodes = np.linspace(-c_time, c_time, n_t)
         best = np.zeros(n_fft)
-        c = np.zeros(n_fft, dtype=complex)
-        for t in t_nodes:
-            c[:n_xi] = f * np.exp(1j * t * xi**a)
-            mag = np.abs(np.fft.ifft(c)) * (n_fft * dxi)
-            np.maximum(best, mag, out=best)
+        c = np.zeros((_MAXIMAL_BLOCK, n_fft), dtype=complex)
+        for lo in range(0, n_t, _MAXIMAL_BLOCK):
+            t = t_nodes[lo:lo + _MAXIMAL_BLOCK]
+            c[:t.size, :n_xi] = f * np.exp(1j * np.multiply.outer(t, xi**a))
+            mag = np.abs(ifft(c[:t.size], axis=-1)) * (n_fft * dxi)
+            np.maximum(best, mag.max(axis=0), out=best)
         val = math.sqrt(float(np.sum(best**2) * dx))
         logs.append(math.log2(val))
     predicted = 0.5 if a == 1.0 else a / 4.0

@@ -5,7 +5,9 @@ the large windows the scaling sweeps need.  This engine splits the radius
 range at r_c = x_min / s_min:
 
   * inner block (r <= r_c): the kernel K_n(s r) is non-oscillatory there,
-    so a dense kernel matrix over a short radius grid is cheap;
+    so a dense kernel matrix over a short radius grid is cheap; it is
+    evaluated at every time slice, on a frequency grid that resolves the
+    full phase t phi(s) over the window |t| <= T;
 
   * outer block (r >= r_c): the kernel is replaced by its phase-extracted
     form K_n(sr) = Re[ sqrt(2/pi) (sr)^(-(n-1)/2) e^{i(sr - beta)} zeta((sr)) ]
@@ -51,7 +53,7 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from .bessel import HANKEL_X_MIN, hankel_phase_coeffs, kernel_matrix, real_matmul
 from .dispersion import DispersionSymbol
-from .errors import OutOfRangeQ, QuadratureUnderresolved
+from .errors import DomainError, OutOfRangeQ, QuadratureUnderresolved
 from .grids import (
     DEFAULT_POLICY,
     PANEL_ORDER,
@@ -164,10 +166,13 @@ def band_plan(symbol: DispersionSymbol, k: int, T: float, policy: QuadraturePoli
 
 
 def band_beat(symbol: DispersionSymbol, k: int) -> float:
-    """|phi(2^(k+1)) - phi(2^(k-1))| (at least 1e-12): the angular frequency
-    at which the envelope of band k beats."""
+    """|phi(2^(k+1)) - phi(2^(k-1))|: the angular frequency at which the
+    envelope of band k beats.  Raises DomainError unless it is positive."""
     slo, shi = band_edges(k)
-    return max(abs(float(symbol.phi(np.asarray(shi))) - float(symbol.phi(np.asarray(slo)))), 1e-12)
+    beat = abs(float(symbol.phi(np.asarray(shi))) - float(symbol.phi(np.asarray(slo))))
+    if not beat > 0:
+        raise DomainError(f"{symbol.name}: band {k} has beat {beat}, not positive")
+    return beat
 
 
 def octave_ladder(
@@ -237,13 +242,9 @@ class BandFieldSampler:
             n_pan = max(int(np.ceil((in_hi - in_lo) * 2.0 * shi / 4.0)), 3)
             rg_in = gauss_panel_grid(in_lo, in_hi, n_pan)
             self.r_in, w_in = rg_in.nodes, rg_in.weights
-            # the inner block sees the full multiplier; its own frequency grid
-            # is sized by the time horizon after which transport has emptied
-            # the inner region (the field there is then negligible by
-            # non-stationary phase, enforced via `t_inner_max`)
-            self.t_inner_max = (self.r_c + 100.0 * 2.0 ** (-k)) / max(plan.vmin, 1e-9)
-            t_in = min(T, self.t_inner_max)
-            ns_in = int(np.ceil((shi - slo) * max(t_in * sup_dp, 1.0) / kappa)) + 64
+            # the inner block sees the full multiplier on its own frequency
+            # grid, which resolves the phase t phi(s) for every |t| <= T
+            ns_in = int(np.ceil((shi - slo) * max(T * sup_dp, 1.0) / kappa)) + 64
             self.s_in = np.linspace(slo, shi, ns_in)
             ws_in = np.full(ns_in, self.s_in[1] - self.s_in[0])
             ws_in[0] *= 0.5
@@ -299,10 +300,8 @@ class BandFieldSampler:
         """F(t, .) on the radius grid `r`."""
         f = np.zeros(self.r.size, dtype=complex)
         n_in = self.r_in.size
-        if n_in and t <= self.t_inner_max:
+        if n_in:
             f[:n_in] = real_matmul(self.g_in * np.exp(1j * t * self.phis_in), self.K_in)
-        # past t_inner_max transport has left the inner region; the residual
-        # there is below the sampler's accuracy floor (non-stationary phase)
         if not self.r_out.size:
             return f
         # with v_m = c_m e^{i t (phi(s_m) - c0)}, the plus-sign sums

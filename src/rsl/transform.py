@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .bessel import kernel_panels
+from .bessel import kernel_panels, real_matmul
 from .cutoffs import dyadic_cutoff
 from .grids import FrequencyGrid, band_edges, require_resolution, uniform_grid
 
@@ -145,8 +145,7 @@ def fourier_bessel(profile: RadialProfile, r) -> np.ndarray:
     w = g.weights * profile.values * g.nodes ** (profile.n - 1)
     out = np.empty(r.size, dtype=complex)
     for rows, kernel in kernel_panels(profile.n, r, g.nodes):
-        # the complex product of each row, as the whole matrix would give it
-        out[rows] = kernel @ w
+        out[rows] = real_matmul(w, kernel.T)
     return out[0] if scalar else out
 
 

@@ -321,6 +321,7 @@ def test_bad_input_exits_2(line, tmp_path, capsys):
     ("norm-sweep --k=64", 0), ("norm-sweep --symbol wave --k=-64", 0),
     ("constants --k=-64", 0), ("hypotheses --k=-64..64", 0), ("l6 --k=-64..-63", 0),
     ("fit-j --j=-64..-63 --regime inner", 0), ("smoothing --k=64 --trials 1", 0),
+    ("fit-k --symbol beam --k=-64..-63", 0),
     ("propagate --k=64", 2), ("split --j=64", 2), ("split --k=-64", 2),
     ("fit-j --k=64 --j 3..4", 2), ("l6 --k 63..64", 2),
 ])

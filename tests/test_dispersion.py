@@ -120,3 +120,14 @@ def test_pure_power_scaling_identity():
     frac = get_symbol("fractional:1.5")
     for k in (-2, 2):
         np.testing.assert_allclose(frac.phi(2.0**k * s), 2.0 ** (1.5 * k) * frac.phi(s), rtol=1e-15)
+
+
+def test_massive_symbols_without_cancellation():
+    # sqrt(1 + s^d) - 1 is kept as s^d / (1 + sqrt(1 + s^d)): exactly s^d / 2
+    # where 1 + s^d rounds to 1, and zero at s = 0
+    s = 2.0 ** np.arange(-64.0, -30.0)
+    for name, d in (("klein-gordon", 2), ("beam", 4)):
+        sym = get_symbol(name)
+        assert np.array_equal(sym.phi(s), s**d / 2.0), name
+        assert sym.phi(np.asarray(0.0)) == 0.0
+        assert sym.phi(np.asarray(3.0)) == pytest.approx(np.sqrt(1.0 + 3.0**d) - 1.0, rel=1e-15)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from rsl.dispersion import fractional_symbol, get_symbol
+from rsl.dispersion import DispersionSymbol, fractional_symbol, get_symbol
 from rsl.errors import (
     AdmissibilityViolation,
     DomainError,
@@ -26,12 +26,13 @@ from rsl.estimates import (
     knapp_fractional,
     maximal_check,
     measure_annulus_norms,
+    measure_frequency_norms,
     predicted_exponent,
     retarded_strichartz_check,
     smoothing_lemma_check,
     strichartz_l6_check,
 )
-from rsl.fastfield import BandFieldSampler, band_norm_adaptive
+from rsl.fastfield import BandFieldSampler, band_beat, band_norm_adaptive
 from rsl.grids import PhysicalGrid, trapezoid_weights
 from rsl.propagator import evolve
 from rsl.transform import canonical_band_amplitude, canonical_band_profile, spacetime_norm
@@ -220,6 +221,32 @@ def test_measure_annulus_multi_q_shares_windows():
     res = measure_annulus_norms(SCH, 2, [4.0, 6.0], 0, [4, 5], "outer_thm2")
     assert set(res) == {4.0, 6.0}
     assert res[4.0][4].norm > res[6.0][4].norm > 0
+
+
+@pytest.mark.parametrize("name, limit, k", [
+    ("beam", "fractional:4", -16), ("beam", "fractional:4", -64),
+    ("klein-gordon", "schrodinger", -28),
+])
+def test_massive_symbols_low_frequency_limit(name, limit, k):
+    # at low frequency beam tends to s^4 / 2 and Klein-Gordon to s^2 / 2, so
+    # the band-k evolution at t is the limit symbol's at t / 2: the L^4 norm
+    # over the window 2 T0 is 2^(1/4) times the limit's over T0
+    got = measure_frequency_norms(get_symbol(name), 2, [4.0], [k], T0=16.0, max_doublings=1)
+    ref = measure_frequency_norms(get_symbol(limit), 2, [4.0], [k], T0=8.0, max_doublings=1)
+    assert got[4.0][k].converged
+    assert got[4.0][k].norm == pytest.approx(2.0**0.25 * ref[4.0][k].norm, rel=1e-12)
+
+
+def test_flat_band_is_a_domain_error():
+    # a band with no beat or no group velocity has no window: a typed error
+    flat = DispersionSymbol("flat", phi=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+                            dphi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+                            d2phi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+                            m1=1.0, m2=1.0)
+    with pytest.raises(DomainError):
+        band_beat(flat, 0)
+    with pytest.raises(DomainError):
+        measure_annulus_norms(flat, 2, [4.0], 0, [3, 4], "outer_thm1")
 
 
 def test_inner_annuli_at_q2():

@@ -238,3 +238,23 @@ def test_inner_block_real_product_matches_complex():
         ref = (sampler.g_in * np.exp(1j * t * sampler.phis_in)) @ sampler.K_in
         fast = sampler.field_at(t)[:n_in]
         assert np.max(np.abs(fast - ref)) / np.max(np.abs(ref)) < 1e-14
+
+
+def test_inner_block_runs_at_every_slice():
+    # wave band 0 at T = 200: the inner frequency grid resolves the phase
+    # t phi(s) over the whole window, and the inner block is evaluated at
+    # the last slices as at the first
+    wave = get_symbol("wave")
+    T = 200.0
+    sampler = BandFieldSampler(wave, 2, 0, canonical_band_amplitude(2, 0), T=T)
+    kappa = 0.9 * sampler.config.policy.max_phase_step
+    assert (sampler.s_in[1] - sampler.s_in[0]) * T * wave.sup_dphi(*band_edges(0)) <= kappa
+    n_in = sampler.r_in.size
+    # the field there has decayed to 1e-7 by cancellation: rounding is
+    # measured against the sum of the terms' moduli
+    scale = np.max(np.abs(sampler.g_in) @ np.abs(sampler.K_in))
+    for t in (150.0, T):
+        ref = (sampler.g_in * np.exp(1j * t * sampler.phis_in)) @ sampler.K_in
+        fast = sampler.field_at(t)[:n_in]
+        assert np.max(np.abs(ref)) > 1e-9 * scale
+        assert np.max(np.abs(fast - ref)) <= 1e-14 * scale

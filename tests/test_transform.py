@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from rsl.bessel import kernel_matrix
+from rsl.cutoffs import smooth_bump
 from rsl.errors import NonPositiveSample, QuadratureUnderresolved
 from rsl.grids import FrequencyGrid, gauss_panel_grid, trapezoid_weights, uniform_grid
 from rsl.transform import (
@@ -127,3 +129,29 @@ def test_underresolved_transform_raises():
     prof = RadialProfile(g, np.ones(12), 2)
     with pytest.raises(QuadratureUnderresolved):
         fourier_bessel(prof, 5000.0)
+
+
+def _whole_matrix_product(prof, r):
+    """T[h](r) as the complex product with the whole kernel matrix."""
+    g = prof.grid
+    return kernel_matrix(prof.n, r, g.nodes) @ (g.weights * prof.values * g.nodes ** (prof.n - 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fourier_bessel_matches_whole_matrix_product(n):
+    # the paneled real product (ten panels here) equals the complex product
+    # with the whole kernel matrix to rounding
+    g = gauss_panel_grid(0.25, 4.5, 80)
+    prof = project(profile_from_fn(lambda s: np.exp(2j * s) / (1 + s), g, n), 0)
+    r = np.linspace(0.0, 60.0, 3001)
+    ref = _whole_matrix_product(prof, r)
+    assert np.max(np.abs(fourier_bessel(prof, r) - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+def test_fourier_bessel_matches_whole_matrix_product_at_oracle_size():
+    # the dense-oracle bench transform: a 600-node profile on 6,000 radii
+    rg = gauss_panel_grid(1e-6, 1.0, 60)
+    prof = RadialProfile(rg, smooth_bump(2.0 * rg.nodes), 3)
+    r = gauss_panel_grid(1e-4, 240.0, 600).nodes
+    ref = _whole_matrix_product(prof, r)
+    assert np.max(np.abs(fourier_bessel(prof, r) - ref)) <= 2e-15 * np.max(np.abs(ref))
