@@ -8,10 +8,10 @@ error).  Rational exponents may be given as 'a/b' strings and are kept exact
 where the arithmetic is exact.
 
 Each flag is declared once, with its default and a parser that holds its
-domain: numbers finite; n >= 2; T0, T, delta, rmax > 0; trials and samples
+domain: numbers finite; n >= 2; T0, T, delta > 0; trials and samples
 >= 1; refinements in 2..7; band and annulus indices (k, j) in -64..64;
 ranges and lists non-empty; a list fitted by a slope has two or more strictly
-monotone values, radii positive and increasing; times increasing.  argparse
+monotone values, radii increasing and above 2; times increasing.  argparse
 parses numbers; text values (exponents, ranges, lists, symbols, choices) keep
 their raw text for report.json and are parsed once, by `validate`.  A
 configuration error prints one JSON object on stderr and exits 2:
@@ -109,8 +109,8 @@ INTS = _text(_check(_ints, len, "non-empty"))
 INDICES = _text(_check(_ints, lambda v: len(v) and _indices(v), "non-empty and in -64..64"))
 SLOPE = _text(_check(_ints, lambda v: _monotone(v) and _indices(v),
                      "two or more strictly monotone values in -64..64"))
-RADII = _text(_check(_floats, lambda v: len(v) > 1 and _increasing(v, 0),
-                     "two or more increasing radii in (0, inf)"))
+RADII = _text(_check(_floats, lambda v: len(v) > 1 and _increasing(v, 2),
+                     "two or more increasing radii in (2, inf)"))
 DELTAS = _text(_check(_floats, lambda v: _monotone(v) and min(v) > 0,
                       "two or more strictly monotone values in (0, inf)"))
 TIMES = _text(_check(_floats, _increasing, "finite and strictly increasing"))
@@ -173,7 +173,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
 
     common = {"symbol": ("schrodinger", SYMBOL), "n": (2, DIM)}
     solver = {"delta": (1e-3, POSITIVE), "seeds": ("0..3", INTS), "T": (16.0, POSITIVE)}
-    add("propagate", **common, k=(0, INDEX), t=("0,1,2", TIMES), rmax=(None, POSITIVE))
+    add("propagate", **common, k=(0, INDEX), t=("0,1,2", TIMES))
     add("split", **common, k=(0, INDEX), j=(4, INDEX), t=("0,1,2", TIMES))
     add("norm-sweep", **common, k=(0, INDEX), q=("4", NORM_EXPONENT), T0=(64.0, POSITIVE))
     add("fit-k", **common, q=("4", NORM_EXPONENT), k=("-3..3", SLOPE), T0=(64.0, POSITIVE))
@@ -371,23 +371,24 @@ def _dispatch(cmd, v) -> tuple:
         rep = est.conjecture_probe(v.a, v.n, v.R, T=v.T)
         return _growth(rep, "INFO", {"slope_sq_vs_logR": rep.slope, "saturated": rep.saturated})
     if cmd == "propagate":
-        from .grids import PhysicalGrid, trapezoid_weights
-        from .propagator import evolve
-        from .transform import canonical_band_profile, l2_norm, project, radial_norm
+        from .fastfield import BandFieldSampler
+        from .grids import PhysicalGrid
+        from .propagator import SpaceTimeField
+        from .transform import canonical_band_profile, project, radial_norm
 
-        prof = canonical_band_profile(v.n, v.k)
         tv = np.asarray(v.t)
         if tv[0] > 0:
             tv = np.concatenate([[0.0], tv])
-        # a band-k packet is about 2^-k wide: the default range grows with it
-        rmax = v.rmax if v.rmax is not None else 40.0 * 2.0 ** max(-v.k, 0)
-        r = np.linspace(1e-6, rmax, 1200)
-        fld = evolve(v.symbol, prof, v.k, PhysicalGrid(r, tv))
-        target = l2_norm(project(prof, v.k))
-        measure = trapezoid_weights(r) * r ** (v.n - 1)
-        l2 = [float(radial_norm(row, measure, v.n, 2)) for row in fld.values]
+        # the norm engine's radius grid covers the packet's transport over
+        # |t| <= max|t| and resolves band k
+        datum = project(canonical_band_profile(v.n, v.k), v.k).fn
+        sampler = BandFieldSampler(v.symbol, v.n, v.k, datum, float(np.max(np.abs(tv))))
+        fld = SpaceTimeField(PhysicalGrid(sampler.r, tv),
+                             np.stack([sampler.field_at(t) for t in tv]), v.n, source="fastfield")
+        target = math.sqrt(sampler.mass_true)
+        l2 = [float(radial_norm(row, sampler.measure, v.n, 2)) for row in fld.values]
         dev = max(abs(x - target) for x in l2) / target
-        return (_verdict(dev <= 1e-3), {"unitarity_deviation": dev, "rmax": rmax},
+        return (_verdict(dev <= 1e-3), {"unitarity_deviation": dev, "rmax": float(sampler.r[-1])},
                 [{"t": float(t), "l2": x} for t, x in zip(tv, l2)], None,
                 (fld, {"symbol": v.symbol.name, "k": v.k}))
     if cmd == "split":

@@ -50,7 +50,7 @@ from .fastfield import (
     chirp_z,
     octave_ladder,
 )
-from .grids import band_edges, trapezoid_weights, uniform_grid
+from .grids import band_edges, require_node_limit, trapezoid_weights, uniform_grid
 from .nonlinear import SolverGrid
 from .propagator import duhamel_coefficients
 from .transform import canonical_band_amplitude, spacetime_norm, sphere_area
@@ -464,13 +464,16 @@ def maximal_check(
         # the packet width 1/width with dx <= 1/(8 width)
         x_need = speed * c_time * 1.25 + 24.0 / width
         n_xi = max(int(np.ceil(2.0 * width * x_need / np.pi)) + 16, 256)
+        # the packet sweeps at `speed`; resolve its width in time
+        n_t = max(samples, min(int(2.0 * c_time * speed * width / 0.25) + 1, 8192))
+        require_node_limit(n_xi, f"maximal band {k} frequency grid")
+        require_node_limit(n_t, f"maximal band {k} time grid")
         xi = np.linspace(xi0 - width, xi0 + width, n_xi)
         dxi = xi[1] - xi[0]
         f = np.full(n_xi, (2.0 * width) ** (-0.5)) * smooth_bump(xi / (2.0 * xi0))
         n_fft = int(2 ** np.ceil(np.log2(max(n_xi, 16.0 * np.pi * width / dxi))))
+        require_node_limit(n_fft, f"maximal band {k} FFT length")
         dx = 2 * np.pi / (n_fft * dxi)
-        # the packet sweeps at `speed`; resolve its width in time
-        n_t = max(samples, min(int(2.0 * c_time * speed * width / 0.25) + 1, 8192))
         t_nodes = np.linspace(-c_time, c_time, n_t)
         best = np.zeros(n_fft)
         c = np.zeros((_MAXIMAL_BLOCK, n_fft), dtype=complex)
@@ -584,6 +587,9 @@ def counterexample_wave(n: int, q, R_range: Sequence[float]) -> GrowthReport:
     q = float(parse_exponent(q))
     if math.isinf(q):
         raise OutOfRangeQ("wave sharpness probe needs q < inf")
+    if not min(R_range) > 2.0:
+        raise DomainError(f"wave sharpness probe integrates from r = 2: R must exceed 2, "
+                          f"got {list(R_range)}")
     L = 80.0
     beta = (n - 1) * np.pi / 4.0
     s = np.linspace(0.5, 2.0, 6001)
@@ -654,6 +660,12 @@ def counterexample_schrodinger(
     q = float(parse_exponent(q))
     if math.isinf(q):
         raise OutOfRangeQ("Schrodinger sharpness probe needs q < inf")
+    # the phase r (s^2/2 - s) keeps its dependence on s only while the
+    # rounding of r, r 2^-52 at r = 2^(2j+1), stays below 0.01 rad (j <= 22)
+    j_top = max(j_range)
+    if 2.0 ** (2 * j_top + 1 - 52) > 0.01:
+        raise DomainError(f"Schrodinger sharpness probe at j = {j_top}: radii up to "
+                          f"2^{2 * j_top + 1} round the phase by more than 0.01 rad")
     logs = []
     for j in j_range:
         w = 2.0 ** (-j)
@@ -799,6 +811,9 @@ def conjecture_probe(
     """Open-segment experiment: || e^{i t D^a} P_0 f ||_{L^2_t L^{r*}_x} on
     2 <= r <= R for growing R, r* = (4n-2)/(2n-3).  Reports growth against
     log R without asserting a verdict (the endpoint's status is open)."""
+    if not min(R_values) > 2.0:
+        raise DomainError(f"conjecture probe integrates from r = 2: R must exceed 2, "
+                          f"got {list(R_values)}")
     symbol = fractional_symbol(a)
     r_star = (4.0 * n - 2.0) / (2.0 * n - 3.0)
     amp = canonical_band_amplitude(n, 0)

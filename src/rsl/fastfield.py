@@ -53,13 +53,14 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from .bessel import HANKEL_X_MIN, hankel_phase_coeffs, kernel_matrix, real_matmul
 from .dispersion import DispersionSymbol
-from .errors import DomainError, OutOfRangeQ, QuadratureUnderresolved
+from .errors import DomainError, OutOfRangeQ
 from .grids import (
     DEFAULT_POLICY,
     PANEL_ORDER,
     QuadraturePolicy,
     band_edges,
     gauss_panel_grid,
+    require_node_limit,
     trapezoid_weights,
 )
 from .transform import radial_norm
@@ -155,8 +156,7 @@ def band_plan(symbol: DispersionSymbol, k: int, T: float, policy: QuadraturePoli
     kappa = 0.9 * policy.max_phase_step
     ns = int(np.ceil((shi - slo) * max(T * 0.5 * (vmax - vmin), 1.0) / kappa)) + 512
     ns = max(ns, int(np.ceil((shi - slo) * span / (2.0 * np.pi))) + 1)
-    if ns > policy.refinement_limit * PANEL_ORDER:
-        raise QuadratureUnderresolved(f"band {k}: {ns} nodes exceed refinement limit")
+    require_node_limit(ns, f"band {k}", policy)
     s = np.linspace(slo, shi, ns)
     ds = s[1] - s[0]
     ws = np.full(ns, ds)
@@ -221,30 +221,44 @@ class BandFieldSampler:
             r_lo = 0.0
         else:
             r_lo, r_hi = r_window
+        kappa = 0.9 * config.policy.max_phase_step
+        self.r_c = HANKEL_X_MIN / slo
+        dr = np.pi / (config.dr_frac * shi)
+        out_lo = max(r_lo, self.r_c)
+        # size the inner frequency grid and the radius grid (Gauss-Legendre
+        # panels below r_c, an odd count of uniform nodes above it) and check
+        # both against the node limit before any grid, the band plan's too,
+        # is built
+        n_in = 0
+        if r_lo < self.r_c:
+            in_lo, in_hi = r_lo or 1e-9, min(self.r_c, r_hi)
+            n_pan = max(int(np.ceil((in_hi - in_lo) * 2.0 * shi / 4.0)), 3)
+            n_in = n_pan * PANEL_ORDER
+            # the inner block sees the full multiplier on its own frequency
+            # grid, which resolves the phase t phi(s) for every |t| <= T
+            ns_in = int(np.ceil((shi - slo) * max(T * sup_dp, 1.0) / kappa)) + 64
+            require_node_limit(ns_in, f"band {k} inner frequency grid", config.policy)
+        m = 0
+        if r_hi > out_lo:
+            m = max(int(np.ceil((r_hi - out_lo) / dr)) + 1, 3)
+            if m % 2 == 0:
+                m += 1
+        require_node_limit(n_in + m, f"band {k} radius grid", config.policy)
         # the incoming (minus-sign) packet sits near r = -t phi'; its alias at
         # 2 pi / ds - t phi' must stay beyond r_hi for every |t| <= T
         plan = band_plan(symbol, k, T, config.policy, span=r_hi + T * sup_dp + margin)
         self.c0, self.c1, self.s, self.ds = plan.c0, plan.c1, plan.s, plan.ds
         ws = plan.ws
-        kappa = 0.9 * config.policy.max_phase_step
         self.g = np.asarray(amplitude(self.s), dtype=complex)
         self.c_base = self.g * ws
         self.mass_true = float(radial_norm(self.g, ws * self.s ** (n - 1), n, 2)) ** 2
-        # radius layout
-        self.r_c = HANKEL_X_MIN / slo
-        dr = np.pi / (config.dr_frac * shi)
-        if r_lo < self.r_c:
+        if n_in:
             # Gauss-Legendre panels keep the radial quadrature high-order
             # (uniform trapezoid leaves an O(dr^2) endpoint term from the
             # nonvanishing slope of |F|^2 r^(n-1) at r = 0); only r = 0
             # itself moves to 1e-9, so annuli below 1e-9 keep their window
-            in_lo, in_hi = r_lo or 1e-9, min(self.r_c, r_hi)
-            n_pan = max(int(np.ceil((in_hi - in_lo) * 2.0 * shi / 4.0)), 3)
             rg_in = gauss_panel_grid(in_lo, in_hi, n_pan)
             self.r_in, w_in = rg_in.nodes, rg_in.weights
-            # the inner block sees the full multiplier on its own frequency
-            # grid, which resolves the phase t phi(s) for every |t| <= T
-            ns_in = int(np.ceil((shi - slo) * max(T * sup_dp, 1.0) / kappa)) + 64
             self.s_in = np.linspace(slo, shi, ns_in)
             ws_in = np.full(ns_in, self.s_in[1] - self.s_in[0])
             ws_in[0] *= 0.5
@@ -255,13 +269,9 @@ class BandFieldSampler:
             self.K_in *= (self.s_in ** (n - 1))[:, None]
         else:
             self.r_in = w_in = np.empty(0)
-        out_lo = max(r_lo, self.r_c)
-        if r_hi > out_lo:
-            # odd count so composite Simpson applies on the full span, and the
-            # step shrunk from dr so the last node lands on r_hi
-            m = max(int(np.ceil((r_hi - out_lo) / dr)) + 1, 3)
-            if m % 2 == 0:
-                m += 1
+        if m:
+            # the step shrunk from dr so the last node lands on r_hi, and an
+            # odd count so composite Simpson applies on the full span
             self.r_out, dr = np.linspace(out_lo, r_hi, m, retstep=True)
         else:
             self.r_out = np.empty(0)

@@ -96,19 +96,25 @@ def band_edges(k: int) -> tuple[float, float]:
     return 2.0 ** (k - 1), 2.0 ** (k + 1)
 
 
+def require_node_limit(nodes: int, what: str, policy: QuadraturePolicy = DEFAULT_POLICY) -> None:
+    """Raises QuadratureUnderresolved when a grid of `nodes` nodes would
+    exceed the policy's node limit, refinement_limit * PANEL_ORDER.  Callers
+    check a grid's node count before they allocate it."""
+    limit = policy.refinement_limit * PANEL_ORDER
+    if nodes > limit:
+        raise QuadratureUnderresolved(f"{what}: {nodes} nodes exceed the limit {limit}")
+
+
 def band_grid(k: int, phase_budget: float, policy: QuadraturePolicy = DEFAULT_POLICY) -> FrequencyGrid:
     """Gauss-Legendre grid on band k resolving a total phase rate
     `phase_budget` (radians per unit s) at the policy's panel step.
 
-    Raises QuadratureUnderresolved if the panel count would exceed the
-    policy's refinement limit.
+    Raises QuadratureUnderresolved if the grid would exceed the policy's
+    node limit (`require_node_limit`).
     """
     lo, hi = band_edges(k)
     n_panels = int(np.ceil((hi - lo) * max(phase_budget, 1.0) / policy.max_phase_step)) + 2
-    if n_panels > policy.refinement_limit:
-        raise QuadratureUnderresolved(
-            f"band {k} needs {n_panels} panels > limit {policy.refinement_limit}"
-        )
+    require_node_limit(n_panels * PANEL_ORDER, f"band {k}", policy)
     return gauss_panel_grid(lo, hi, n_panels)
 
 

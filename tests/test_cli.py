@@ -6,10 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rsl
 from rsl.cli import main, read_config
+from rsl.dispersion import get_symbol
+from rsl.grids import PhysicalGrid
+from rsl.propagator import evolve
+from rsl.transform import canonical_band_profile
 
 
 def run(args, tmp_path, run_id):
@@ -261,14 +266,27 @@ def test_bad_choice_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-README_EXAMPLES = [line for line in
-                   (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-                   if line.startswith("rsl ")]
+def _readme_cli_block() -> list:
+    """The lines of the fenced code block under the README's `## CLI` heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return block.splitlines()
+
+
+README_EXAMPLES = _readme_cli_block()
+
+
+def test_readme_cli_block_holds_commands():
+    # an empty or misread block would leave the examples test with no cases
+    assert len(README_EXAMPLES) >= 21
+    assert all(line.startswith("rsl ") for line in README_EXAMPLES)
 
 
 @pytest.mark.parametrize("line", README_EXAMPLES)
-def test_readme_examples_validate(line):
+def test_readme_examples_validate(line, capsys):
+    # a stale flag (such as a removed one) or value is a violation
     assert main(["--validate-only", *shlex.split(line)[1:]]) == 0
+    assert json.loads(capsys.readouterr().out) == {"violations": []}
 
 
 @pytest.mark.parametrize("line", [
@@ -293,6 +311,11 @@ def test_readme_examples_validate(line):
     "counter-wave --R 16", "knapp --deltas 0.125", "maximal --k 2",
     "conjecture-probe --R 8", "conjecture-probe --R 16,8", "counter-wave --R 0,16",
     "propagate --t 2,1", "propagate --t 1,inf",
+    # both sharpness probes integrate from r = 2, so every R exceeds 2
+    "counter-wave --R 1,1.5", "conjecture-probe --R 0.5,1 --T 8",
+    "conjecture-probe --R 1,2 --T 8",
+    # propagate samples on the norm engine's radius grid; it has no --rmax
+    "propagate --rmax 40",
     # rules the library states as typed errors
     "knapp --sigma 3", "maximal --a=-1", "norm-sweep --q inf --T0 4",
     "fit-j --q inf --j 3..4", "smoothing --q inf", "counter-wave --q inf",
@@ -324,6 +347,7 @@ def test_bad_input_exits_2(line, tmp_path, capsys):
     ("fit-k --symbol beam --k=-64..-63", 0),
     ("propagate --k=64", 2), ("split --j=64", 2), ("split --k=-64", 2),
     ("fit-j --k=64 --j 3..4", 2), ("l6 --k 63..64", 2),
+    ("maximal --k 63..64", 2), ("maximal --k 19..20", 2), ("counter-schrodinger --j 63..64", 2),
 ])
 def test_index_extremes_finish(line, status, tmp_path, capsys):
     # at the ends of -64..64 a run finishes or ends in a typed error
@@ -334,16 +358,46 @@ def test_index_extremes_finish(line, status, tmp_path, capsys):
         assert set(json.loads(err)) == {"error", "detail"}
 
 
-@pytest.mark.parametrize("k", [-3, -5])
+@pytest.mark.parametrize("k", [-3, -5, -64, 0, 3, 5])
 def test_propagate_low_bands_pass(k, tmp_path):
-    # the default radius range grows with the packet width 2^-k: 40 2^-k
+    # the norm engine's radius grid covers the packet's transport and
+    # resolves the band, so unitarity holds in every band it can size
     assert run(["propagate", f"--k={k}"], tmp_path, "p") == 0
     results = json.loads((tmp_path / "p" / "report.json").read_text())["results"]
-    assert results["rmax"] == 40.0 * 2.0 ** -k
-    assert results["unitarity_deviation"] <= 1e-4
-    # an explicit --rmax is used as given
-    assert run(["propagate", f"--k={k}", "--rmax", "40"], tmp_path, "p40") == 1
-    assert json.loads((tmp_path / "p40" / "report.json").read_text())["results"]["rmax"] == 40.0
+    assert results["unitarity_deviation"] <= 1e-6
+    last = (tmp_path / "p" / "field.csv").read_text().splitlines()[-1]
+    assert results["rmax"] == float(last.split(",")[1])
+
+
+@pytest.mark.parametrize("symbol, n, k", [("schrodinger", 2, 0), ("klein-gordon", 4, 2)])
+def test_propagate_field_matches_evolve(symbol, n, k, tmp_path):
+    # field.csv against dense quadrature of the same datum, P_k of the
+    # canonical band profile, at about 60 of the sampled radii
+    assert run(["propagate", "--symbol", symbol, "--n", str(n), f"--k={k}"], tmp_path, "p") == 0
+    assert json.loads((tmp_path / "p" / "field.json").read_text())["source"] == "fastfield"
+    rows = np.loadtxt(tmp_path / "p" / "field.csv", delimiter=",", skiprows=1)
+    t = np.unique(rows[:, 0])
+    r = rows[: len(rows) // t.size, 1]
+    field = (rows[:, 2] + 1j * rows[:, 3]).reshape(t.size, r.size)
+    sel = slice(0, None, max(r.size // 60, 1))
+    assert r[sel].size >= 40
+    ref = evolve(get_symbol(symbol), canonical_band_profile(n, k), k, PhysicalGrid(r[sel], t))
+    assert np.max(np.abs(field[:, sel] - ref.values)) <= 1e-7
+
+
+def test_propagate_has_no_rmax(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rmax = 40\n")
+    assert main(["--config", str(cfg), "--output", str(tmp_path), "propagate"]) == 2
+    assert "rmax" in json.loads(capsys.readouterr().err)["detail"]
+
+
+@pytest.mark.parametrize("line", ["propagate --k 9", "norm-sweep --T0 1e6"])
+def test_grid_past_node_limit_exits_2(line, tmp_path, capsys):
+    # band 9 at t <= 2 and band 0 at T = 1e6 need inner frequency grids of
+    # 4.5M and 8.5M nodes; each run stops before it builds one
+    assert main(["--output", str(tmp_path), *shlex.split(line)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "QuadratureUnderresolved"
 
 
 SOLVE_COLUMNS = {

@@ -1,20 +1,24 @@
-"""Peak-memory bounds of the dense kernel layer and the Picard solver
-(tracemalloc, which sees numpy's buffers).  Each dense product streams kernel
-panels, so its peak is set by the panel size, not by the kernel matrix it
-contracts; a solve holds one kernel, the grid's free-group table and a few
-trajectory-sized arrays."""
+"""Peak-memory bounds of the dense kernel layer, the Picard solver and the
+sampler's node limit (tracemalloc, which sees numpy's buffers).  Each dense
+product streams kernel panels, so its peak is set by the panel size, not by
+the kernel matrix it contracts; a solve holds one kernel, the grid's
+free-group table and a few trajectory-sized arrays; a sampler past the node
+limit raises before it builds a grid."""
 
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from rsl.cutoffs import smooth_bump
 from rsl.dispersion import get_symbol
+from rsl.errors import QuadratureUnderresolved
+from rsl.fastfield import BandFieldSampler
 from rsl.grids import PhysicalGrid, gauss_panel_grid
 from rsl.nonlinear import build_solver_grid, nls_small_data_experiment
 from rsl.propagator import evolve
-from rsl.transform import RadialProfile, fourier_bessel, profile_from_fn
+from rsl.transform import RadialProfile, canonical_band_amplitude, fourier_bessel, profile_from_fn
 
 MB = 1e6
 
@@ -64,3 +68,18 @@ def test_nls_experiment_peak():
                                                         seeds=range(4), T=4.0))
     assert rep.all_converged
     assert peak <= 31 * MB, peak / MB
+
+
+@pytest.mark.parametrize("T, r_window, grid", [
+    (1e6, None, "inner frequency grid"),    # 8.5M nodes, a 10.9 GB inner kernel
+    (4.0, (16.0, 2e6), "radius grid"),      # 7.6M outer radii
+])
+def test_sampler_past_node_limit_raises_before_allocating(T, r_window, grid):
+    amp = canonical_band_amplitude(2, 0)
+
+    def build():
+        with pytest.raises(QuadratureUnderresolved, match=grid):
+            BandFieldSampler(get_symbol("schrodinger"), 2, 0, amp, T, r_window=r_window)
+
+    _, peak = _peak(build)
+    assert peak <= 16 * MB, peak / MB
