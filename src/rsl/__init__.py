@@ -52,7 +52,7 @@ from .estimates import (
     smoothing_lemma_check,
     strichartz_l6_check,
 )
-from .grids import FrequencyGrid, PhysicalGrid, QuadraturePolicy
+from .grids import FrequencyGrid, PhysicalGrid
 from .nonlinear import (
     NonlinearProblem,
     PicardTrace,

@@ -22,7 +22,7 @@ class SmallArgument(RslError):
 
 
 class QuadratureUnderresolved(RslError):
-    """The oscillation (Nyquist) criterion cannot be met within the refinement limit."""
+    """A grid cannot resolve its oscillation, or would exceed the node or array limit."""
 
 
 class SplitDomainError(RslError):

@@ -38,6 +38,7 @@ from .errors import (
     OutOfRangeQ,
     OutOfRangeSigma,
     ParameterViolation,
+    QuadratureUnderresolved,
     RegimeViolation,
 )
 from .fastfield import (
@@ -50,7 +51,8 @@ from .fastfield import (
     chirp_z,
     octave_ladder,
 )
-from .grids import band_edges, require_node_limit, trapezoid_weights, uniform_grid
+from .grids import (band_edges, require_array_limit, require_node_limit, trapezoid_weights,
+                    uniform_grid)
 from .nonlinear import SolverGrid
 from .propagator import duhamel_coefficients
 from .transform import canonical_band_amplitude, spacetime_norm, sphere_area
@@ -104,7 +106,6 @@ class GrowthReport:
     monotone: bool
     saturated: bool
     slope: float
-    predicted_slope: Optional[float]
     meta: dict = field(default_factory=dict)
 
     @property
@@ -340,26 +341,16 @@ def fit_annulus_scaling(
 # one-dimensional lemma checks
 # --------------------------------------------------------------------------
 
-def _band_quad(k: int, points_per_unit_phase: float, budget: float):
-    lo, hi = band_edges(k)
-    ns = max(int(np.ceil((hi - lo) * budget * points_per_unit_phase)), 512)
-    s = np.linspace(lo, hi, ns)
-    w = trapezoid_weights(s)
-    return s, w
-
-
 def smoothing_lemma_check(
     symbol: DispersionSymbol,
     k: int,
     q: float,
     trial_count: int = 8,
     seed: int = 0,
-    trial_data: Optional[Sequence] = None,
 ) -> BoundReport:
     """Ratio || int psi_k phi_data e^{-i t phi(s)} ds ||_{L^q_t} over
-    2^{(1/2 - m(k)/q) k} || psi_k phi_data ||_{L^2(ds)} for random band data
-    (or explicit `trial_data` callables s -> values); PASS when every ratio
-    is at most 10."""
+    2^{(1/2 - m(k)/q) k} || psi_k phi_data ||_{L^2(ds)} for flat data
+    (trial 0) and random band data; PASS when every ratio is at most 10."""
     if not 2 <= q < math.inf:
         raise OutOfRangeQ(f"smoothing check needs 2 <= q < inf, got {q}")
     rng = np.random.default_rng(seed)
@@ -368,23 +359,19 @@ def smoothing_lemma_check(
     m = regime_exponents(symbol, k).m
     T = 512.0 / beat
     t, wt, _ = octave_ladder(T, beat, 8.0, 64)
-    s, ws = _band_quad(k, 1.2, T * symbol.sup_dphi(lo, hi))
+    ns = max(int(np.ceil((hi - lo) * (T * symbol.sup_dphi(lo, hi)) * 1.2)), 512)
+    fg = uniform_grid(lo, hi, ns)
+    s, ws = fg.nodes, fg.weights
     cut = dyadic_cutoff(k, s)
     phase = np.exp(-1j * np.outer(t, symbol.phi(s)))
     ratios = []
-    n_trials = len(trial_data) if trial_data is not None else trial_count
-    for trial in range(n_trials):
-        if trial_data is not None:
-            data = np.asarray(trial_data[trial](s), dtype=complex)
-        elif trial == 0:
+    for trial in range(trial_count):
+        if trial == 0:
             data = np.ones_like(s, dtype=complex)
         else:
             data = _random_band_data(k, rng)(s)
         g = cut * data
         l2 = float(np.sqrt(np.sum(ws * np.abs(g) ** 2)))
-        if l2 == 0.0:
-            ratios.append(0.0)
-            continue
         vals_pos = phase @ (g * ws)
         vals_neg = np.conj(phase) @ (g * ws)
         # |I| on t >= 0 and t <= 0 separately (data may be complex)
@@ -408,7 +395,7 @@ def strichartz_l6_check(symbol: DispersionSymbol, k_range: Sequence[int]) -> Exp
         t_nodes, wt, _ = octave_ladder(T, band_beat(symbol, k), 6.0, 64)
         # carrier extraction: resolve only the residual rate and follow the
         # transported window r in t [vmin, vmax] +- tails
-        plan = band_plan(symbol, k, T, DEFAULT_SAMPLER.policy)
+        plan = band_plan(symbol, k, T, DEFAULT_SAMPLER.phase_step)
         g = dyadic_cutoff(k, plan.s)
         g = g / float(np.sqrt(np.sum(plan.ws * np.abs(g) ** 2)))
         dr = np.pi / (DEFAULT_SAMPLER.dr_frac * hi)
@@ -458,21 +445,25 @@ def maximal_check(
         if a == 1.0:
             width = 0.5 * xi0
         else:
-            width = min(0.5 * 2.0 ** (k * (1 - a / 2.0)), 0.5 * xi0)
-        speed = a * (2.0 * xi0) ** max(a - 1.0, 0.0)
+            width = 0.5 * 2.0 ** min(k * (1 - a / 2.0), k)  # min(2^(k(1-a/2)), xi0) / 2
         # coverage 2 pi / dxi exceeds twice the swept extent; FFT resolves
         # the packet width 1/width with dx <= 1/(8 width)
-        x_need = speed * c_time * 1.25 + 24.0 / width
-        n_xi = max(int(np.ceil(2.0 * width * x_need / np.pi)) + 16, 256)
+        try:  # a size that overflows a float lies far past the node limit
+            speed = a * (2.0 * xi0) ** max(a - 1.0, 0.0)
+            x_need = speed * c_time * 1.25 + 24.0 / width
+            n_xi = max(int(np.ceil(2.0 * width * x_need / np.pi)) + 16, 256)
+        except OverflowError:
+            raise QuadratureUnderresolved(f"maximal band {k} frequency grid overflows") from None
+        require_node_limit(n_xi, f"maximal band {k} frequency grid")
         # the packet sweeps at `speed`; resolve its width in time
         n_t = max(samples, min(int(2.0 * c_time * speed * width / 0.25) + 1, 8192))
-        require_node_limit(n_xi, f"maximal band {k} frequency grid")
         require_node_limit(n_t, f"maximal band {k} time grid")
         xi = np.linspace(xi0 - width, xi0 + width, n_xi)
         dxi = xi[1] - xi[0]
         f = np.full(n_xi, (2.0 * width) ** (-0.5)) * smooth_bump(xi / (2.0 * xi0))
         n_fft = int(2 ** np.ceil(np.log2(max(n_xi, 16.0 * np.pi * width / dxi))))
-        require_node_limit(n_fft, f"maximal band {k} FFT length")
+        # the block's rows are n_fft long, so this also bounds the FFT length
+        require_array_limit((_MAXIMAL_BLOCK, n_fft), 16, f"maximal band {k} block")
         dx = 2 * np.pi / (n_fft * dxi)
         t_nodes = np.linspace(-c_time, c_time, n_t)
         best = np.zeros(n_fft)
@@ -596,7 +587,7 @@ def counterexample_wave(n: int, q, R_range: Sequence[float]) -> GrowthReport:
     ws = trapezoid_weights(s)
     g = dyadic_cutoff(0, s) * np.where(s <= 10.0, 1.0, 0.0)
     tau = np.arange(0.0, L, 0.05)
-    ghat = np.exp(1j * np.outer(tau, s)) @ (g * ws)
+    ghat = chirp_z(s, 0.0, 0.05, tau.size, pre=g * ws)(np.ones(s.size))
     # hermitian extension: Ghat(-tau) = conj(Ghat(tau)) for real data
     tau_full = np.concatenate([-tau[:0:-1], tau])
     ghat_full = np.concatenate([np.conj(ghat[:0:-1]), ghat])
@@ -643,7 +634,7 @@ def counterexample_wave(n: int, q, R_range: Sequence[float]) -> GrowthReport:
     slope = float(np.polyfit(np.log2(np.asarray(R_range, dtype=float)), powers, 1)[0])
     return GrowthReport(
         tuple(float(R) for R in R_range), tuple(values), monotone, saturated,
-        slope, None, {"q": q, "n": n, "relative_increments": tuple(increments)},
+        slope, {"q": q, "n": n, "relative_increments": tuple(increments)},
     )
 
 
@@ -841,5 +832,5 @@ def conjecture_probe(
     return GrowthReport(
         tuple(float(R) for R in R_values), tuple(float(v) for v in values),
         bool(np.all(np.diff(values) > 0)), bool(increments.size and increments[-1] <= 1e-2),
-        slope, None, {"r_star": r_star, "T": T},
+        slope, {"r_star": r_star, "T": T},
     )

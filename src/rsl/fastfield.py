@@ -32,7 +32,7 @@ over all 2P rows and one contraction over p.
 Frequency nodes are uniform with trapezoid weights; the integrand is smooth
 and compactly supported in the band, so the rule is spectrally accurate once
 the node step resolves the time phase left after carrier extraction
-(`band_plan`):  ds * T * max|phi' - c1| <= 0.9 * policy phase step.  The
+(`band_plan`):  ds * T * max|phi' - c1| <= grids.node_phase(phase step).  The
 sampler also keeps the period 2 pi / ds of the frequency sums beyond its
 radius range plus the transport distance T sup|phi'|, so no alias of the
 incoming packet lands on the radius grid (this binds only for long windows
@@ -55,11 +55,12 @@ from .bessel import HANKEL_X_MIN, hankel_phase_coeffs, kernel_matrix, real_matmu
 from .dispersion import DispersionSymbol
 from .errors import DomainError, OutOfRangeQ
 from .grids import (
-    DEFAULT_POLICY,
     PANEL_ORDER,
-    QuadraturePolicy,
+    PHASE_STEP,
     band_edges,
     gauss_panel_grid,
+    node_phase,
+    require_array_limit,
     require_node_limit,
     trapezoid_weights,
 )
@@ -68,14 +69,17 @@ from .transform import radial_norm
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    policy: QuadraturePolicy = DEFAULT_POLICY
+    phase_step: float = PHASE_STEP  # phase per Gauss panel, in (0, PHASE_STEP]
     dr_frac: float = 6.0          # radius nodes per kernel oscillation
     dt_frac: float = 6.0          # time nodes per beat of the band envelope
     nt_octave_cap: int = 48
 
+    def __post_init__(self):
+        node_phase(self.phase_step)  # checks the phase step
+
     def refined(self) -> "SamplerConfig":
-        pol = QuadraturePolicy(self.policy.max_phase_step / 2.0, self.policy.refinement_limit)
-        return SamplerConfig(pol, self.dr_frac * 2, self.dt_frac * 2, self.nt_octave_cap * 2)
+        return SamplerConfig(self.phase_step / 2.0, self.dr_frac * 2, self.dt_frac * 2,
+                             self.nt_octave_cap * 2)
 
 
 DEFAULT_SAMPLER = SamplerConfig()
@@ -139,10 +143,10 @@ class BandPlan:
     rho: np.ndarray
 
 
-def band_plan(symbol: DispersionSymbol, k: int, T: float, policy: QuadraturePolicy,
+def band_plan(symbol: DispersionSymbol, k: int, T: float, phase_step: float,
               span: float = 0.0) -> BandPlan:
     """The band-k carrier (from a 513-point phi' probe) and the residual grid
-    for times |t| <= T: ds * T * max|phi' - c1| <= 0.9 * policy phase step.
+    for times |t| <= T: ds * T * max|phi' - c1| <= node_phase(phase_step).
 
     A sum over the grid is periodic in r with period 2 pi / ds, so a packet
     at r reappears at r +- 2 pi / ds; the node count is raised until that
@@ -153,10 +157,10 @@ def band_plan(symbol: DispersionSymbol, k: int, T: float, policy: QuadraturePoli
     c1 = 0.5 * (vmin + vmax)
     sc = 0.5 * (slo + shi)
     c0 = float(symbol.phi(np.asarray(sc))) - c1 * sc
-    kappa = 0.9 * policy.max_phase_step
+    kappa = node_phase(phase_step)
     ns = int(np.ceil((shi - slo) * max(T * 0.5 * (vmax - vmin), 1.0) / kappa)) + 512
     ns = max(ns, int(np.ceil((shi - slo) * span / (2.0 * np.pi))) + 1)
-    require_node_limit(ns, f"band {k}", policy)
+    require_node_limit(ns, f"band {k}")
     s = np.linspace(slo, shi, ns)
     ds = s[1] - s[0]
     ws = np.full(ns, ds)
@@ -221,14 +225,14 @@ class BandFieldSampler:
             r_lo = 0.0
         else:
             r_lo, r_hi = r_window
-        kappa = 0.9 * config.policy.max_phase_step
+        kappa = node_phase(config.phase_step)
         self.r_c = HANKEL_X_MIN / slo
         dr = np.pi / (config.dr_frac * shi)
         out_lo = max(r_lo, self.r_c)
-        # size the inner frequency grid and the radius grid (Gauss-Legendre
-        # panels below r_c, an odd count of uniform nodes above it) and check
-        # both against the node limit before any grid, the band plan's too,
-        # is built
+        # size the inner frequency grid, the radius grid (Gauss-Legendre
+        # panels below r_c, an odd count of uniform nodes above it) and the
+        # inner kernel, and check them against the node and array limits
+        # before any grid, the band plan's too, is built
         n_in = 0
         if r_lo < self.r_c:
             in_lo, in_hi = r_lo or 1e-9, min(self.r_c, r_hi)
@@ -237,16 +241,17 @@ class BandFieldSampler:
             # the inner block sees the full multiplier on its own frequency
             # grid, which resolves the phase t phi(s) for every |t| <= T
             ns_in = int(np.ceil((shi - slo) * max(T * sup_dp, 1.0) / kappa)) + 64
-            require_node_limit(ns_in, f"band {k} inner frequency grid", config.policy)
+            require_node_limit(ns_in, f"band {k} inner frequency grid")
+            require_array_limit((ns_in, n_in), 8, f"band {k} inner kernel")
         m = 0
         if r_hi > out_lo:
             m = max(int(np.ceil((r_hi - out_lo) / dr)) + 1, 3)
             if m % 2 == 0:
                 m += 1
-        require_node_limit(n_in + m, f"band {k} radius grid", config.policy)
+        require_node_limit(n_in + m, f"band {k} radius grid")
         # the incoming (minus-sign) packet sits near r = -t phi'; its alias at
         # 2 pi / ds - t phi' must stay beyond r_hi for every |t| <= T
-        plan = band_plan(symbol, k, T, config.policy, span=r_hi + T * sup_dp + margin)
+        plan = band_plan(symbol, k, T, config.phase_step, span=r_hi + T * sup_dp + margin)
         self.c0, self.c1, self.s, self.ds = plan.c0, plan.c1, plan.s, plan.ds
         ws = plan.ws
         self.g = np.asarray(amplitude(self.s), dtype=complex)

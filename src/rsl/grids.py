@@ -1,4 +1,4 @@
-"""Quadrature grids and policies.
+"""Quadrature grids and the resolution rule.
 
 FrequencyGrid carries nodes and weights for integrals in the radial frequency
 variable s; PhysicalGrid carries the (t, r) sample points of a space-time
@@ -7,6 +7,7 @@ field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,27 +15,20 @@ import numpy as np
 from .errors import NonPositiveSample, QuadratureUnderresolved
 
 
-@dataclass(frozen=True)
-class QuadraturePolicy:
-    """Oscillatory-quadrature resolution policy.
-
-    max_phase_step bounds the phase increment delta_s * (|t| sup|phi'| + r)
-    allowed per Gauss-Legendre panel (or, for uniform trapezoid grids, per
-    0.9/max_phase_step-scaled node step).
-    """
-
-    max_phase_step: float = np.pi / 4
-    refinement_limit: int = 400_000
-
-    def __post_init__(self):
-        if not (0 < self.max_phase_step <= np.pi / 4):
-            raise ValueError("max_phase_step must lie in (0, pi/4]")
-
-
-DEFAULT_POLICY = QuadraturePolicy()
-
 # Gauss-Legendre nodes per panel of every composite grid
 PANEL_ORDER = 10
+# the phase delta_s * (|t| sup|phi'| + r) one Gauss-Legendre panel may span
+PHASE_STEP = np.pi / 4
+NODE_LIMIT = 4_000_000  # nodes of the largest one-dimensional grid
+ARRAY_LIMIT = 2**30     # bytes of the largest array built from two grids
+
+
+def node_phase(phase_step: float) -> float:
+    """0.9 phase_step: the phase one node step may carry when a panel spans
+    `phase_step`.  Raises ValueError unless phase_step lies in (0, PHASE_STEP]."""
+    if not 0 < phase_step <= PHASE_STEP:
+        raise ValueError(f"phase step must lie in (0, pi/4], got {phase_step}")
+    return 0.9 * phase_step
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -96,40 +90,46 @@ def band_edges(k: int) -> tuple[float, float]:
     return 2.0 ** (k - 1), 2.0 ** (k + 1)
 
 
-def require_node_limit(nodes: int, what: str, policy: QuadraturePolicy = DEFAULT_POLICY) -> None:
+def require_node_limit(nodes: int, what: str) -> None:
     """Raises QuadratureUnderresolved when a grid of `nodes` nodes would
-    exceed the policy's node limit, refinement_limit * PANEL_ORDER.  Callers
-    check a grid's node count before they allocate it."""
-    limit = policy.refinement_limit * PANEL_ORDER
-    if nodes > limit:
-        raise QuadratureUnderresolved(f"{what}: {nodes} nodes exceed the limit {limit}")
+    exceed NODE_LIMIT.  Callers check a grid's node count before they
+    allocate it."""
+    if nodes > NODE_LIMIT:
+        raise QuadratureUnderresolved(f"{what}: {nodes} nodes exceed the limit {NODE_LIMIT}")
 
 
-def band_grid(k: int, phase_budget: float, policy: QuadraturePolicy = DEFAULT_POLICY) -> FrequencyGrid:
+def require_array_limit(shape: tuple, itemsize: int, what: str) -> None:
+    """Raises QuadratureUnderresolved when an array of `shape` with items of
+    `itemsize` bytes would exceed ARRAY_LIMIT.  Callers check before they allocate."""
+    if math.prod(shape) * itemsize > ARRAY_LIMIT:
+        raise QuadratureUnderresolved(f"{what}: {shape} array of {itemsize}-byte items "
+                                      f"exceeds the limit of {ARRAY_LIMIT} bytes")
+
+
+def band_grid(k: int, phase_budget: float, phase_step: float = PHASE_STEP) -> FrequencyGrid:
     """Gauss-Legendre grid on band k resolving a total phase rate
-    `phase_budget` (radians per unit s) at the policy's panel step.
+    `phase_budget` (radians per unit s) at `phase_step` per panel.
 
-    Raises QuadratureUnderresolved if the grid would exceed the policy's
-    node limit (`require_node_limit`).
+    Raises QuadratureUnderresolved if the grid would exceed NODE_LIMIT.
     """
+    node_phase(phase_step)  # checks the phase step
     lo, hi = band_edges(k)
-    n_panels = int(np.ceil((hi - lo) * max(phase_budget, 1.0) / policy.max_phase_step)) + 2
-    require_node_limit(n_panels * PANEL_ORDER, f"band {k}", policy)
+    n_panels = int(np.ceil((hi - lo) * max(phase_budget, 1.0) / phase_step)) + 2
+    require_node_limit(n_panels * PANEL_ORDER, f"band {k}")
     return gauss_panel_grid(lo, hi, n_panels)
 
 
-def require_resolution(
-    grid: FrequencyGrid, phase_rate: float, policy: QuadraturePolicy = DEFAULT_POLICY
-) -> None:
+def require_resolution(grid: FrequencyGrid, phase_rate: float,
+                       phase_step: float = PHASE_STEP) -> None:
     """Raises QuadratureUnderresolved unless the largest node step of `grid`
-    times `phase_rate` (radians per unit s) stays within the phase that one
-    panel of PANEL_ORDER nodes may span under `policy`."""
+    times `phase_rate` (radians per unit s) stays within node_phase(phase_step),
+    the bound the uniform grids of the band plan are built at."""
     max_ds = float(np.max(np.diff(grid.nodes)))
-    budget = policy.max_phase_step * PANEL_ORDER
-    if max_ds * phase_rate > budget:
+    bound = node_phase(phase_step)
+    if max_ds * phase_rate > bound:
         raise QuadratureUnderresolved(
             f"grid spacing {max_ds:.3g} cannot resolve phase rate {phase_rate:.3g} "
-            f"(budget {budget:.3g} rad per node group)"
+            f"(bound {bound:.3g} rad per node step)"
         )
 
 

@@ -50,7 +50,8 @@ from .bessel import kernel_matrix, real_matmul
 from .cutoffs import smooth_bump
 from .dispersion import DispersionSymbol, fractional_symbol, get_symbol
 from .errors import DomainError, NonContraction, OutOfRangeS, OutOfRangeSigma
-from .grids import FrequencyGrid, PhysicalGrid, gauss_panel_grid, trapezoid_weights, uniform_grid
+from .grids import (FrequencyGrid, PhysicalGrid, gauss_panel_grid, require_array_limit,
+                    trapezoid_weights, uniform_grid)
 from .propagator import SpaceTimeField, duhamel_coefficients
 from .transform import RadialProfile, radial_norm, spacetime_norm, sphere_area
 
@@ -115,8 +116,10 @@ class SolverGrid:
     def on(cls, n: int, freq: FrequencyGrid, rgrid: FrequencyGrid, t: np.ndarray) -> "SolverGrid":
         """The pair between the nodes of `freq` and `rgrid` (its weights wr)
         in dimension n at times t: the kernel K_n(s r), the synthesis weights
-        ws s^(n-1) and the analysis weights wr r^(n-1)."""
+        ws s^(n-1) and the analysis weights wr r^(n-1); a kernel past
+        grids.ARRAY_LIMIT raises QuadratureUnderresolved."""
         s, r = freq.nodes, rgrid.nodes
+        require_array_limit((s.size, r.size), 8, "solver kernel")
         return cls(freq, r, t, kernel_matrix(n, s, r), freq.weights * s ** (n - 1),
                    rgrid.weights * r ** (n - 1))
 
@@ -128,6 +131,7 @@ class SolverGrid:
         key = np.asarray(omega, dtype=float).tobytes()
         table = self._groups.get(key)
         if table is None:
+            require_array_limit((self.t.size, self.freq.nodes.size), 16, "free-group table")
             table = np.exp(1j * np.outer(self.t, omega))
             table.flags.writeable = False
             self._groups[key] = table

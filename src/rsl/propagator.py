@@ -40,10 +40,9 @@ from .cutoffs import dyadic_cutoff
 from .dispersion import DispersionSymbol
 from .errors import SplitDomainError
 from .grids import (
-    DEFAULT_POLICY,
+    PHASE_STEP,
     FrequencyGrid,
     PhysicalGrid,
-    QuadraturePolicy,
     band_edges,
     band_grid,
     require_resolution,
@@ -75,7 +74,7 @@ def _integration_grid(
     profile: RadialProfile,
     k: Optional[int],
     grid: PhysicalGrid,
-    policy: QuadraturePolicy,
+    phase_step: float,
 ) -> tuple[FrequencyGrid, np.ndarray]:
     """Frequency quadrature satisfying the Nyquist rule for the whole (t, r)
     extent, together with the projected integrand samples."""
@@ -84,12 +83,12 @@ def _integration_grid(
     if k is not None:
         lo, hi = band_edges(k)
         budget = t_max * symbol.sup_dphi(lo, hi) + r_max
-        fg = band_grid(k, budget, policy)
+        fg = band_grid(k, budget, phase_step)
         return fg, profile.at(fg.nodes) * dyadic_cutoff(k, fg.nodes)
     # un-projected path: integrate on the profile's own grid, checking resolution
     fg = profile.grid
     lo, hi = fg.span
-    require_resolution(fg, t_max * symbol.sup_dphi(lo, hi) + r_max, policy)
+    require_resolution(fg, t_max * symbol.sup_dphi(lo, hi) + r_max, phase_step)
     return fg, profile.values
 
 
@@ -98,10 +97,10 @@ def evolve(
     profile: RadialProfile,
     k: Optional[int],
     grid: PhysicalGrid,
-    policy: QuadraturePolicy = DEFAULT_POLICY,
+    phase_step: float = PHASE_STEP,
 ) -> SpaceTimeField:
     """S_phi(t) P_k u0 on the physical grid (k=None skips the projection)."""
-    fg, vals = _integration_grid(symbol, profile, k, grid, policy)
+    fg, vals = _integration_grid(symbol, profile, k, grid, phase_step)
     s, rows = _multiplier(symbol, fg, vals, grid.t_nodes, profile.n)
     out = np.empty((grid.t_nodes.size, grid.r_nodes.size), dtype=complex)
     for cols, kernel in kernel_panels(profile.n, grid.r_nodes, s):
@@ -126,7 +125,7 @@ def main_error_split(
 ) -> tuple[SpaceTimeField, SpaceTimeField]:
     """(M, E) with M from the two leading kernel oscillations and E the exact
     residual; requires r s >= 1 on every quadrature pair."""
-    fg, vals = _integration_grid(symbol, profile, k, grid, DEFAULT_POLICY)
+    fg, vals = _integration_grid(symbol, profile, k, grid, PHASE_STEP)
     n = profile.n
     s, rows = _multiplier(symbol, fg, vals, grid.t_nodes, n)
     r = grid.r_nodes

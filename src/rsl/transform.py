@@ -134,7 +134,7 @@ def fourier_bessel(profile: RadialProfile, r) -> np.ndarray:
     """Evaluate T[h](r) by quadrature on the profile's own grid.
 
     The grid must resolve the kernel oscillation at the largest radius
-    (`grids.require_resolution` at the default policy).
+    (`grids.require_resolution` at grids.PHASE_STEP).
     """
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0

@@ -27,11 +27,10 @@ from rsl.estimates import (
     annulus_predicted_slope,
 )
 from rsl.fastfield import BandFieldSampler, SamplerConfig
-from rsl.grids import QuadraturePolicy
 
 _CACHE = {}
 # criterion 12's refined resolution: phase step halved (with T0 doubled)
-_REFINED = SamplerConfig(policy=QuadraturePolicy(np.pi / 8))
+_REFINED = SamplerConfig(phase_step=np.pi / 8)
 
 
 def _line(name, ok, detail):

@@ -318,6 +318,8 @@ def test_readme_examples_validate(line, capsys):
     "propagate --rmax 40",
     # rules the library states as typed errors
     "knapp --sigma 3", "maximal --a=-1", "norm-sweep --q inf --T0 4",
+    # sizes that overflow a float lie past the node limit
+    "maximal --a 1000 --k 2..3",
     "fit-j --q inf --j 3..4", "smoothing --q inf", "counter-wave --q inf",
     "knapp --q inf", "knapp --r inf", "counter-schrodinger --q inf",
     # norm-sweep measures L^q_{t,x}; it has no separate --r

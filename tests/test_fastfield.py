@@ -247,7 +247,7 @@ def test_inner_block_runs_at_every_slice():
     wave = get_symbol("wave")
     T = 200.0
     sampler = BandFieldSampler(wave, 2, 0, canonical_band_amplitude(2, 0), T=T)
-    kappa = 0.9 * sampler.config.policy.max_phase_step
+    kappa = 0.9 * sampler.config.phase_step
     assert (sampler.s_in[1] - sampler.s_in[0]) * T * wave.sup_dphi(*band_edges(0)) <= kappa
     n_in = sampler.r_in.size
     # the field there has decayed to 1e-7 by cancellation: rounding is

@@ -3,20 +3,24 @@ sampler's node limit (tracemalloc, which sees numpy's buffers).  Each dense
 product streams kernel panels, so its peak is set by the panel size, not by
 the kernel matrix it contracts; a solve holds one kernel, the grid's
 free-group table and a few trajectory-sized arrays; a sampler past the node
-limit raises before it builds a grid."""
+limit, and an array past the array limit, raise before they are built."""
 
+import json
+import shlex
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rsl.cli import main
 from rsl.cutoffs import smooth_bump
 from rsl.dispersion import get_symbol
 from rsl.errors import QuadratureUnderresolved
+from rsl.estimates import counterexample_wave
 from rsl.fastfield import BandFieldSampler
 from rsl.grids import PhysicalGrid, gauss_panel_grid
-from rsl.nonlinear import build_solver_grid, nls_small_data_experiment
+from rsl.nonlinear import SolverGrid, build_solver_grid, nls_small_data_experiment
 from rsl.propagator import evolve
 from rsl.transform import RadialProfile, canonical_band_amplitude, fourier_bessel, profile_from_fn
 
@@ -80,6 +84,41 @@ def test_sampler_past_node_limit_raises_before_allocating(T, r_window, grid):
     def build():
         with pytest.raises(QuadratureUnderresolved, match=grid):
             BandFieldSampler(get_symbol("schrodinger"), 2, 0, amp, T, r_window=r_window)
+
+    _, peak = _peak(build)
+    assert peak <= 16 * MB, peak / MB
+
+
+def test_counterexample_wave_peak():
+    # Ghat on 1,600 taus from 6,001 band nodes through one chirp-Z plan; the
+    # dense 1,600 x 6,001 complex exponential peaked at 293 MB
+    rep, peak = _peak(lambda: counterexample_wave(2, 4, [2.0**i for i in range(4, 11)]))
+    assert rep.diverges
+    assert peak <= 16 * MB, peak / MB
+
+
+@pytest.mark.parametrize("line, array", [
+    ("norm-sweep --T0 4e5", "band 0 inner kernel"),      # 3.4M x 160, 4.3 GB
+    ("propagate --k 8", "band 8 inner kernel"),          # 1.1M x 160, 1.4 GB
+    ("solve-nls --T 512", "solver kernel"),              # 37,080 x 37,460, 11.1 GB
+    ("maximal --k 14..15", "maximal band 14 block"),     # 32 x 4.2M complex, 2.15 GB
+])
+def test_array_past_limit_exits_2_before_allocating(line, array, tmp_path, capsys):
+    code, peak = _peak(lambda: main(["--output", str(tmp_path), *shlex.split(line)]))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "QuadratureUnderresolved" and err["detail"].startswith(array)
+    assert peak <= 16 * MB, peak / MB
+
+
+def test_free_group_table_past_limit_raises_before_allocating():
+    # 70,000 times x 1,000 nodes: a 1.1 GB complex table
+    grid = SolverGrid.on(2, gauss_panel_grid(0.5, 2.0, 100), gauss_panel_grid(1e-9, 10.0, 4),
+                         np.linspace(0.0, 1.0, 70_000))
+
+    def build():
+        with pytest.raises(QuadratureUnderresolved, match="free-group table"):
+            grid.free_group(grid.freq.nodes)
 
     _, peak = _peak(build)
     assert peak <= 16 * MB, peak / MB

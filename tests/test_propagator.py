@@ -4,8 +4,9 @@ import pytest
 from rsl.cutoffs import smooth_bump
 from rsl.dispersion import get_symbol
 from rsl.errors import QuadratureUnderresolved, SplitDomainError
-from rsl.grids import (PhysicalGrid, QuadraturePolicy, gauss_panel_grid, trapezoid_weights,
-                       uniform_grid)
+from rsl.fastfield import SamplerConfig
+from rsl.grids import (PHASE_STEP, PhysicalGrid, band_grid, gauss_panel_grid, require_resolution,
+                       trapezoid_weights, uniform_grid)
 from rsl.propagator import (
     duhamel_coefficients,
     evolve,
@@ -14,6 +15,7 @@ from rsl.propagator import (
 )
 from rsl.transform import (
     RadialProfile,
+    canonical_band_amplitude,
     canonical_band_profile,
     fourier_bessel,
     l2_norm,
@@ -98,8 +100,8 @@ def test_nyquist_robustness():
     prof = canonical_band_profile(2, 0)
     r = np.linspace(1e-6, 20.0, 150)
     grid = PhysicalGrid(r, np.array([0.0, 2.0]))
-    base = evolve(SCH, prof, 0, grid, QuadraturePolicy(np.pi / 4))
-    fine = evolve(SCH, prof, 0, grid, QuadraturePolicy(np.pi / 8))
+    base = evolve(SCH, prof, 0, grid, np.pi / 4)
+    fine = evolve(SCH, prof, 0, grid, np.pi / 8)
     scale = np.max(np.abs(base.values))
     assert np.max(np.abs(base.values - fine.values)) / scale < 1e-6
 
@@ -107,9 +109,33 @@ def test_nyquist_robustness():
 def test_refinement_limit_raises():
     prof = canonical_band_profile(2, 0)
     r = np.linspace(1e-6, 20.0, 8)
-    policy = QuadraturePolicy(np.pi / 4, refinement_limit=4)
-    with pytest.raises(QuadratureUnderresolved):
-        evolve(SCH, prof, 0, PhysicalGrid(r, np.array([0.0, 1000.0])), policy)
+    # |t| <= 1e6 needs 76M band-grid nodes, past grids.NODE_LIMIT
+    with pytest.raises(QuadratureUnderresolved, match="band 0"):
+        evolve(SCH, prof, 0, PhysicalGrid(r, np.array([0.0, 1e6])))
+
+
+def test_underresolved_profile_grid_raises():
+    # six Gauss panels on [1/2, 2] carry 6.1 rad per node step at r = 5,
+    # t = 40: the sum came out |F| = 5.8e-4 where the field is 4.4e-5
+    prof = profile_from_fn(canonical_band_amplitude(2, 0), gauss_panel_grid(0.5, 2.0, 6), 2)
+    with pytest.raises(QuadratureUnderresolved, match="per node step"):
+        evolve(SCH, prof, None, PhysicalGrid(np.array([5.0]), np.array([40.0])))
+
+
+@pytest.mark.parametrize("phase_step", [PHASE_STEP, np.pi / 8])
+def test_band_grid_passes_require_resolution(phase_step):
+    for k, rate in ((-3, 0.5), (0, 208.0), (2, 4000.0), (5, 31.0)):
+        require_resolution(band_grid(k, rate, phase_step), rate, phase_step)
+
+
+@pytest.mark.parametrize("phase_step", [0.0, -0.1, np.pi / 2])
+def test_phase_step_outside_range_raises(phase_step):
+    grid = PhysicalGrid(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="phase step"):
+        SamplerConfig(phase_step=phase_step)
+    for k in (0, None):
+        with pytest.raises(ValueError, match="phase step"):
+            evolve(SCH, canonical_band_profile(2, 0), k, grid, phase_step)
 
 
 def test_split_reassembly_and_domain():

@@ -7,6 +7,7 @@ from rsl.errors import NonPositiveSample, QuadratureUnderresolved
 from rsl.grids import FrequencyGrid, gauss_panel_grid, trapezoid_weights, uniform_grid
 from rsl.transform import (
     RadialProfile,
+    canonical_band_amplitude,
     canonical_band_profile,
     fourier_bessel,
     l2_norm,
@@ -129,6 +130,19 @@ def test_underresolved_transform_raises():
     prof = RadialProfile(g, np.ones(12), 2)
     with pytest.raises(QuadratureUnderresolved):
         fourier_bessel(prof, 5000.0)
+
+
+@pytest.mark.parametrize("grid, r", [
+    (uniform_grid(0.5, 2.0, 101), 400.0),     # 6.0 rad per node step
+    (gauss_panel_grid(0.5, 2.0, 6), 200.0),   # 7.4 rad per node step
+])
+def test_node_step_past_the_band_plan_bound_raises(grid, r):
+    # both grids carry more than node_phase(PHASE_STEP) = 0.71 rad per node
+    # step, the bound of the band plan's uniform grids; their sums come out
+    # -1.3e-4 and 3.5e-3 where the transform is 5.9e-13 and 5.6e-11
+    prof = profile_from_fn(canonical_band_amplitude(2, 0), grid, 2)
+    with pytest.raises(QuadratureUnderresolved, match="per node step"):
+        fourier_bessel(prof, r)
 
 
 def _whole_matrix_product(prof, r):
