@@ -93,9 +93,9 @@ def band_edges(k: int) -> tuple[float, float]:
 def require_node_limit(nodes: int, what: str) -> None:
     """Raises QuadratureUnderresolved when a grid of `nodes` nodes would
     exceed NODE_LIMIT.  Callers check a grid's node count before they
-    allocate it."""
+    allocate it; the message gives the count to three digits."""
     if nodes > NODE_LIMIT:
-        raise QuadratureUnderresolved(f"{what}: {nodes} nodes exceed the limit {NODE_LIMIT}")
+        raise QuadratureUnderresolved(f"{what}: {nodes:.3g} nodes exceed the limit {NODE_LIMIT:,}")
 
 
 def require_array_limit(shape: tuple, itemsize: int, what: str) -> None:

@@ -402,6 +402,15 @@ def test_grid_past_node_limit_exits_2(line, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "QuadratureUnderresolved"
 
 
+def test_node_limit_detail_stays_short(tmp_path, capsys):
+    # a = 300 asks for about 8^299 frequency nodes in band 2; the detail
+    # names the grid and the limit and gives the count to three digits
+    assert main(["--output", str(tmp_path), "maximal", "--a", "300", "--k", "2..3"]) == 2
+    detail = json.loads(capsys.readouterr().err)["detail"]
+    assert "maximal band 2 frequency grid" in detail and "4,000,000" in detail
+    assert len(detail) < 120
+
+
 SOLVE_COLUMNS = {
     "solve-nls": "seed,mu,converged,contraction,mass_drift,solution_norm,bound_constant,"
                  "final_deviation,max_tail_deviation,tail_decreasing",

@@ -12,10 +12,11 @@ from rsl.bessel import HANKEL_X_MIN, hankel_phase_coeffs
 from rsl.dispersion import get_symbol
 from rsl.errors import OutOfRangeQ
 from rsl.estimates import canonical_band_amplitude
-from rsl.fastfield import BandFieldSampler, SamplerConfig, band_norm_adaptive, chirp_z
+from rsl.fastfield import (BandFieldSampler, SamplerConfig, band_norm_adaptive, chirp_z,
+                           octave_ladder)
 from rsl.grids import PhysicalGrid, band_edges, uniform_grid
 from rsl.propagator import evolve
-from rsl.transform import profile_from_fn
+from rsl.transform import profile_from_fn, radial_norm
 
 SCH = get_symbol("schrodinger")
 
@@ -161,6 +162,79 @@ def test_sampler_refinement_stability():
     assert abs(base - fine) / fine < 1e-3
 
 
+@pytest.mark.parametrize("T, beat, steps, cap", [
+    (16.0, 3.75, 3.0, 24),     # Schrodinger band 0 at the sampler default
+    (5.0, 3.75, 3.0, 24),      # T below 16 dt0: the first piece alone
+    (4096.0, 3.75, 3.0, 24),   # the cap binds on the late octaves
+    (512.0 / 1.5, 1.5, 8.0, 64),  # the smoothing check's own arguments
+])
+def test_octave_ladder_gauss_pieces(T, beat, steps, cap):
+    t, wt, octave_of = octave_ladder(T, beat, steps, cap)
+    assert np.sum(wt) == pytest.approx(T, rel=1e-13)
+    assert np.all(t > 0) and np.all(t < T) and np.all(np.diff(t) > 0)
+    # the pieces: [0, 16 dt0], then octaves [lo, min(2 lo, T)]
+    dt0 = 2.0 * np.pi / (steps * beat)
+    edges = [0.0, min(16.0 * dt0, T)]
+    while edges[-1] < T * (1 - 1e-12):
+        edges.append(min(2.0 * edges[-1], T))
+    assert np.array_equal(np.unique(octave_of), np.arange(len(edges) - 1))
+    assert np.all(np.diff(octave_of) >= 0)
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        x = t[octave_of == i]
+        w = wt[octave_of == i]
+        c = x.size
+        assert 16 <= c and (i == 0 or c <= cap)
+        assert lo < x[0] and x[-1] < hi
+        # Gauss-Legendre: exact for polynomials of degree <= 2c - 1
+        u = (2.0 * x - (lo + hi)) / (hi - lo)
+        for d in range(2 * c):
+            exact = 0.5 * (hi - lo) * (1 - (-1) ** (d + 1)) / (d + 1)
+            assert abs(np.sum(w * u ** d) - exact) <= 1e-12 * (hi - lo)
+
+
+TIME_INTEGRAL_CASES = [
+    ("schrodinger", 2, 16.0, None),
+    ("schrodinger", 2, 16.0, (0.5, 1.0)),
+    ("wave", 3, 16.0, None),
+    ("klein-gordon", 4, 16.0, None),
+    ("beam", 5, 8.0, None),
+]
+
+
+@pytest.mark.parametrize("name, n, T, r_window", TIME_INTEGRAL_CASES)
+def test_sampler_time_integral_matches_simpson(name, n, T, r_window):
+    # the norms' time rule against composite Simpson on 3,201 uniform times
+    # of the same sampler's slices (converged: 6,401 times agree to 1e-13).
+    # q = 4 and 6 integrate polynomials in F and its conjugate, analytic in
+    # t, and the Gauss pieces reach 3e-10 and 6e-9 at the default ladder.
+    # |F|^(10/3) is not analytic where F vanishes, so at q = 10/3 they reach
+    # 4e-9 to 2.7e-7 (wave).  A composite trapezoid ladder at (6, 48) errs
+    # by up to 1.1e-5 there and by up to 2.5e-6 at q = 4
+    qs = (10.0 / 3.0, 4.0, 6.0)
+    sampler = BandFieldSampler(get_symbol(name), n, 0, canonical_band_amplitude(n, 0), T=T,
+                               r_window=r_window)
+    got = sampler.norms(qs)
+    t, dt = np.linspace(0.0, T, 3201, retstep=True)
+    w = np.where(np.arange(t.size) % 2, 4.0, 2.0) * dt / 3.0
+    w[0] = w[-1] = dt / 3.0
+    ref = dict.fromkeys(qs, 0.0)
+    for ti, wi in zip(t, w):
+        f = sampler.field_at(ti)
+        for q in qs:
+            ref[q] += 2.0 * wi * radial_norm(f, sampler.measure, n, q) ** q
+    for q, tol in zip(qs, (1e-6, 1e-8, 1e-8)):
+        want = ref[q] ** (1.0 / q)
+        assert abs(got[q][0] - want) / want < tol
+
+
+def test_default_ladder_slice_count():
+    # Schrodinger n = 2, band 0, T = 16 at the default (3, 24): 17 Gauss
+    # nodes on [0, 16 dt0] and 16 on [16 dt0, 16]
+    sampler = BandFieldSampler(SCH, 2, 0, canonical_band_amplitude(2, 0), T=16.0)
+    assert sampler.t.size == 33
+    assert np.bincount(sampler.octave_of).tolist() == [17, 16]
+
+
 def test_adaptive_band_norm_converges():
     amp = canonical_band_amplitude(2, 0)
     res = band_norm_adaptive(SCH, 2, 0, amp, [4.0], T0=16.0, max_doublings=4)
@@ -186,7 +260,7 @@ def test_adaptive_band_norm_flags_unitary_l2():
 
 
 def test_adaptive_band_norm_converged_per_pair():
-    # one window, three exponents: the last octave holds 4.5%, 0.4% and 0.0%
+    # one window, three exponents: the last octave holds 4.6%, 0.4% and 0.0%
     # of the q-th powers, against the q% rule of each exponent
     amp = canonical_band_amplitude(2, 0)
     qs = [10.0 / 3.0, 4.0, 6.0]
