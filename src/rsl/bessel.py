@@ -14,6 +14,12 @@ like r^{-(n+1)/2}, which is what drives every outer-annulus bound downstream.
 `hankel_phase_coeffs` fits the phase-extracted H1 in separable powers of
 x_min/x on x >= x_min.  This module owns x_min = 8 and the fit degree 8
 (HANKEL_X_MIN, HANKEL_DEGREE); the outer-region field sampler imports them.
+
+Kernel matrices K_n(a_i b_j) (`kernel_matrix`, `kernel_panels`) split at
+x = x_min the way the sampler splits its radii: `radial_kernel` pointwise
+below it, and above it, for n = 2..5 on a composite grid, the expansion's
+Re[e^{ix} A] with cos/sin from panel tables by angle addition and the
+rank-P amplitude A as one small real product per panel lane.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, SmallArgument
+from .grids import PANEL_ORDER
 
 
 def bessel_j(nu: float, r) -> np.ndarray:
@@ -239,20 +246,225 @@ def _kernel_block(n: int, x: np.ndarray, out: np.ndarray) -> None:
 
 
 def kernel_matrix(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The matrix K_n(a_i b_j), evaluated in place over the outer product:
-    one array of its size, no temporary beside it."""
-    x = np.multiply.outer(a, b)
-    return radial_kernel(n, x, out=x)
+    """The matrix K_n(a_i b_j) of two node arrays a, b >= 0, split at
+    x = a_i b_j = HANKEL_X_MIN like the field sampler's radii:
+
+      x <  x_min  radial_kernel, pointwise;
+      x >= x_min  Re[e^{ix} A(a_i, b_j)] with A the rank-P Hankel amplitude
+                  (the fit of `hankel_phase_coeffs` at KERNEL_HANKEL_DEGREE),
+                  for n = 2..5 when a or b is a composite grid (`_table_plan`).
+
+    Other n and arguments without panel structure take the pointwise path
+    for every entry, evaluated in place over the outer product (one array
+    of the matrix's size, no temporary beside it).  The table path holds
+    three tiles' worth of KERNEL_TILE floats and one column block's tables
+    (under 1 MB) beside the matrix, and agrees with radial_kernel on the
+    same products within 1e-12 of max(|K_n|, min(1, x^(-(n-1)/2))) (2.6e-13
+    measured up to x = 830): the fit error (at most 4.5e-14) plus a phase
+    error of a few ulps of x, the rounding of x that radial_kernel's own
+    argument reduction carries too.  It runs on the calling thread."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return _kernel_rows(n, a, b, _table_plan(n, a, b), 0, a.size)
 
 
 def kernel_panels(n: int, a: np.ndarray, b: np.ndarray):
     """Yield (rows, kernel_matrix(n, a[rows], b)) over row slices of about
     KERNEL_PANEL points each, so a caller contracts the kernel matrix of
-    a x b one panel at a time and never holds all of it."""
-    step = max(1, KERNEL_PANEL // max(b.size, 1))
+    a x b one panel at a time and never holds all of it.  On the table path
+    the slices are whole tiles of the plan of the whole arrays (multiples
+    of PANEL_ORDER rows), so every entry equals the one
+    kernel_matrix(n, a, b) holds."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    plan = _table_plan(n, a, b, keep_tables=True)
+    quantum = 1 if plan is None else plan.quantum
+    step = max(1, KERNEL_PANEL // max(b.size, 1) // quantum) * quantum
     for lo in range(0, a.size, step):
-        rows = slice(lo, lo + step)
-        yield rows, kernel_matrix(n, a[rows], b)
+        hi = min(lo + step, a.size)
+        yield slice(lo, hi), _kernel_rows(n, a, b, plan, lo, hi)
+
+
+# below this many points the table path's set-up and its one fit per n
+# (about 6 ms, the cost of 150k pointwise entries) outweigh what it saves
+TABLE_MIN = 1 << 18
+KERNEL_TILE = 1 << 16     # points per table tile of a kernel matrix
+TABLE_COLS = 256          # most nodes of the other argument per table tile
+# multiply-adds per amplitude product: below OpenBLAS's threading threshold
+# (2^18), so each product runs on the calling thread without waking a worker
+TABLE_MACS = 1 << 17
+
+
+def _panels(x: np.ndarray):
+    """(panel starts, in-panel offsets) of a composite grid, or None: x holds
+    at least two blocks of PANEL_ORDER nodes (the last may be shorter) that
+    are translates of the first block to 4 ulps of max |x|."""
+    L = PANEL_ORDER
+    if x.ndim != 1 or x.size < 2 * L or not np.isfinite(x).all():
+        return None
+    starts, offsets = x[::L], x[:L] - x[0]
+    full = x.size - x.size % L
+    dev = np.abs(x[:full].reshape(-1, L) - starts[:full // L, None] - offsets).max()
+    if full < x.size:
+        dev = max(dev, np.abs(x[full:] - x[full] - offsets[:x.size - full]).max())
+    return (starts, offsets) if dev <= 4 * np.spacing(np.abs(x).max()) else None
+
+
+def _table_plan(n: int, a: np.ndarray, b: np.ndarray, keep_tables: bool = False):
+    """The table factorization of K_n(a_i b_j) above x_min, or None.
+
+    Along a composite grid S (nodes S_kl = P_k + D_l of panel k, lane l) and
+    the other argument o, the Hankel expansion gives for x = S_kl o >= x_min
+
+        K_n(S_kl o) = Re[ e^{i P_k o} sum_p sigma_p(S_kl) W_lp(o) ],
+        sigma_p(s) = s^(-(n-1)/2 - p),
+        W_lp(o)    = sqrt(2/pi) e^{-i beta} b_p x_min^p o^(-(n-1)/2 - p) e^{i D_l o},
+
+    so cos/sin are needed only on the panel starts (one call per
+    PANEL_ORDER entries) and the amplitude is one real product per lane.
+    S is a if a is composite and at least a quarter as long as b (the
+    matrix is then written along its rows), else b; n outside 2..5, a
+    negative node, a matrix with no x >= x_min and arguments with no panel
+    structure get None, and so does a matrix of fewer than TABLE_MIN points.
+    With keep_tables a plan along a keeps the W and phase tables of b
+    (PANEL_ORDER (P + 1) complex numbers per node of b) for the row slices
+    of `kernel_panels`, which all share them."""
+    if n not in (2, 3, 4, 5) or a.ndim != 1 or b.ndim != 1 or a.size * b.size < TABLE_MIN:
+        return None
+    if min(a.min(), b.min()) < 0 or a.max() * b.max() < HANKEL_X_MIN:
+        return None
+    pa, pb = _panels(a), _panels(b)
+    if pa is not None and (pb is None or 4 * a.size >= b.size):
+        return _TablePlan(n, 0, a, *pa, b, keep_tables)
+    if pb is not None:
+        return _TablePlan(n, 1, b, *pb, a, False)
+    return None
+
+
+class _TablePlan:
+    """The factorization of `_table_plan` along the composite grid `nodes`
+    (axis 0: the rows argument a, axis 1: the columns argument b).  When the
+    panel starts are a composite grid too, e^{i P_k o} comes by angle
+    addition from their own starts and offsets.
+
+    The matrix is cut into tiles of `tile_nodes` grid nodes by `cols` nodes
+    of the other argument, counted from the first node of each, so the
+    tiles are fixed by the two arrays; `quantum` is the matrix rows of one
+    tile (axis 0) or one column block (axis 1), and row panels made of
+    whole quanta evaluate every entry exactly as the whole matrix does."""
+
+    def __init__(self, n, axis, nodes, starts, offsets, other, keep_tables):
+        self.n, self.axis, self.nodes = n, axis, nodes
+        self.tables = {} if keep_tables else None   # column block -> (W, f)
+        self.starts, self.offsets = starts, offsets
+        self.outer = _panels(starts)
+        # n = 3 has one term; a zero second one keeps the amplitude product
+        # off the rank-1 matmul path, several times slower than rank 2 here
+        fit = _hankel_phase_coeffs(n, KERNEL_HANKEL_DEGREE)
+        b = np.zeros(max(fit.size, 2), dtype=complex)
+        b[:fit.size] = fit
+        p = np.arange(b.size)
+        self.power = -(n - 1) / 2.0 - p
+        self.gamma = _SQRT_2_PI * np.exp(-1j * (n - 1) * np.pi / 4.0) * b * HANKEL_X_MIN ** p
+        # nodes whose every product stays below x_min keep sigma = 0 (they
+        # are evaluated pointwise), which also keeps s = 0 out of the powers
+        self.sigma = np.zeros((nodes.size, b.size))
+        keep = nodes * other.max() >= HANKEL_X_MIN
+        self.sigma[keep] = nodes[keep, None] ** self.power
+        # a tile's amplitude product, (panels x P) @ (P x 2 cols) per lane,
+        # stays within TABLE_MACS; a row panel of `kernel_panels` (quantum
+        # rows by b.size) stays within KERNEL_PANEL where one tile allows
+        L, b_size = PANEL_ORDER, (other if axis == 0 else nodes).size
+        if axis == 0:
+            self.cols = min(TABLE_COLS, other.size)
+            panel_cap = KERNEL_PANEL // (L * b_size)
+        else:
+            self.cols = L * max(1, min(TABLE_COLS, KERNEL_PANEL // b_size) // L)
+            panel_cap = KERNEL_TILE
+        self.tile_nodes = L * max(1, min(TABLE_MACS // (2 * b.size * self.cols),
+                                         KERNEL_TILE // (L * self.cols), panel_cap))
+        self.quantum = self.tile_nodes if axis == 0 else self.cols
+
+    def fill(self, s_lo: int, s_hi: int, o: np.ndarray, target: np.ndarray) -> None:
+        """target[i, j] = K_n(nodes[s_lo + i] o[j]) tile by tile, for s_lo a
+        multiple of tile_nodes and o starting at a multiple of cols of the
+        other argument; two buffers serve every tile."""
+        L, x_min = PANEL_ORDER, HANKEL_X_MIN
+        s_max = self.nodes.max()
+        amp = np.empty(2 * self.tile_nodes * self.cols)   # a tile's complex amplitude
+        prod = np.empty(self.tile_nodes * self.cols)       # a tile's products x
+        for j0 in range(0, o.size, self.cols):
+            oc = o[j0:j0 + self.cols]
+            w, f = self._column_tables(j0, oc, oc * s_max >= x_min)
+            for p0 in range(s_lo, s_hi, self.tile_nodes):
+                p1 = min(p0 + self.tile_nodes, s_hi)
+                s = self.nodes[p0:p1]
+                tile = target[p0 - s_lo:p1 - s_lo, j0:j0 + oc.size]
+                if s.max() * oc.max() < x_min:
+                    x = np.multiply.outer(s, oc, out=prod[:tile.size].reshape(tile.shape))
+                    tile[...] = radial_kernel(self.n, x, out=x)
+                    continue
+                full = (p1 - p0) // L * L
+                if full:
+                    self._table(p0, L, oc, w, f, tile[:full], amp)
+                if full < p1 - p0:
+                    self._table(p0 + full, p1 - p0 - full, oc, w, f, tile[full:], amp)
+                if s.min() * oc.min() < x_min:
+                    x = np.multiply.outer(s, oc, out=prod[:tile.size].reshape(tile.shape))
+                    small = x < x_min
+                    xs = x[small]
+                    tile[small] = radial_kernel(self.n, xs, out=xs)
+
+    def _column_tables(self, j0: int, o: np.ndarray, keep: np.ndarray):
+        """(W, f) for the column block o from column j0: W (PANEL_ORDER, P,
+        2 o.size) holds W_lp(o) as interleaved real and imaginary parts, 0
+        where every product with the grid stays below x_min; f is e^{i D'_r o}
+        on the offsets D' of the panel starts' own panels, or None."""
+        if self.tables is not None and j0 in self.tables:
+            return self.tables[j0]
+        o = np.where(keep, o, 1.0)
+        amp = np.empty((self.gamma.size, o.size))
+        amp[0] = o ** self.power[0]
+        for p in range(1, amp.shape[0]):
+            np.divide(amp[p - 1], o, out=amp[p])
+        amp = amp * self.gamma[:, None]
+        amp[:, ~keep] = 0.0
+        w = np.multiply(np.exp(1j * np.multiply.outer(self.offsets, o))[:, None, :], amp)
+        f = None if self.outer is None else np.exp(1j * np.multiply.outer(self.outer[1], o))
+        if self.tables is not None:
+            self.tables[j0] = w.view(float), f
+        return w.view(float), f
+
+    def _table(self, p0, lanes, o, w, f, tile, amp) -> None:
+        """The table values of the whole panels of `lanes` nodes from node p0
+        into tile (their rows by o.size), with (w, f) from `_column_tables`
+        and the buffer amp for the amplitude."""
+        L = PANEL_ORDER
+        m, c = tile.shape[0] // lanes, o.size
+        k0 = p0 // L
+        if f is None:
+            e = np.exp(1j * np.multiply.outer(self.starts[k0:k0 + m], o))
+        else:
+            q0 = k0 // L
+            e = np.exp(1j * np.multiply.outer(self.outer[0][q0:(k0 + m - 1) // L + 1], o))
+            k = np.arange(k0, k0 + m)
+            e = e[k // L - q0] * f[k % L]
+        sig = self.sigma[p0:p0 + m * lanes].reshape(m, lanes, -1).transpose(1, 0, 2)
+        g = np.matmul(sig, w[:lanes], out=amp[:2 * tile.size].reshape(lanes, m, 2 * c))
+        g = g.view(complex)                              # (lanes, m, c)
+        g *= e
+        np.copyto(np.reshape(tile, (m, lanes, c), copy=False).transpose(1, 0, 2), g.real)
+
+
+def _kernel_rows(n: int, a: np.ndarray, b: np.ndarray, plan, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of K_n(a_i b_j) under `plan` (None: pointwise in place)."""
+    if plan is None:
+        x = np.multiply.outer(a[lo:hi], b)
+        return radial_kernel(n, x, out=x)
+    out = np.empty((hi - lo, b.size))
+    if plan.axis == 0:
+        plan.fill(lo, hi, b, out)
+    else:
+        plan.fill(0, b.size, a[lo:hi], out.T)
+    return out
 
 
 def real_rows(x: np.ndarray, weights=None) -> np.ndarray:
@@ -287,6 +499,11 @@ def real_matmul(x: np.ndarray, m: np.ndarray, weights=None) -> np.ndarray:
 
 HANKEL_X_MIN = 8.0
 HANKEL_DEGREE = 8
+# the kernel matrices' fit: 11 terms for even n at max errors 9.8e-15,
+# 1.1e-14 and 1.4e-14 (n = 2, 4, 6), so their table path stays at the
+# rounding of radial_kernel (degree 8 moved criterion 8's complex-Gaussian
+# error from 5.00e-13 to 5.12e-13)
+KERNEL_HANKEL_DEGREE = 10
 
 
 def hankel_phase_coeffs(n: int) -> np.ndarray:
@@ -302,17 +519,27 @@ def hankel_phase_coeffs(n: int) -> np.ndarray:
     instead of a dense kernel matrix.  The fit runs once per n; the returned
     array is shared and read-only.
     """
-    return _hankel_phase_coeffs(n)
+    return _hankel_phase_coeffs(n, HANKEL_DEGREE)
 
 
 @functools.lru_cache(maxsize=None)
-def _hankel_phase_coeffs(n: int) -> np.ndarray:
+def _hankel_phase_coeffs(n: int, degree: int) -> np.ndarray:
     nu = (n - 2) / 2.0
     m = 4000
-    w = (np.cos(np.pi * (np.arange(m) + 0.5) / m) + 1.0) / 2.0
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    w = (np.cos(theta) + 1.0) / 2.0
     x = HANKEL_X_MIN / w
     zeta = special.hankel1e(nu, x) * np.sqrt(np.pi * x / 2.0) * np.exp(1j * (nu * np.pi / 2 + np.pi / 4))
-    cheb = np.polynomial.chebyshev.chebfit(2.0 * w - 1.0, zeta, HANKEL_DEGREE)
+    if degree == HANKEL_DEGREE:
+        # the sampler's fit, kept bit for bit
+        cheb = np.polynomial.chebyshev.chebfit(2.0 * w - 1.0, zeta, degree)
+    else:
+        # least squares on these Chebyshev points is the discrete Chebyshev
+        # projection (the columns T_k(cos theta) = cos(k theta) are
+        # orthogonal there): the same fit to rounding without the LAPACK
+        # solve, whose first use raises a process's peak memory by about 1 MB
+        cheb = (np.cos(np.outer(np.arange(degree + 1), theta)) * zeta).sum(axis=1) * (2.0 / m)
+        cheb[0] /= 2.0
     poly_u = np.polynomial.polynomial.Polynomial(np.polynomial.chebyshev.cheb2poly(cheb))
     poly_w = poly_u(np.polynomial.polynomial.Polynomial([-1.0, 2.0]))
     b = poly_w.coef.astype(complex)

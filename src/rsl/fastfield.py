@@ -62,6 +62,7 @@ from .grids import (
     PANEL_ORDER,
     PHASE_STEP,
     band_edges,
+    gauss_legendre,
     gauss_panel_grid,
     node_phase,
     require_array_limit,
@@ -205,7 +206,7 @@ def octave_ladder(
         edges.append(hi)
     t, wt = [], []
     for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-        x, w = np.polynomial.legendre.leggauss(c)
+        x, w = gauss_legendre(c)
         half = 0.5 * (hi - lo)
         t.append(lo + half * (1.0 + x))
         wt.append(half * w)

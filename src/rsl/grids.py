@@ -7,6 +7,7 @@ field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,10 +74,20 @@ def uniform_grid(lo: float, hi: float, n: int) -> FrequencyGrid:
     return FrequencyGrid(nodes, trapezoid_weights(nodes))
 
 
+@functools.cache
+def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of `count` nodes on [-1, 1], (nodes, weights):
+    computed once per count and shared, read-only, by every composite grid
+    and time ladder."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_panel_grid(lo: float, hi: float, n_panels: int) -> FrequencyGrid:
     """Composite Gauss-Legendre panels; panel edges split [lo, hi] uniformly
     so dyadic rescaling maps node sets exactly onto each other."""
-    x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
+    x, w = gauss_legendre(PANEL_ORDER)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2
     half = (edges[1:] - edges[:-1]) / 2

@@ -1,3 +1,4 @@
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,9 +13,13 @@ from rsl.bessel import (
     bessel_j,
     bessel_j_integral,
     hankel_phase_coeffs,
+    kernel_matrix,
+    kernel_panels,
     radial_kernel,
 )
 from rsl.errors import DomainError, SmallArgument
+from rsl.grids import PANEL_ORDER, gauss_panel_grid
+from rsl.nonlinear import build_solver_grid
 
 
 def test_bessel_j_basics():
@@ -134,6 +139,27 @@ def test_hankel_phase_coeffs_accuracy():
     assert hankel_phase_coeffs(5).size == 2
 
 
+def test_kernel_matrix_fit_accuracy():
+    # the kernel matrices' degree-10 fit (a discrete Chebyshev projection):
+    # 11 terms for even n (max error 1.5e-14, against 1.1e-12 for the
+    # sampler's degree 8), the 1 or 2 of the exact expansion for odd n
+    # (4.5e-14 at n = 5)
+    from scipy import special
+
+    x = np.geomspace(HANKEL_X_MIN, 1e4, 2000)
+    for n in (2, 3, 4, 5, 6):
+        nu = (n - 2) / 2.0
+        zeta = special.hankel1e(nu, x) * np.sqrt(np.pi * x / 2.0) * np.exp(
+            1j * (nu * np.pi / 2 + np.pi / 4)
+        )
+        b = bessel._hankel_phase_coeffs(n, bessel.KERNEL_HANKEL_DEGREE)
+        approx = np.zeros_like(x, dtype=complex)
+        for c in b[::-1]:
+            approx = approx * (HANKEL_X_MIN / x) + c
+        assert np.max(np.abs(approx - zeta)) < 1e-13, n
+        assert b.size == (11 if n % 2 == 0 else (n - 1) // 2)
+
+
 def test_radial_kernel_against_mpmath():
     # 30-digit reference for every backend of radial_kernel (n = 2..6),
     # at x = 0, on both sides of each series threshold and on a log grid
@@ -188,6 +214,12 @@ def test_blocked_radial_kernel_is_bitwise_one_block(monkeypatch, workers):
         np.geomspace(1e-9, 1e4, 2 * KERNEL_BLOCK),
         rng.uniform(0.0, 60.0, KERNEL_BLOCK // 3),
     ])
+    # a kernel matrix on the table path, with pointwise blocks of more than
+    # KERNEL_BLOCK points below x_min
+    a, b = _gauss(1e-9, 40.0, 60), _gauss(0.25, 4.0, 50)
+    one_worker = ThreadPoolExecutor(1)
+    monkeypatch.setattr(bessel, "_pool", lambda: one_worker)
+    matrices = {n: kernel_matrix(n, a, b) for n in (2, 3, 4, 5)}
     pool = ThreadPoolExecutor(workers)
     monkeypatch.setattr(bessel, "_pool", lambda: pool)
     try:
@@ -198,5 +230,96 @@ def test_blocked_radial_kernel_is_bitwise_one_block(monkeypatch, workers):
             inplace = x[None, :].copy()
             radial_kernel(n, inplace, out=inplace)
             assert np.array_equal(inplace[0], one), n
+        for n, ref in matrices.items():
+            assert np.array_equal(kernel_matrix(n, a, b), ref), n
     finally:
         pool.shutdown()
+        one_worker.shutdown()
+
+
+def _gauss(lo, hi, panels):
+    return gauss_panel_grid(lo, hi, panels).nodes
+
+
+def _scaled_error(n, a, b):
+    """max |kernel_matrix - radial_kernel| on the outer product a x b,
+    relative to max(|K_n|, min(1, x^(-(n-1)/2)))."""
+    x = np.multiply.outer(a, b)
+    ref = radial_kernel(n, x)
+    with np.errstate(divide="ignore"):
+        envelope = np.minimum(1.0, x ** (-(n - 1) / 2.0))
+    return np.max(np.abs(kernel_matrix(n, a, b) - ref) / np.maximum(np.abs(ref), envelope))
+
+
+KERNEL_GRIDS = {
+    # the bench picard NLS kernel (frequency x radius) at T = 4
+    "gauss x gauss": (_gauss(0.0625, 6.2, 123), _gauss(1e-9, 78.4, 124)),
+    "uniform x gauss": (np.linspace(0.0, 60.0, 1201), _gauss(0.25, 4.5, 80)),
+    "gauss x uniform": (_gauss(0.25, 4.5, 80), np.linspace(0.0, 60.0, 1201)),
+    # partial last panels on both sides
+    "odd sizes": (_gauss(0.25, 4.5, 80)[:797], np.linspace(1e-3, 60.0, 1201)[:1133]),
+    # a composite grid only along b, four times the length of a
+    "short a": (np.geomspace(0.05, 3.0, 60), _gauss(1e-4, 240.0, 600)),
+    # a descending composite grid: its blocks are translates too
+    "reversed": (_gauss(0.25, 4.5, 80)[::-1], np.linspace(0.0, 60.0, 1201)),
+}
+
+
+@pytest.mark.parametrize("grids", KERNEL_GRIDS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_matrix_matches_radial_kernel(n, grids):
+    # the table path above x_min against the pointwise kernel on the same
+    # products: fit error (<= 1.1e-12 in zeta) plus a phase error of a few ulps of x
+    a, b = KERNEL_GRIDS[grids]
+    assert bessel._table_plan(n, a, b) is not None
+    assert _scaled_error(n, a, b) <= 1e-12
+
+
+@pytest.mark.parametrize("n, a, b", [
+    (2, np.sort(np.random.default_rng(5).uniform(0.0, 30.0, 400)), np.geomspace(0.25, 4.0, 300)),
+    (3, np.geomspace(1e-3, 60.0, 500), np.linspace(0.5, 2.0, 301) ** 2),
+    (6, _gauss(0.25, 4.5, 80), np.linspace(0.0, 60.0, 1201)),
+])
+def test_kernel_matrix_pointwise_cases_are_bitwise(n, a, b):
+    # no panel structure on either side (random, geometric and squared
+    # nodes) or n >= 6: radial_kernel on the outer product
+    assert np.array_equal(kernel_matrix(n, a, b), radial_kernel(n, np.multiply.outer(a, b)))
+
+
+@pytest.mark.parametrize("n, a, b", [
+    # the dense-oracle transform: 6,000 radii on 600 profile nodes (430-row panels)
+    (3, _gauss(1e-4, 240.0, 600), _gauss(1e-6, 1.0, 60)),
+    # Criterion 8(b)'s evolution: 60 radii from 0 on a 6,000-node frequency grid
+    (3, np.linspace(0.0, 3.0, 60), _gauss(1e-4, 240.0, 600)),
+    (2, np.linspace(0.0, 60.0, 3001), _gauss(0.25, 4.5, 80)),
+    (4, np.geomspace(1e-3, 60.0, 2000), np.linspace(0.0, 4.0, 301)),
+])
+def test_kernel_panels_keep_every_entry(n, a, b):
+    # row panels start at multiples of PANEL_ORDER and factor along the
+    # whole arrays' panels: each entry is the whole matrix's, bitwise, and a
+    # radius or argument of 0 raises no floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = kernel_matrix(n, a, b)
+        panels = list(kernel_panels(n, a, b))
+    assert len(panels) > 1
+    for rows, kernel in panels:
+        assert rows.start % PANEL_ORDER == 0
+        assert np.array_equal(kernel, whole[rows])
+    assert panels[-1][0].stop == a.size
+
+
+def test_picard_grid_reaches_radial_kernel_below_x_min_only(monkeypatch):
+    # the bench picard NLS grid (1,230 x 1,240): 7.5% of its entries have
+    # s r < x_min; the table path serves the rest, so a regression in the
+    # panel detection shows here and not only as a slower bench
+    pts = []
+
+    def counting(n, x, out=None):
+        pts.append(np.size(x))
+        return radial_kernel(n, x, out)
+
+    monkeypatch.setattr(bessel, "radial_kernel", counting)
+    grid = build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 4.0, 4.0)
+    assert grid.kernel.shape == (1230, 1240)
+    assert 0 < sum(pts) <= 0.15 * grid.kernel.size, sum(pts) / grid.kernel.size

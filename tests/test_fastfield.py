@@ -14,7 +14,8 @@ from rsl.errors import OutOfRangeQ
 from rsl.estimates import canonical_band_amplitude
 from rsl.fastfield import (BandFieldSampler, SamplerConfig, band_norm_adaptive, chirp_z,
                            octave_ladder)
-from rsl.grids import PhysicalGrid, band_edges, uniform_grid
+from rsl.grids import (PANEL_ORDER, PhysicalGrid, band_edges, gauss_legendre, gauss_panel_grid,
+                       uniform_grid)
 from rsl.propagator import evolve
 from rsl.transform import profile_from_fn, radial_norm
 
@@ -190,6 +191,36 @@ def test_octave_ladder_gauss_pieces(T, beat, steps, cap):
         for d in range(2 * c):
             exact = 0.5 * (hi - lo) * (1 - (-1) ** (d + 1)) / (d + 1)
             assert abs(np.sum(w * u ** d) - exact) <= 1e-12 * (hi - lo)
+
+
+def test_gauss_legendre_rules_are_cached_and_bitwise(monkeypatch):
+    # one read-only rule per node count, shared by the composite grids and
+    # the time ladders, with numpy's nodes and weights bit for bit
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(count):
+        calls.append(count)
+        return leggauss(count)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    gauss_legendre.cache_clear()
+    try:
+        for _ in range(3):
+            grid = gauss_panel_grid(0.5, 2.0, 7)
+            t, wt, _ = octave_ladder(64.0, 3.75, 3.0, 24)
+        assert sorted(calls) == sorted(set(calls)) and PANEL_ORDER in calls
+        x, w = gauss_legendre(PANEL_ORDER)
+        assert not x.flags.writeable and not w.flags.writeable
+        ref_x, ref_w = leggauss(PANEL_ORDER)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        # the grid as built from numpy's rule directly
+        edges = np.linspace(0.5, 2.0, 8)
+        mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
+        assert np.array_equal(grid.nodes, (mid[:, None] + half[:, None] * ref_x).ravel())
+        assert np.array_equal(grid.weights, (half[:, None] * ref_w).ravel())
+    finally:
+        gauss_legendre.cache_clear()
 
 
 TIME_INTEGRAL_CASES = [
