@@ -516,46 +516,56 @@ def hankel_phase_coeffs(n: int) -> np.ndarray:
     i.e. 9 terms; exact with 1 or 2 terms for odd n, where H1_(n-2)/2 is
     elementary).  The separable powers (x_min/(rs))^p are what let the
     outer-region field sampler evaluate one chirp-Z transform per power
-    instead of a dense kernel matrix.  The fit runs once per n; the returned
-    array is shared and read-only.
+    instead of a dense kernel matrix.  One fit serves this degree and the
+    kernel matrices' KERNEL_HANKEL_DEGREE, made once per (n, degree) on
+    first use; the returned array is shared and read-only.
     """
     return _hankel_phase_coeffs(n, HANKEL_DEGREE)
+
+
+# Chebyshev nodes of the fit: zeta's Chebyshev coefficients reach rounding
+# (1e-16) by degree 14, so 128 nodes alias nothing into a degree <= 10 fit,
+# and the even-n max errors match a 4,000-node least-squares fit's
+_HANKEL_FIT_NODES = 128
+
+
+def _shifted_chebyshev(degree: int) -> np.ndarray:
+    """The exact integer matrix whose row k holds the monomial coefficients
+    of T_k(2w - 1), by T_(k+1) = 2 (2w - 1) T_k - T_(k-1)."""
+    t = np.zeros((degree + 1, degree + 1), dtype=np.int64)
+    t[0, 0] = 1
+    t[1, :2] = (-1, 2)
+    for k in range(1, degree):
+        t[k + 1] = -2 * t[k] - t[k - 1]
+        t[k + 1, 1:] += 4 * t[k, :-1]
+    return t
 
 
 @functools.lru_cache(maxsize=None)
 def _hankel_phase_coeffs(n: int, degree: int) -> np.ndarray:
     nu = (n - 2) / 2.0
-    m = 4000
-    theta = np.pi * (np.arange(m) + 0.5) / m
-    w = (np.cos(theta) + 1.0) / 2.0
+    m = _HANKEL_FIT_NODES
+    odd = 2 * np.arange(m) + 1
+    w = (np.cos(np.pi / (2 * m) * odd) + 1.0) / 2.0
     x = HANKEL_X_MIN / w
     zeta = special.hankel1e(nu, x) * np.sqrt(np.pi * x / 2.0) * np.exp(1j * (nu * np.pi / 2 + np.pi / 4))
-    if degree == HANKEL_DEGREE:
-        # the sampler's fit, kept bit for bit
-        cheb = np.polynomial.chebyshev.chebfit(2.0 * w - 1.0, zeta, degree)
-    else:
-        # least squares on these Chebyshev points is the discrete Chebyshev
-        # projection (the columns T_k(cos theta) = cos(k theta) are
-        # orthogonal there): the same fit to rounding without the LAPACK
-        # solve, whose first use raises a process's peak memory by about 1 MB
-        cheb = (np.cos(np.outer(np.arange(degree + 1), theta)) * zeta).sum(axis=1) * (2.0 / m)
-        cheb[0] /= 2.0
-    poly_u = np.polynomial.polynomial.Polynomial(np.polynomial.chebyshev.cheb2poly(cheb))
-    poly_w = poly_u(np.polynomial.polynomial.Polynomial([-1.0, 2.0]))
-    b = poly_w.coef.astype(complex)
+    # the discrete Chebyshev projection in u = 2w - 1: T_k(u_j) = cos(k theta_j)
+    # are orthogonal on these nodes, so it is the least-squares fit with no
+    # linear solve.  k theta_j = pi k (2j + 1) / (2m) is reduced exactly mod
+    # 2 pi, which keeps odd n's zero coefficients at rounding (their 1- or
+    # 2-term prefix then errs by 1.8e-14 at most, not 4.5e-14).  Both sums
+    # are elementwise: a complex BLAS product would page in about 0.1 MB of
+    # BLAS code that the Picard grids never otherwise run
+    k = np.arange(degree + 1)
+    cheb = (np.cos(np.pi / (2 * m) * (np.outer(k, odd) % (4 * m))) * zeta).sum(axis=1) * (2.0 / m)
+    cheb[0] /= 2.0
+    b = (cheb[:, None] * _shifted_chebyshev(degree)).sum(axis=0)  # monomials in w = x_min/x
 
     # truncate to the shortest prefix that still evaluates to ~fit accuracy
-    # (odd n collapses to its exact finite expansion this way)
-    def max_err(coeffs):
-        approx = np.zeros_like(w, dtype=complex)
-        for c in coeffs[::-1]:
-            approx = approx * w + c
-        return float(np.max(np.abs(approx - zeta)))
-
-    full_err = max_err(b)
-    for p in range(1, b.size):
-        if max_err(b[:p]) <= max(2.0 * full_err, 2e-11):
-            b = b[:p]
-            break
+    # (odd n collapses to its exact finite expansion this way); row p of the
+    # cumulative sum is the prefix of p + 1 terms at every node
+    prefix = np.cumsum(b[:, None] * w ** k[:, None], axis=0)
+    err = np.abs(prefix - zeta).max(axis=1)
+    b = b[:int(np.argmax(err <= max(2.0 * err[-1], 2e-11))) + 1]
     b.flags.writeable = False
     return b

@@ -424,6 +424,25 @@ def strichartz_l6_check(symbol: DispersionSymbol, k_range: Sequence[int]) -> Exp
 _MAXIMAL_BLOCK = 32  # time nodes per inverse-FFT call of `maximal_check`
 
 
+def _maximal_sup(f, phase, t_nodes, n_fft, scale) -> np.ndarray:
+    """max over t_nodes of scale |ifft(f e^{i t phase})| on n_fft points,
+    _MAXIMAL_BLOCK times per transform.  The block is inverse-transformed in
+    place and its magnitudes scaled in place, so 24 bytes an entry of the
+    (_MAXIMAL_BLOCK, n_fft) block are alive at once; both buffers are freed
+    on return, before the caller sizes its next band."""
+    best = np.zeros(n_fft)
+    c = np.empty((_MAXIMAL_BLOCK, n_fft), dtype=complex)
+    mag = np.empty((_MAXIMAL_BLOCK, n_fft))
+    for lo in range(0, t_nodes.size, _MAXIMAL_BLOCK):
+        t = t_nodes[lo:lo + _MAXIMAL_BLOCK]
+        c[:t.size, :f.size] = f * np.exp(1j * np.multiply.outer(t, phase))
+        c[:t.size, f.size:] = 0.0
+        m = np.abs(ifft(c[:t.size], axis=-1, overwrite_x=True), out=mag[:t.size])
+        m *= scale
+        np.maximum(best, m.max(axis=0), out=best)
+    return best
+
+
 def maximal_check(
     a: float,
     k_range: Sequence[int],
@@ -462,17 +481,12 @@ def maximal_check(
         dxi = xi[1] - xi[0]
         f = np.full(n_xi, (2.0 * width) ** (-0.5)) * smooth_bump(xi / (2.0 * xi0))
         n_fft = int(2 ** np.ceil(np.log2(max(n_xi, 16.0 * np.pi * width / dxi))))
-        # the block's rows are n_fft long, so this also bounds the FFT length
-        require_array_limit((_MAXIMAL_BLOCK, n_fft), 16, f"maximal band {k} block")
+        # `_maximal_sup` holds the complex block (16 bytes an entry) and its
+        # magnitudes (8); the rows are n_fft long, so this also bounds the
+        # FFT length
+        require_array_limit((_MAXIMAL_BLOCK, n_fft), 24, f"maximal band {k} block")
         dx = 2 * np.pi / (n_fft * dxi)
-        t_nodes = np.linspace(-c_time, c_time, n_t)
-        best = np.zeros(n_fft)
-        c = np.zeros((_MAXIMAL_BLOCK, n_fft), dtype=complex)
-        for lo in range(0, n_t, _MAXIMAL_BLOCK):
-            t = t_nodes[lo:lo + _MAXIMAL_BLOCK]
-            c[:t.size, :n_xi] = f * np.exp(1j * np.multiply.outer(t, xi**a))
-            mag = np.abs(ifft(c[:t.size], axis=-1)) * (n_fft * dxi)
-            np.maximum(best, mag.max(axis=0), out=best)
+        best = _maximal_sup(f, xi**a, np.linspace(-c_time, c_time, n_t), n_fft, n_fft * dxi)
         val = math.sqrt(float(np.sum(best**2) * dx))
         logs.append(math.log2(val))
     predicted = 0.5 if a == 1.0 else a / 4.0

@@ -17,7 +17,7 @@ from rsl.cli import main
 from rsl.cutoffs import smooth_bump
 from rsl.dispersion import get_symbol
 from rsl.errors import QuadratureUnderresolved
-from rsl.estimates import counterexample_wave
+from rsl.estimates import counterexample_wave, maximal_check
 from rsl.fastfield import BandFieldSampler
 from rsl.grids import PhysicalGrid, gauss_panel_grid
 from rsl.nonlinear import SolverGrid, build_solver_grid, nls_small_data_experiment
@@ -101,6 +101,7 @@ def test_counterexample_wave_peak():
     ("norm-sweep --T0 4e5", "band 0 inner kernel"),      # 3.4M x 160, 4.3 GB
     ("propagate --k 8", "band 8 inner kernel"),          # 1.1M x 160, 1.4 GB
     ("solve-nls --T 512", "solver kernel"),              # 37,080 x 37,460, 11.1 GB
+    ("maximal --k 13..14", "maximal band 13 block"),     # 32 x 2.1M, 1.6 GB with magnitudes
     ("maximal --k 14..15", "maximal band 14 block"),     # 32 x 4.2M complex, 2.15 GB
 ])
 def test_array_past_limit_exits_2_before_allocating(line, array, tmp_path, capsys):
@@ -109,6 +110,15 @@ def test_array_past_limit_exits_2_before_allocating(line, array, tmp_path, capsy
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "QuadratureUnderresolved" and err["detail"].startswith(array)
     assert peak <= 16 * MB, peak / MB
+
+
+def test_maximal_block_holds_its_declared_bytes():
+    # bands 2 and 3 at a = 2 run 32 x 8,192 blocks: the complex block is
+    # transformed in place and its magnitudes scaled in place, so the loop
+    # holds 24 bytes an entry (6.3 MB; 12.6 MB with a separate inverse-FFT
+    # output and scaled copy), as `require_array_limit` is told
+    _, peak = _peak(lambda: maximal_check(2.0, range(2, 4)))
+    assert peak <= 7 * MB, peak / MB
 
 
 def test_free_group_table_past_limit_raises_before_allocating():
