@@ -118,28 +118,41 @@ def test_radial_kernel_continuity_at_zero():
         assert radial_kernel(n, 1e-8) == pytest.approx(radial_kernel(n, 0.0), rel=1e-6)
 
 
-def test_hankel_phase_coeffs_accuracy():
-    # one fit at both degrees: the sampler's degree 8 (max error 1.1e-12 at
-    # n = 6) and the kernel matrices' degree 10 (1.5e-14 even, 1.8e-14 odd
-    # at most); even n keeps every term, odd n collapses to the 1 or 2 terms
-    # of its exact finite expansion
+def _hankel_fit_errors(degree):
+    # (n, max error against scipy on [x_min, 1e4], term count) of the one
+    # Hankel fit at the given degree, for n = 2..6
     from scipy import special
 
     x = np.geomspace(HANKEL_X_MIN, 1e4, 2000)
-    bounds = {bessel.HANKEL_DEGREE: (1.2e-12, 1.2e-12), bessel.KERNEL_HANKEL_DEGREE: (2e-14, 5e-14)}
-    for degree, (even, odd) in bounds.items():
-        for n in (2, 3, 4, 5, 6):
-            nu = (n - 2) / 2.0
-            zeta = special.hankel1e(nu, x) * np.sqrt(np.pi * x / 2.0) * np.exp(
-                1j * (nu * np.pi / 2 + np.pi / 4)
-            )
-            b = bessel._hankel_phase_coeffs(n, degree)
-            approx = np.zeros_like(x, dtype=complex)
-            for c in b[::-1]:
-                approx = approx * (HANKEL_X_MIN / x) + c  # Horner in x_min/x
-            assert np.max(np.abs(approx - zeta)) < (even if n % 2 == 0 else odd), (n, degree)
-            assert b.size == (degree + 1 if n % 2 == 0 else (n - 1) // 2), (n, degree)
+    for n in (2, 3, 4, 5, 6):
+        nu = (n - 2) / 2.0
+        zeta = special.hankel1e(nu, x) * np.sqrt(np.pi * x / 2.0) * np.exp(
+            1j * (nu * np.pi / 2 + np.pi / 4)
+        )
+        b = bessel._hankel_phase_coeffs(n, degree)
+        approx = np.zeros_like(x, dtype=complex)
+        for c in b[::-1]:
+            approx = approx * (HANKEL_X_MIN / x) + c  # Horner in x_min/x
+        yield n, np.max(np.abs(approx - zeta)), b.size
+
+
+def test_hankel_phase_coeffs_accuracy():
+    # the sampler's degree-8 fit: max error 1.1e-12 at n = 6; even n keeps
+    # every term, odd n collapses to the 1 or 2 terms of its exact finite
+    # expansion
+    for n, err, size in _hankel_fit_errors(bessel.HANKEL_DEGREE):
+        assert err < 1.2e-12, n
+        assert size == (bessel.HANKEL_DEGREE + 1 if n % 2 == 0 else (n - 1) // 2), n
     assert hankel_phase_coeffs(2) is bessel._hankel_phase_coeffs(2, bessel.HANKEL_DEGREE)
+
+
+def test_kernel_matrix_fit_accuracy():
+    # the kernel matrices' degree-10 fit (a discrete Chebyshev projection):
+    # 11 terms for even n (max error 1.5e-14), the 1 or 2 of the exact
+    # expansion for odd n (1.8e-14 at most)
+    for n, err, size in _hankel_fit_errors(bessel.KERNEL_HANKEL_DEGREE):
+        assert err < (2e-14 if n % 2 == 0 else 5e-14), n
+        assert size == (11 if n % 2 == 0 else (n - 1) // 2), n
 
 
 def test_hankel_phase_coeffs_solve_no_linear_system(monkeypatch):
