@@ -14,23 +14,31 @@ like r^{-(n+1)/2}, which is what drives every outer-annulus bound downstream.
 `hankel_phase_coeffs` fits the phase-extracted H1 in separable powers of
 x_min/x on x >= x_min.  This module owns x_min = 8 and the fit degree 8
 (HANKEL_X_MIN, HANKEL_DEGREE); the outer-region field sampler imports them.
+The fit samples H1 without scipy: Watson's Laplace integral by the
+trapezoid rule for integer nu, the terminating Hankel sum for half-integer
+nu.
 
 Kernel matrices K_n(a_i b_j) (`kernel_matrix`, `kernel_panels`) split at
 x = x_min the way the sampler splits its radii: `radial_kernel` pointwise
 below it, and above it, for n = 2..5 on a composite grid, the expansion's
 Re[e^{ix} A] with cos/sin from panel tables by angle addition and the
 rank-P amplitude A as one small real product per panel lane.
+
+The kernels of n = 2..5 are in-house (a Taylor polynomial or a closed form
+below x_min, the same Hankel amplitude above it), so those paths load no
+scipy module.  `bessel_j`, its integral oracle, `bessel_asymptotic_split`
+and `radial_kernel` for n >= 6 import scipy.special on first use.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, SmallArgument
 from .grids import PANEL_ORDER
@@ -38,6 +46,8 @@ from .grids import PANEL_ORDER
 
 def bessel_j(nu: float, r) -> np.ndarray:
     """J_nu(r) for real order nu >= -1/2 and r >= 0 (scipy backend)."""
+    from scipy import special
+
     if nu < -0.5:
         raise DomainError(f"order {nu} < -1/2 not supported")
     r = np.asarray(r, dtype=float)
@@ -54,7 +64,7 @@ def bessel_j_integral(nu: float, r: float) -> float:
 
     Used only to cross-check `bessel_j`; never called by the evaluators.
     """
-    from scipy import integrate
+    from scipy import integrate, special
 
     if nu <= -0.5:
         raise DomainError("integral representation needs nu > -1/2")
@@ -126,6 +136,8 @@ def bessel_asymptotic_split(n: int, r: float) -> BesselSplit:
     leading coefficient c(r) leaves the residual, reported in the
     normalization whose modulus decays like r^(-(n+1)/2).
     """
+    from scipy import special
+
     if r < 1.0:
         raise SmallArgument("asymptotic split valid for r >= 1 only")
     nu = (n - 2) / 2.0
@@ -152,8 +164,36 @@ _SQRT_2_PI = np.sqrt(2.0 / np.pi)
 # truncated after four terms, relative error < 1e-14 below the n = 5 cut 0.1.
 _N5_SERIES = (1.0 / 3.0, -1.0 / 30.0, 1.0 / 840.0, -1.0 / 45360.0)
 
+# J0(x) and J1(x)/x on [0, x_min) as polynomials in v = x^2/32 - 1, which
+# maps [0, 8) onto [-1, 1): with y = x^2/4 = 8 (1 + v) the Taylor series
+# sum_k (-1)^k y^k / (k! k!) (J0) and sum_k (-1)^k y^k / (2 k! (k+1)!)
+# (J1/x) give m_j = sum_(k >= j) C(k, j) times the k-th term's coefficient
+# times 8^k, summed exactly in rationals up to k = 60 and rounded once.  The
+# omitted m_j (from j = 20 and 19) are below 2e-19, and sum |m_j| = 4.2 and
+# 0.78 bound the rounding of the Horner pass (1e-15 and 3.3e-16 measured).
+_J0_TAYLOR = (
+    0.04582966485981377, 0.9303012472958572, -0.6484692830871837, -0.808088807669687,
+    1.0383794611437211, -0.507468045847102, 0.14598884856759273, -0.028472718610869578,
+    0.0040580789891404906, -0.0004435459224727048, 3.8473197857390745e-05,
+    -2.717749145067604e-06, 1.5956108859131898e-07, -7.915407670571153e-09,
+    3.363471845932588e-10, -1.238469912242617e-11, 3.99082607499242e-13,
+    -1.1351303457340372e-14, 2.8714326528572485e-16, -6.502895596058119e-18,
+)
+_J1X_TAYLOR = (
+    -0.05814382795599107, 0.08105866038589796, 0.15151665143806634, -0.2595948652859303,
+    0.15858376432721938, -0.054745818212847276, 0.01245681439225544, -0.0020290394945702453,
+    0.0002494945813908964, -2.4045748660869218e-05, 1.8684525372339779e-06,
+    -1.1967081644348923e-07, 6.431268732339062e-09, -2.9430378651910144e-10,
+    1.1610655427274535e-11, -3.99082607499242e-13, 1.2060759923424145e-14,
+    -3.2303617344644047e-16, 7.722188520319016e-18,
+)
+
 KERNEL_BLOCK = 1 << 16   # points per block of a radial_kernel evaluation
 KERNEL_PANEL = 1 << 18   # points per panel of a streamed kernel product
+# points per pass of the n = 2, 4 kernels, whose temporaries then stay in
+# cache: 41 ns a point on the sweeps' inner blocks, 49 at 2^12 and 2^14
+# (2-core Xeon VM, numpy 2.4)
+_EVEN_CHUNK = 1 << 13
 
 
 @functools.cache
@@ -166,14 +206,16 @@ def _pool() -> ThreadPoolExecutor:
 def radial_kernel(n: int, x, out=None) -> np.ndarray:
     """x^(-(n-2)/2) J_((n-2)/2)(x), the radial Fourier kernel.
 
-    Backends, each with its own small-x series where the closed form loses
-    accuracy or divides by zero:
-      n = 2   special.j0(x)
-      n = 3   sqrt(2/pi) sin(x)/x               (series below 1e-4)
-      n = 4   special.j1(x)/x                   (series below 1e-4)
-      n = 5   sqrt(2/pi) (sin x - x cos x)/x^3  (series below 0.1, where the
-              numerator cancels and the relative error grows like 3 eps/x^2)
-      other   x^(-nu) special.jv(nu, x)         (series below 1e-6)
+    Backends:
+      n = 2, 4  J0(x) and J1(x)/x: below HANKEL_X_MIN the Taylor polynomial
+                in v = x^2/32 - 1 (_J0_TAYLOR, _J1X_TAYLOR; within 1e-15 of
+                the exact values), at and above it Re[e^{ix} A(x)] with the
+                kernel matrices' Hankel amplitude (KERNEL_HANKEL_DEGREE)
+      n = 3     sqrt(2/pi) sin(x)/x               (series below 1e-4)
+      n = 5     sqrt(2/pi) (sin x - x cos x)/x^3  (series below 0.1, where
+                the numerator cancels and the relative error grows like
+                3 eps/x^2)
+      other     x^(-nu) scipy.special.jv(nu, x)   (series below 1e-6)
     Checked against 30-digit mpmath for n = 2..6 on x = 0 and [1e-9, 1e4]:
     error <= 1e-12 relative to max(|K_n|, min(1, x^(-(n-1)/2))).
 
@@ -205,19 +247,15 @@ def radial_kernel(n: int, x, out=None) -> np.ndarray:
 
 def _kernel_block(n: int, x: np.ndarray, out: np.ndarray) -> None:
     """Write K_n(x) into out (same shape, distinct memory) for one block."""
-    series = ()  # Taylor coefficients in x^2 used below x = cut
+    if n in (2, 4):
+        _even_kernel(n, x, out)
+        return
     with np.errstate(divide="ignore", invalid="ignore"):
-        if n == 2:
-            special.j0(x, out=out)
-        elif n == 3:
+        if n == 3:
             np.sin(x, out=out)
             out /= x
             out *= _SQRT_2_PI
             cut, series = 1e-4, (_SQRT_2_PI, -_SQRT_2_PI / 6.0)
-        elif n == 4:
-            special.j1(x, out=out)
-            out /= x
-            cut, series = 1e-4, (0.5, -1.0 / 16.0)
         elif n == 5:
             np.sin(x, out=out)
             tmp = np.cos(x)
@@ -229,20 +267,103 @@ def _kernel_block(n: int, x: np.ndarray, out: np.ndarray) -> None:
             out *= _SQRT_2_PI
             cut, series = 0.1, tuple(_SQRT_2_PI * c for c in _N5_SERIES)
         else:
+            from scipy import special
+
             nu = (n - 2) / 2.0
             special.jv(nu, x, out=out)
             out *= x ** (-nu)
             lim = 2.0 ** (-nu) / special.gamma(nu + 1.0)
             cut, series = 1e-6, (lim, -lim / (4.0 * (nu + 1.0)))
-    if series:
-        small = x < cut
-        if small.any():
-            xs2 = x[small] ** 2
-            val = np.full_like(xs2, series[-1])
-            for c in series[-2::-1]:
-                val *= xs2
-                val += c
-            out[small] = val
+    # Taylor coefficients in x^2 below x = cut
+    small = x < cut
+    if small.any():
+        xs2 = x[small] ** 2
+        val = np.full_like(xs2, series[-1])
+        for c in series[-2::-1]:
+            val *= xs2
+            val += c
+        out[small] = val
+
+
+def _even_kernel(n: int, x: np.ndarray, out: np.ndarray) -> None:
+    """K_2 = J0 or K_4 = J1(x)/x into out: the Taylor polynomial below
+    HANKEL_X_MIN, the Hankel amplitude at and above it, in chunks of
+    _EVEN_CHUNK points so that the temporaries stay in cache."""
+    taylor = _J0_TAYLOR if n == 2 else _J1X_TAYLOR
+    for lo in range(0, x.size, _EVEN_CHUNK):
+        xc, oc = x[lo:lo + _EVEN_CHUNK], out[lo:lo + _EVEN_CHUNK]
+        if xc.max() < HANKEL_X_MIN:
+            _taylor(taylor, xc, oc)
+            continue
+        big = xc >= HANKEL_X_MIN
+        far, near = np.flatnonzero(big), np.flatnonzero(~big)
+        xn, xf = xc.take(near), xc.take(far)
+        oc[near] = _taylor(taylor, xn, xn)
+        oc[far] = _hankel_kernel(n, xf, xf)
+
+
+def _taylor(m, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_j m_j v^j with v = x^2/32 - 1, by Horner; out may be x."""
+    v = x * x
+    v *= 1.0 / 32.0
+    v -= 1.0
+    out.fill(m[-1])
+    for c in m[-2::-1]:
+        out *= v
+        out += c
+    return out
+
+
+@functools.cache
+def _hankel_kernel_coeffs(n: int) -> np.ndarray:
+    """(2, P): the real and imaginary parts of sqrt(2/pi) e^{-i(n-1)pi/4} b_p,
+    b_p the KERNEL_HANKEL_DEGREE fit, highest power first."""
+    b = _hankel_phase_coeffs(n, KERNEL_HANKEL_DEGREE)
+    c = _SQRT_2_PI * np.exp(-1j * (n - 1) * np.pi / 4.0) * b[::-1]
+    return np.stack((c.real, c.imag))
+
+
+# x = k pi/2 + r with |r| <= pi/4 turns e^{ix} into i^k e^{ir}, and cos and
+# sin of r cost about a third of those of x (12 against 42 ns a point on a
+# 2-core Xeon VM), whose reduction dominates libm's time.  k pi/2 is exact
+# on fdlibm's 33-bit head of pi/2 while k < 2^20; from 2^19 pi on, k = 0
+# leaves the whole reduction to libm
+_PIO2_HEAD = 1.57079632673412561417
+_PIO2_TAIL = 6.07710050650619224932e-11
+_REDUCE_MAX = 2.0 ** 19 * np.pi
+_QUADRANT = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])   # Re, Im of i^(k mod 4)
+
+
+def _hankel_kernel(n: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """K_n(x) = x^(-(n-1)/2) Re[e^{ix} sum_p c_p (x_min/x)^p] for x >= x_min
+    and even n, with c_p from `_hankel_kernel_coeffs`; out may be x."""
+    c = _hankel_kernel_coeffs(n)
+    w = HANKEL_X_MIN / x
+    re, im = np.full(x.size, c[0, 0]), np.full(x.size, c[1, 0])
+    for p in range(1, c.shape[1]):
+        re *= w
+        re += c[0, p]
+        im *= w
+        im += c[1, p]
+    root = np.sqrt(x)
+    if n == 4:
+        root *= x
+    k = np.rint(x * (2.0 / np.pi))
+    k[x >= _REDUCE_MAX] = 0.0
+    r = x - k * _PIO2_HEAD
+    r -= k * _PIO2_TAIL
+    cos_r, sin_r = np.cos(r), np.sin(r, out=r)
+    # Re[i^k z] for z = e^{ir} (re + i im)
+    z_re = cos_r * re
+    z_re -= sin_r * im
+    z_im = np.multiply(cos_r, im, out=cos_r)
+    z_im += np.multiply(sin_r, re, out=sin_r)
+    quadrant = _QUADRANT[:, k.astype(np.intp) & 3]
+    z_re *= quadrant[0]
+    z_im *= quadrant[1]
+    np.subtract(z_re, z_im, out=out)
+    out /= root
+    return out
 
 
 def kernel_matrix(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -529,6 +650,41 @@ def hankel_phase_coeffs(n: int) -> np.ndarray:
 _HANKEL_FIT_NODES = 128
 
 
+# the trapezoid rule of `_hankel_zeta` on v = 0, 0.4, ..., 6.4: its integrand
+# is analytic in the strip |Im v| < sqrt(x) (>= 2.8 on x >= x_min), which
+# puts the rule's error near 1e-16 at this step, and e^(-v^2) v^4 < 1e-15
+# beyond the last node
+_LAPLACE_STEP = 0.4
+_LAPLACE_NODES = 17
+
+
+def _hankel_zeta(n: int, x: np.ndarray) -> np.ndarray:
+    """zeta(x) = H1_nu(x) sqrt(pi x/2) e^{-i(x - nu pi/2 - pi/4)}, nu = (n-2)/2,
+    at x >= HANKEL_X_MIN, without a Bessel library (within 6e-16 of 30-digit
+    mpmath at the fit nodes for n = 2..6).
+
+    Half-integer nu: Hankel's expansion terminates, zeta = sum_k a_k (i/x)^k
+    over k <= nu - 1/2, a_k = a_(k-1) (4 nu^2 - (2k-1)^2) / (8k).  Integer nu:
+    Watson's Laplace integral with u = v^2,
+
+        zeta = Gamma(nu + 1/2)^-1 int_R e^(-v^2) v^(2 nu) (1 + i v^2/(2x))^(nu - 1/2) dv,
+
+    by the trapezoid rule, whose even integrand needs only v >= 0."""
+    if n % 2:
+        zeta = np.ones(x.shape, dtype=complex)
+        term = np.ones(x.shape, dtype=complex)
+        for k in range(1, (n - 1) // 2):
+            term *= ((n - 2) ** 2 - (2 * k - 1) ** 2) / (8.0 * k) * 1j / x
+            zeta += term
+        return zeta
+    v = _LAPLACE_STEP * np.arange(_LAPLACE_NODES)
+    weight = np.full(v.size, 2.0 * _LAPLACE_STEP)
+    weight[0] = _LAPLACE_STEP
+    weight *= np.exp(-v * v) * v ** (n - 2) / math.gamma((n - 1) / 2.0)
+    root = np.sqrt(1.0 + 1j * np.multiply.outer(0.5 / x, v * v))
+    return (root ** (n - 3) * weight).sum(axis=1)
+
+
 def _shifted_chebyshev(degree: int) -> np.ndarray:
     """The exact integer matrix whose row k holds the monomial coefficients
     of T_k(2w - 1), by T_(k+1) = 2 (2w - 1) T_k - T_(k-1)."""
@@ -543,17 +699,15 @@ def _shifted_chebyshev(degree: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _hankel_phase_coeffs(n: int, degree: int) -> np.ndarray:
-    nu = (n - 2) / 2.0
     m = _HANKEL_FIT_NODES
     odd = 2 * np.arange(m) + 1
     w = (np.cos(np.pi / (2 * m) * odd) + 1.0) / 2.0
-    x = HANKEL_X_MIN / w
-    zeta = special.hankel1e(nu, x) * np.sqrt(np.pi * x / 2.0) * np.exp(1j * (nu * np.pi / 2 + np.pi / 4))
+    zeta = _hankel_zeta(n, HANKEL_X_MIN / w)
     # the discrete Chebyshev projection in u = 2w - 1: T_k(u_j) = cos(k theta_j)
     # are orthogonal on these nodes, so it is the least-squares fit with no
     # linear solve.  k theta_j = pi k (2j + 1) / (2m) is reduced exactly mod
     # 2 pi, which keeps odd n's zero coefficients at rounding (their 1- or
-    # 2-term prefix then errs by 1.8e-14 at most, not 4.5e-14).  Both sums
+    # 2-term prefix then errs by 2.6e-14 at most, not 4.5e-14).  Both sums
     # are elementwise: a complex BLAS product would page in about 0.1 MB of
     # BLAS code that the Picard grids never otherwise run
     k = np.arange(degree + 1)

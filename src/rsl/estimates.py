@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.fft import ifft
+from numpy.fft import ifft
 
 from .admissibility import (
     is_radial_schrodinger_admissible,
@@ -437,7 +437,7 @@ def _maximal_sup(f, phase, t_nodes, n_fft, scale) -> np.ndarray:
         t = t_nodes[lo:lo + _MAXIMAL_BLOCK]
         c[:t.size, :f.size] = f * np.exp(1j * np.multiply.outer(t, phase))
         c[:t.size, f.size:] = 0.0
-        m = np.abs(ifft(c[:t.size], axis=-1, overwrite_x=True), out=mag[:t.size])
+        m = np.abs(ifft(c[:t.size], axis=-1, out=c[:t.size]), out=mag[:t.size])
         m *= scale
         np.maximum(best, m.max(axis=0), out=best)
     return best

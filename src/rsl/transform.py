@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .bessel import kernel_panels, real_matmul
 from .cutoffs import dyadic_cutoff
@@ -44,7 +43,7 @@ from .grids import FrequencyGrid, band_edges, require_resolution, uniform_grid
 
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere S^(n-1) in R^n."""
-    return float(2.0 * np.pi ** (n / 2.0) / special.gamma(n / 2.0))
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def radial_norm(values: np.ndarray, measure: np.ndarray, n: int, r: float):

@@ -1,5 +1,7 @@
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -149,7 +151,7 @@ def test_hankel_phase_coeffs_accuracy():
 def test_kernel_matrix_fit_accuracy():
     # the kernel matrices' degree-10 fit (a discrete Chebyshev projection):
     # 11 terms for even n (max error 1.5e-14), the 1 or 2 of the exact
-    # expansion for odd n (1.8e-14 at most)
+    # expansion for odd n (2.6e-14 at most)
     for n, err, size in _hankel_fit_errors(bessel.KERNEL_HANKEL_DEGREE):
         assert err < (2e-14 if n % 2 == 0 else 5e-14), n
         assert size == (11 if n % 2 == 0 else (n - 1) // 2), n
@@ -158,25 +160,87 @@ def test_kernel_matrix_fit_accuracy():
 def test_hankel_phase_coeffs_solve_no_linear_system(monkeypatch):
     # the fit is a projection on Chebyshev nodes, with no least-squares or
     # linear solve (whose first LAPACK use raises a process's peak memory)
+    bessel._hankel_kernel_coeffs.cache_clear()
+
     def refuse(*args, **kwargs):
         raise AssertionError("the Hankel fit called a linear solver")
 
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
+    # nor an eigensolver (a Gauss-Hermite rule for the Laplace integral
+    # would take its nodes from one)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     bessel._hankel_phase_coeffs.cache_clear()
     for n in (2, 3, 4, 5, 6):
         for degree in (bessel.HANKEL_DEGREE, bessel.KERNEL_HANKEL_DEGREE):
             assert bessel._hankel_phase_coeffs(n, degree).size >= 1
+    for n in (2, 4):
+        assert np.isfinite(radial_kernel(n, np.array([HANKEL_X_MIN, 50.0]))).all()
+
+
+def _mp_zeta(n, x):
+    # zeta = H1_nu(x) sqrt(pi x/2) e^{-i(x - nu pi/2 - pi/4)} in 30-digit mpmath
+    import mpmath
+
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(n - 2) / 2
+        return np.array([
+            complex(mpmath.hankel1(nu, xm) * mpmath.sqrt(mpmath.pi * xm / 2)
+                    * mpmath.expj(nu * mpmath.pi / 2 + mpmath.pi / 4 - xm))
+            for xm in map(mpmath.mpf, x)
+        ])
+
+
+def test_hankel_zeta_at_fit_nodes_against_mpmath():
+    # the fit's samples: the trapezoid Laplace integral (even n) and the
+    # terminating Hankel sum (odd n) on the 128 Chebyshev nodes
+    m = bessel._HANKEL_FIT_NODES
+    x = HANKEL_X_MIN / ((np.cos(np.pi / (2 * m) * (2 * np.arange(m) + 1)) + 1.0) / 2.0)
+    for n in (2, 3, 4, 5, 6):
+        err = np.abs(bessel._hankel_zeta(n, x) - _mp_zeta(n, x))
+        assert np.max(err) <= 2e-15, (n, float(x[np.argmax(err)]))
+
+
+def _taylor_in_v(term, terms):
+    # m_j = sum_(k >= j) C(k, j) 8^k term(k), exact to k = 60, rounded once:
+    # the coefficients in v = x^2/32 - 1 of sum_k term(k) (x^2/4)^k
+    return tuple(float(sum(comb(k, j) * 8**k * term(k) for k in range(j, 61)))
+                 for j in range(terms))
+
+
+def test_even_kernel_taylor_constants_rederive_bitwise():
+    j0 = _taylor_in_v(lambda k: Fraction((-1) ** k, factorial(k) ** 2), 20)
+    j1x = _taylor_in_v(lambda k: Fraction((-1) ** k, 2 * factorial(k) * factorial(k + 1)), 19)
+    assert j0 == bessel._J0_TAYLOR
+    assert j1x == bessel._J1X_TAYLOR
+
+
+def test_even_kernels_below_x_min_against_mpmath():
+    # K_2 = J0 and K_4 = J1(x)/x from the Taylor polynomials, absolute error
+    import mpmath
+
+    x = np.concatenate([[0.0], np.geomspace(1e-9, HANKEL_X_MIN, 300, endpoint=False),
+                        np.linspace(0.0, HANKEL_X_MIN, 300, endpoint=False)[1:],
+                        [np.nextafter(HANKEL_X_MIN, 0.0)]])
+    with mpmath.workdps(30):
+        ref = {2: [mpmath.besselj(0, mpmath.mpf(xi)) for xi in x],
+               4: [mpmath.besselj(1, mpmath.mpf(xi)) / xi if xi else mpmath.mpf(1) / 2
+                   for xi in x]}
+    for n in (2, 4):
+        err = np.abs(radial_kernel(n, x) - np.array(ref[n], dtype=float))
+        assert np.max(err) <= 2e-15, (n, float(x[np.argmax(err)]))
 
 
 def test_radial_kernel_against_mpmath():
     # 30-digit reference for every backend of radial_kernel (n = 2..6),
-    # at x = 0, on both sides of each series threshold and on a log grid
+    # at x = 0, on both sides of each series threshold, of x_min and of the
+    # even kernels' argument-reduction limit, and on a log grid
     import mpmath
 
-    cuts = np.array([1e-6, 1e-4, 0.1])
+    cuts = np.array([1e-6, 1e-4, 0.1, HANKEL_X_MIN, bessel._REDUCE_MAX])
     x = np.concatenate([[0.0], cuts * (1 - 1e-9), cuts * (1 + 1e-9),
-                        np.geomspace(1e-9, 1e4, 400)])
+                        np.geomspace(1e-9, 1e4, 400), [1e7, 3.3e8]])
     for n in (2, 3, 4, 5, 6):
         with mpmath.workdps(30):
             nu = mpmath.mpf(n - 2) / 2
@@ -192,19 +256,11 @@ def test_radial_kernel_against_mpmath():
 
 
 def test_hankel_phase_coeffs_against_mpmath():
-    # the fit's own source is scipy's hankel1e; this rebuilds zeta from b_p and
-    # checks it against 30-digit mpmath, zeta = H1_nu(x) sqrt(pi x/2) e^{-i(x - nu pi/2 - pi/4)}
-    import mpmath
-
+    # rebuilds zeta from b_p and checks it against 30-digit mpmath between
+    # the fit nodes
     x = np.geomspace(HANKEL_X_MIN, 1e4, 300)
     for n in (2, 3, 4, 5, 6):
-        with mpmath.workdps(30):
-            nu = mpmath.mpf(n - 2) / 2
-            ref = np.array([
-                complex(mpmath.hankel1(nu, xm) * mpmath.sqrt(mpmath.pi * xm / 2)
-                        * mpmath.expj(nu * mpmath.pi / 2 + mpmath.pi / 4 - xm))
-                for xm in map(mpmath.mpf, x)
-            ])
+        ref = _mp_zeta(n, x)
         approx = np.zeros_like(x, dtype=complex)
         for c in hankel_phase_coeffs(n)[::-1]:
             approx = approx * (HANKEL_X_MIN / x) + c   # Horner in x_min/x

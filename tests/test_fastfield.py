@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rsl
+from rsl import fastfield
 from rsl.bessel import HANKEL_X_MIN, hankel_phase_coeffs
 from rsl.dispersion import get_symbol
 from rsl.errors import OutOfRangeQ
@@ -56,6 +57,35 @@ def test_czt_matches_direct_sum_at_sampler_size():
         assert np.max(np.abs(fast - direct)) / np.sum(np.abs(c)) < 1e-11
 
 
+def test_smooth_length_is_scipy_real_next_fast_len():
+    # the chirp-Z padding: the smallest 2-3-5-smooth length
+    from scipy.fft import next_fast_len
+
+    assert [fastfield._smooth_length(n) for n in range(1, 20001)] == \
+        [next_fast_len(n, real=True) for n in range(1, 20001)]
+
+
+@pytest.mark.parametrize("rows, n, m", [(9, 700, 741), (9, 540, 541), (1, 432, 433)])
+def test_czt_on_numpy_fft_is_bitwise_scipy_fft(monkeypatch, rows, n, m):
+    # the sweeps' transform shapes (2, 9, 1440), (2, 9, 1080) and (2, 1, 864):
+    # the plan and its output (numpy.fft in place on a zero-padded buffer)
+    # equal the scipy.fft path (padding by its n argument), bitwise
+    from scipy import fft as sfft
+
+    rng = np.random.default_rng(4)
+    s = np.linspace(0.5, 2.0, n)
+    pre, post = rng.standard_normal(n), rng.standard_normal(m)
+    x = rng.standard_normal((2, rows, n)) + 1j * rng.standard_normal((2, rows, n))
+    plan = chirp_z(s, 3.25, np.pi / 12.0, m, pre, post)
+    assert plan.kernel.size == fastfield._smooth_length(n + m - 1)
+    out = plan(x)
+    y = sfft.fft(x * plan.pre, plan.kernel.size, axis=-1)
+    y *= plan.kernel
+    assert np.array_equal(out, sfft.ifft(y, axis=-1)[..., :m] * plan.post)
+    monkeypatch.setattr(fastfield, "fft", sfft.fft)
+    assert np.array_equal(plan.kernel, chirp_z(s, 3.25, np.pi / 12.0, m, pre, post).kernel)
+
+
 def _outer_field_direct(sampler, n, t):
     """The sampler's separable outer expansion at time t, evaluated as P
     direct sums per sign over its own frequency nodes and weights."""
@@ -89,16 +119,59 @@ def test_sampler_outer_field_matches_direct_expansion(name, n, k, T, r_window):
         assert np.max(np.abs(fast - ref)) / np.max(np.abs(ref)) < 1e-10
 
 
-def test_import_skips_scipy_signal_and_integrate():
-    # importing the package stays cheap: the chirp-Z transform is in-house
-    # and only the Bessel oracle imports scipy.integrate, on first use
+# one small call on each path the benchmark runs, in a fresh interpreter
+_BENCH_PATHS = """
+from fractions import Fraction
+import numpy as np
+from rsl import bessel
+from rsl.dispersion import get_symbol
+from rsl.estimates import canonical_band_amplitude, maximal_check
+from rsl.fastfield import BandFieldSampler
+from rsl.grids import PhysicalGrid, gauss_panel_grid
+from rsl.nonlinear import (fnls_experiment, nls_small_data_experiment,
+                           nlw_small_data_experiment)
+from rsl.propagator import evolve
+from rsl.transform import fourier_bessel, profile_from_fn
+
+table = (gauss_panel_grid(0.25, 4.5, 80).nodes, np.linspace(0.0, 60.0, 1201))
+pointwise = (np.geomspace(0.05, 20.0, 50), np.geomspace(0.05, 20.0, 60))
+assert bessel._table_plan(2, *table) is not None and bessel._table_plan(2, *pointwise) is None
+for n in (2, 3, 4, 5):
+    bessel.kernel_matrix(n, *table)
+    bessel.kernel_matrix(n, *pointwise)
+sch = get_symbol("schrodinger")
+sampler = BandFieldSampler(sch, 2, 0, canonical_band_amplitude(2, 0), 16.0)
+assert sampler.r_out.size
+sampler.field_at(sampler.t[1])
+nls_small_data_experiment(2, Fraction(-1, 10), 1e-3, seeds=range(1), T=2.0)
+fnls_experiment(2, 1.5, 1.5, 0.0, 1e-3, seeds=range(1), T=2.0)
+nlw_small_data_experiment(2, Fraction(3, 10), 1e-3, seeds=range(1), T=2.0)
+grid = gauss_panel_grid(1e-6, 14.0, 700)
+for n in (2, 3):
+    prof = profile_from_fn(lambda s: np.exp(-s**2 / 2.0), grid, n)
+    evolve(sch, prof, None, PhysicalGrid(np.linspace(1e-6, 8.0, 41), np.array([0.0, 0.7])))
+    fourier_bessel(prof, np.linspace(0.05, 3.0, 60))
+maximal_check(2.0, range(2, 4))
+"""
+
+
+def _fresh_modules(code):
     src = str(Path(rsl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import rsl, sys; "
-            "print([m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules])")
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_skips_scipy_signal_and_integrate():
+    # importing the package stays cheap: it loads no scipy module at all, and
+    # every n = 2..5 path the benchmark runs (kernel matrices on the table
+    # and the pointwise path, a sampler slice, the three Picard solvers, the
+    # dense transforms and the maximal check) still loads none; scipy.special
+    # is imported on first use by the n >= 6 kernels and the oracles only
+    assert _fresh_modules("import rsl") == "[]"
+    assert _fresh_modules("import rsl\n" + _BENCH_PATHS) == "[]"
 
 
 CATALOG_CASES = [
