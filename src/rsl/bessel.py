@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,19 +186,11 @@ _J1X_TAYLOR = (
     -3.2303617344644047e-16, 7.722188520319016e-18,
 )
 
-KERNEL_BLOCK = 1 << 16   # points per block of a radial_kernel evaluation
 KERNEL_PANEL = 1 << 18   # points per panel of a streamed kernel product
-# points per pass of the n = 2, 4 kernels, whose temporaries then stay in
-# cache: 41 ns a point on the sweeps' inner blocks, 49 at 2^12 and 2^14
-# (2-core Xeon VM, numpy 2.4)
-_EVEN_CHUNK = 1 << 13
-
-
-@functools.cache
-def _pool() -> ThreadPoolExecutor:
-    """The kernel block workers, one per core this process may run on."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return ThreadPoolExecutor(cores or 1, thread_name_prefix="rsl-kernel")
+# points per pass of radial_kernel, whose temporaries then stay in cache:
+# n = 2 on 2^20 points in [0, 60] takes 50 ns a point at 2^13 and 2^14, 59 at
+# 2^12 and 84 at 2^16 (best of 7, 2-core Xeon VM, numpy 2.4)
+KERNEL_CHUNK = 1 << 13
 
 
 def radial_kernel(n: int, x, out=None) -> np.ndarray:
@@ -219,34 +209,30 @@ def radial_kernel(n: int, x, out=None) -> np.ndarray:
     Checked against 30-digit mpmath for n = 2..6 on x = 0 and [1e-9, 1e4]:
     error <= 1e-12 relative to max(|K_n|, min(1, x^(-(n-1)/2))).
 
-    The points are evaluated in blocks of KERNEL_BLOCK on the kernel
-    workers; each block is computed by the same code wherever it runs, so
-    the result does not depend on the number of cores.  `out`, a
-    C-contiguous float array of x's shape, receives the values and may be
-    x itself (evaluation in place).
+    The points are evaluated on the calling thread in chunks of
+    KERNEL_CHUNK; every point's value is the same whatever chunk holds it.
+    `out`, a C-contiguous float64 array of x's shape (ValueError
+    otherwise), receives the values and may be x itself (evaluation in
+    place).
     """
     x = np.asarray(x, dtype=float)
     if x.size and x.min() < 0:
         raise DomainError("negative argument")
     if out is None:
         out = np.empty(x.shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == x.shape and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array of x's shape")
     xs, outs = x.reshape(-1), out.reshape(-1)
     inplace = np.may_share_memory(x, out)
-
-    def block(lo):
-        xb = xs[lo:lo + KERNEL_BLOCK]
-        _kernel_block(n, xb.copy() if inplace else xb, outs[lo:lo + KERNEL_BLOCK])
-
-    starts = range(0, xs.size, KERNEL_BLOCK)
-    if len(starts) > 1:
-        list(_pool().map(block, starts))
-    elif starts:
-        block(0)
+    for lo in range(0, xs.size, KERNEL_CHUNK):
+        xc = xs[lo:lo + KERNEL_CHUNK]
+        _kernel_chunk(n, xc.copy() if inplace else xc, outs[lo:lo + KERNEL_CHUNK])
     return out[()] if out.ndim == 0 else out
 
 
-def _kernel_block(n: int, x: np.ndarray, out: np.ndarray) -> None:
-    """Write K_n(x) into out (same shape, distinct memory) for one block."""
+def _kernel_chunk(n: int, x: np.ndarray, out: np.ndarray) -> None:
+    """Write K_n(x) into out (same shape, distinct memory) for one chunk."""
     if n in (2, 4):
         _even_kernel(n, x, out)
         return
@@ -287,19 +273,16 @@ def _kernel_block(n: int, x: np.ndarray, out: np.ndarray) -> None:
 
 def _even_kernel(n: int, x: np.ndarray, out: np.ndarray) -> None:
     """K_2 = J0 or K_4 = J1(x)/x into out: the Taylor polynomial below
-    HANKEL_X_MIN, the Hankel amplitude at and above it, in chunks of
-    _EVEN_CHUNK points so that the temporaries stay in cache."""
+    HANKEL_X_MIN, the Hankel amplitude at and above it."""
     taylor = _J0_TAYLOR if n == 2 else _J1X_TAYLOR
-    for lo in range(0, x.size, _EVEN_CHUNK):
-        xc, oc = x[lo:lo + _EVEN_CHUNK], out[lo:lo + _EVEN_CHUNK]
-        if xc.max() < HANKEL_X_MIN:
-            _taylor(taylor, xc, oc)
-            continue
-        big = xc >= HANKEL_X_MIN
-        far, near = np.flatnonzero(big), np.flatnonzero(~big)
-        xn, xf = xc.take(near), xc.take(far)
-        oc[near] = _taylor(taylor, xn, xn)
-        oc[far] = _hankel_kernel(n, xf, xf)
+    if x.max() < HANKEL_X_MIN:
+        _taylor(taylor, x, out)
+        return
+    big = x >= HANKEL_X_MIN
+    far, near = np.flatnonzero(big), np.flatnonzero(~big)
+    xn, xf = x.take(near), x.take(far)
+    out[near] = _taylor(taylor, xn, xn)
+    out[far] = _hankel_kernel(n, xf, xf)
 
 
 def _taylor(m, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -404,9 +387,6 @@ def kernel_panels(n: int, a: np.ndarray, b: np.ndarray):
         yield slice(lo, hi), _kernel_rows(n, a, b, plan, lo, hi)
 
 
-# below this many points the table path's set-up and its one fit per n
-# (about 6 ms, the cost of 150k pointwise entries) outweigh what it saves
-TABLE_MIN = 1 << 18
 KERNEL_TILE = 1 << 16     # points per table tile of a kernel matrix
 TABLE_COLS = 256          # most nodes of the other argument per table tile
 # multiply-adds per amplitude product: below OpenBLAS's threading threshold
@@ -443,12 +423,12 @@ def _table_plan(n: int, a: np.ndarray, b: np.ndarray, keep_tables: bool = False)
     PANEL_ORDER entries) and the amplitude is one real product per lane.
     S is a if a is composite and at least a quarter as long as b (the
     matrix is then written along its rows), else b; n outside 2..5, a
-    negative node, a matrix with no x >= x_min and arguments with no panel
-    structure get None, and so does a matrix of fewer than TABLE_MIN points.
+    negative node, an empty argument, a matrix with no x >= x_min and
+    arguments with no panel structure get None.
     With keep_tables a plan along a keeps the W and phase tables of b
     (PANEL_ORDER (P + 1) complex numbers per node of b) for the row slices
     of `kernel_panels`, which all share them."""
-    if n not in (2, 3, 4, 5) or a.ndim != 1 or b.ndim != 1 or a.size * b.size < TABLE_MIN:
+    if n not in (2, 3, 4, 5) or a.ndim != 1 or b.ndim != 1 or not a.size * b.size:
         return None
     if min(a.min(), b.min()) < 0 or a.max() * b.max() < HANKEL_X_MIN:
         return None
@@ -510,8 +490,9 @@ class _TablePlan:
         other argument; two buffers serve every tile."""
         L, x_min = PANEL_ORDER, HANKEL_X_MIN
         s_max = self.nodes.max()
-        amp = np.empty(2 * self.tile_nodes * self.cols)   # a tile's complex amplitude
-        prod = np.empty(self.tile_nodes * self.cols)       # a tile's products x
+        tile_max = min(self.tile_nodes, s_hi - s_lo) * min(self.cols, o.size)
+        amp = np.empty(2 * tile_max)   # a tile's complex amplitude
+        prod = np.empty(tile_max)      # a tile's products x
         for j0 in range(0, o.size, self.cols):
             oc = o[j0:j0 + self.cols]
             w, f = self._column_tables(j0, oc, oc * s_max >= x_min)

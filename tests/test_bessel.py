@@ -1,5 +1,4 @@
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,7 +8,7 @@ import pytest
 from rsl import bessel
 from rsl.bessel import (
     HANKEL_X_MIN,
-    KERNEL_BLOCK,
+    KERNEL_CHUNK,
     bessel_asymptotic_split,
     bessel_bound_check,
     bessel_j,
@@ -268,38 +267,41 @@ def test_hankel_phase_coeffs_against_mpmath():
         assert np.max(err) <= 1e-10, (n, float(x[np.argmax(err)]))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_blocked_radial_kernel_is_bitwise_one_block(monkeypatch, workers):
-    # the block workers against one evaluation of the whole array; block
-    # edges fall inside every small-x series range (cuts 1e-6, 1e-4, 0.1)
+def test_radial_kernel_chunk_edges_are_bitwise_one_chunk():
+    # chunked evaluation against one evaluation of the whole array; chunk
+    # edges fall 3 nodes into the linspace (7e-5, inside the n = 3 and 5
+    # series ranges), near its end, and on both sides of x_min
     rng = np.random.default_rng(3)
     x = np.concatenate([
-        np.geomspace(1e-9, 0.2, KERNEL_BLOCK - 5),   # edge at ~0.2 * (1 - 1e-4)
-        np.linspace(0.0, 0.2, KERNEL_BLOCK + 11),    # edge near 1e-6 ... 0.2
-        np.geomspace(1e-9, 1e4, 2 * KERNEL_BLOCK),
-        rng.uniform(0.0, 60.0, KERNEL_BLOCK // 3),
+        np.geomspace(1e-9, 0.2, KERNEL_CHUNK - 3),
+        np.linspace(0.0, 0.2, KERNEL_CHUNK + 11),
+        np.geomspace(1e-9, 1e4, 2 * KERNEL_CHUNK),
+        rng.uniform(0.0, 60.0, KERNEL_CHUNK // 3),
     ])
-    # a kernel matrix on the table path, with pointwise blocks of more than
-    # KERNEL_BLOCK points below x_min
+    for n in (2, 3, 4, 5, 6):
+        one = np.empty_like(x)
+        bessel._kernel_chunk(n, x, one)
+        assert np.array_equal(radial_kernel(n, x), one), n
+        inplace = x[None, :].copy()
+        radial_kernel(n, inplace, out=inplace)
+        assert np.array_equal(inplace[0], one), n
+    # a kernel matrix on the table path, whose pointwise tiles below x_min
+    # hold more than KERNEL_CHUNK points: each entry there is the one
+    # radial_kernel gives on the whole outer product
     a, b = _gauss(1e-9, 40.0, 60), _gauss(0.25, 4.0, 50)
-    one_worker = ThreadPoolExecutor(1)
-    monkeypatch.setattr(bessel, "_pool", lambda: one_worker)
-    matrices = {n: kernel_matrix(n, a, b) for n in (2, 3, 4, 5)}
-    pool = ThreadPoolExecutor(workers)
-    monkeypatch.setattr(bessel, "_pool", lambda: pool)
-    try:
-        for n in (2, 3, 4, 5, 6):
-            one = np.empty_like(x)
-            bessel._kernel_block(n, x, one)
-            assert np.array_equal(radial_kernel(n, x), one), n
-            inplace = x[None, :].copy()
-            radial_kernel(n, inplace, out=inplace)
-            assert np.array_equal(inplace[0], one), n
-        for n, ref in matrices.items():
-            assert np.array_equal(kernel_matrix(n, a, b), ref), n
-    finally:
-        pool.shutdown()
-        one_worker.shutdown()
+    x = np.multiply.outer(a, b)
+    small = x < HANKEL_X_MIN
+    for n in (2, 3, 4, 5):
+        assert bessel._table_plan(n, a, b) is not None
+        assert np.array_equal(kernel_matrix(n, a, b)[small], radial_kernel(n, x)[small]), n
+
+
+def test_radial_kernel_rejects_bad_out():
+    # a non-contiguous out would get the values in a reshaped copy and stay untouched
+    x = np.linspace(0.0, 20.0, 12).reshape(3, 4)
+    for out in (np.full((4, 3), np.nan).T, np.empty(12), np.empty((3, 4), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            radial_kernel(2, x, out=out)
 
 
 def _gauss(lo, hi, panels):
@@ -327,6 +329,8 @@ KERNEL_GRIDS = {
     "short a": (np.geomspace(0.05, 3.0, 60), _gauss(1e-4, 240.0, 600)),
     # a descending composite grid: its blocks are translates too
     "reversed": (_gauss(0.25, 4.5, 80)[::-1], np.linspace(0.0, 60.0, 1201)),
+    # the freq-sweep sampler's inner block (frequency x radius)
+    "freq-sweep inner": (np.linspace(0.5, 2.0, 336), _gauss(1e-9, 16.0, 16)),
 }
 
 
@@ -344,10 +348,11 @@ def test_kernel_matrix_matches_radial_kernel(n, grids):
     (2, np.sort(np.random.default_rng(5).uniform(0.0, 30.0, 400)), np.geomspace(0.25, 4.0, 300)),
     (3, np.geomspace(1e-3, 60.0, 500), np.linspace(0.5, 2.0, 301) ** 2),
     (6, _gauss(0.25, 4.5, 80), np.linspace(0.0, 60.0, 1201)),
+    (2, np.empty(0), _gauss(0.25, 4.5, 80)),
 ])
 def test_kernel_matrix_pointwise_cases_are_bitwise(n, a, b):
     # no panel structure on either side (random, geometric and squared
-    # nodes) or n >= 6: radial_kernel on the outer product
+    # nodes), n >= 6 or an empty argument: radial_kernel on the outer product
     assert np.array_equal(kernel_matrix(n, a, b), radial_kernel(n, np.multiply.outer(a, b)))
 
 
