@@ -267,10 +267,13 @@ def test_hankel_phase_coeffs_against_mpmath():
         assert np.max(err) <= 1e-10, (n, float(x[np.argmax(err)]))
 
 
-def test_radial_kernel_chunk_edges_are_bitwise_one_chunk():
-    # chunked evaluation against one evaluation of the whole array; chunk
-    # edges fall 3 nodes into the linspace (7e-5, inside the n = 3 and 5
-    # series ranges), near its end, and on both sides of x_min
+@pytest.mark.parametrize("split", [1, 2, 4])
+def test_blocked_radial_kernel_is_bitwise_one_block(monkeypatch, split):
+    # chunked evaluation, with chunks of KERNEL_CHUNK / split points, against
+    # one evaluation of the whole array; at split 1 chunk edges fall 3 nodes
+    # into the linspace (7e-5, inside the n = 3 and 5 series ranges), near
+    # its end, and on both sides of x_min, and smaller chunks add edges
+    monkeypatch.setattr(bessel, "KERNEL_CHUNK", KERNEL_CHUNK // split)
     rng = np.random.default_rng(3)
     x = np.concatenate([
         np.geomspace(1e-9, 0.2, KERNEL_CHUNK - 3),
@@ -286,7 +289,7 @@ def test_radial_kernel_chunk_edges_are_bitwise_one_chunk():
         radial_kernel(n, inplace, out=inplace)
         assert np.array_equal(inplace[0], one), n
     # a kernel matrix on the table path, whose pointwise tiles below x_min
-    # hold more than KERNEL_CHUNK points: each entry there is the one
+    # hold more than a chunk of points: each entry there is the one
     # radial_kernel gives on the whole outer product
     a, b = _gauss(1e-9, 40.0, 60), _gauss(0.25, 4.0, 50)
     x = np.multiply.outer(a, b)
