@@ -24,7 +24,6 @@ from .bessel import (
     bessel_asymptotic_split,
     bessel_bound_check,
     bessel_j,
-    bessel_j_integral,
     radial_kernel,
 )
 from .cutoffs import dyadic_cutoff

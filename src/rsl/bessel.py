@@ -16,7 +16,7 @@ x_min/x on x >= x_min.  This module owns x_min = 8 and the fit degree 8
 (HANKEL_X_MIN, HANKEL_DEGREE); the outer-region field sampler imports them.
 The fit samples H1 without scipy: Watson's Laplace integral by the
 trapezoid rule for integer nu, the terminating Hankel sum for half-integer
-nu.
+nu.  The same samples give the split's remainder on r >= 1.
 
 Kernel matrices K_n(a_i b_j) (`kernel_matrix`, `kernel_panels`) split at
 x = x_min the way the sampler splits its radii: `radial_kernel` pointwise
@@ -25,9 +25,9 @@ Re[e^{ix} A] with cos/sin from panel tables by angle addition and the
 rank-P amplitude A as one small real product per panel lane.
 
 The kernels of n = 2..5 are in-house (a Taylor polynomial or a closed form
-below x_min, the same Hankel amplitude above it), so those paths load no
-scipy module.  `bessel_j`, its integral oracle, `bessel_asymptotic_split`
-and `radial_kernel` for n >= 6 import scipy.special on first use.
+below x_min, the same Hankel amplitude above it), and `bessel_j` is
+r^nu K_n(r), so those paths and the split load no scipy module.  Only
+`radial_kernel` for n >= 6 imports scipy.special, on first use.
 """
 
 from __future__ import annotations
@@ -43,40 +43,10 @@ from .grids import PANEL_ORDER
 
 
 def bessel_j(nu: float, r) -> np.ndarray:
-    """J_nu(r) for real order nu >= -1/2 and r >= 0 (scipy backend)."""
-    from scipy import special
-
-    if nu < -0.5:
-        raise DomainError(f"order {nu} < -1/2 not supported")
+    """J_nu(r) = r^nu K_n(r) for nu = (n-2)/2 with n >= 2 an integer (other
+    orders raise DomainError) and r >= 0."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("negative argument")
-    return special.jv(nu, r)
-
-
-def bessel_j_integral(nu: float, r: float) -> float:
-    """Independent oracle: adaptive quadrature of the defining integral
-
-        J_nu(r) = (r/2)^nu / (Gamma(nu+1/2) sqrt(pi)) *
-                  int_{-1}^{1} e^{irt} (1-t^2)^(nu-1/2) dt.
-
-    Used only to cross-check `bessel_j`; never called by the evaluators.
-    """
-    from scipy import integrate, special
-
-    if nu <= -0.5:
-        raise DomainError("integral representation needs nu > -1/2")
-    if r < 0:
-        raise DomainError("negative argument")
-    pref = (r / 2.0) ** nu / (special.gamma(nu + 0.5) * np.sqrt(np.pi))
-
-    # t = sin(u) removes the endpoint singularity: the even part gives
-    # 2 int_0^{pi/2} cos(r sin u) (cos u)^{2 nu} du
-    def re(u):
-        return np.cos(r * np.sin(u)) * np.cos(u) ** (2.0 * nu)
-
-    val, _ = integrate.quad(re, 0.0, np.pi / 2.0, limit=400, epsabs=1e-12, epsrel=1e-11)
-    return float(pref * 2.0 * val)
+    return radial_kernel(2.0 * nu + 2.0, r) * r**nu
 
 
 @dataclass(frozen=True)
@@ -128,22 +98,21 @@ class BesselSplit:
 
 
 def bessel_asymptotic_split(n: int, r: float) -> BesselSplit:
-    """Split J_(n-2)/2(r), r >= 1, into main oscillations and residuals.
+    """Split J_(n-2)/2(r), r >= 1, n = 2..6, into main oscillations and residuals.
 
-    The e^{+ir} half of J is exactly H1/2 = (J + iY)/2; subtracting the
-    leading coefficient c(r) leaves the residual, reported in the
-    normalization whose modulus decays like r^(-(n+1)/2).
+    The e^{+ir} half of J is exactly H1/2 = (J + iY)/2, and (1/2) H1 e^{-ir}
+    = c zeta with zeta the Hankel factor of `_hankel_zeta`; subtracting the
+    leading coefficient c(r) leaves the residual c (zeta - 1), reported in
+    the normalization whose modulus decays like r^(-(n+1)/2).  Other n raise
+    DomainError: zeta is checked against 30-digit mpmath on r >= 1 for
+    n = 2..6 only.
     """
-    from scipy import special
-
+    if n not in (2, 3, 4, 5, 6):
+        raise DomainError(f"asymptotic split implemented for n = 2..6, not {n}")
     if r < 1.0:
         raise SmallArgument("asymptotic split valid for r >= 1 only")
-    nu = (n - 2) / 2.0
-    beta = (n - 1) * np.pi / 4.0
-    c = np.exp(-1j * beta) / np.sqrt(2.0 * np.pi * r)
-    h1 = complex(special.jv(nu, r), special.yv(nu, r))
-    plus_coeff = 0.5 * h1 * np.exp(-1j * r)        # e^{+ir} coefficient of J
-    resid_plus = plus_coeff - c                     # remainder on the e^{+ir} side
+    c = np.exp(-1j * (n - 1) * np.pi / 4.0) / np.sqrt(2.0 * np.pi * r)
+    resid_plus = c * (_hankel_zeta(n, np.array([float(r)]))[0] - 1.0)  # e^{+ir} remainder
     resid_minus = np.conj(resid_plus)               # J real => conjugate pair
     nu_pow = r ** ((n - 2) / 2.0)
     return BesselSplit(
@@ -194,7 +163,8 @@ KERNEL_CHUNK = 1 << 13
 
 
 def radial_kernel(n: int, x, out=None) -> np.ndarray:
-    """x^(-(n-2)/2) J_((n-2)/2)(x), the radial Fourier kernel.
+    """x^(-(n-2)/2) J_((n-2)/2)(x), the radial Fourier kernel, for n >= 2 an
+    integer (DomainError otherwise).
 
     Backends:
       n = 2, 4  J0(x) and J1(x)/x: below HANKEL_X_MIN the Taylor polynomial
@@ -205,7 +175,7 @@ def radial_kernel(n: int, x, out=None) -> np.ndarray:
       n = 5     sqrt(2/pi) (sin x - x cos x)/x^3  (series below 0.1, where
                 the numerator cancels and the relative error grows like
                 3 eps/x^2)
-      other     x^(-nu) scipy.special.jv(nu, x)   (series below 1e-6)
+      n >= 6    x^(-nu) scipy.special.jv(nu, x)   (series below 1e-6)
     Checked against 30-digit mpmath for n = 2..6 on x = 0 and [1e-9, 1e4]:
     error <= 1e-12 relative to max(|K_n|, min(1, x^(-(n-1)/2))).
 
@@ -215,6 +185,9 @@ def radial_kernel(n: int, x, out=None) -> np.ndarray:
     otherwise), receives the values and may be x itself (evaluation in
     place).
     """
+    if not (float(n).is_integer() and n >= 2):
+        raise DomainError(f"dimension {n} is not an integer >= 2")
+    n = int(n)
     x = np.asarray(x, dtype=float)
     if x.size and x.min() < 0:
         raise DomainError("negative argument")
@@ -306,17 +279,6 @@ def _hankel_kernel_coeffs(n: int) -> np.ndarray:
     return np.stack((c.real, c.imag))
 
 
-# x = k pi/2 + r with |r| <= pi/4 turns e^{ix} into i^k e^{ir}, and cos and
-# sin of r cost about a third of those of x (12 against 42 ns a point on a
-# 2-core Xeon VM), whose reduction dominates libm's time.  k pi/2 is exact
-# on fdlibm's 33-bit head of pi/2 while k < 2^20; from 2^19 pi on, k = 0
-# leaves the whole reduction to libm
-_PIO2_HEAD = 1.57079632673412561417
-_PIO2_TAIL = 6.07710050650619224932e-11
-_REDUCE_MAX = 2.0 ** 19 * np.pi
-_QUADRANT = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])   # Re, Im of i^(k mod 4)
-
-
 def _hankel_kernel(n: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """K_n(x) = x^(-(n-1)/2) Re[e^{ix} sum_p c_p (x_min/x)^p] for x >= x_min
     and even n, with c_p from `_hankel_kernel_coeffs`; out may be x."""
@@ -331,20 +293,10 @@ def _hankel_kernel(n: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     root = np.sqrt(x)
     if n == 4:
         root *= x
-    k = np.rint(x * (2.0 / np.pi))
-    k[x >= _REDUCE_MAX] = 0.0
-    r = x - k * _PIO2_HEAD
-    r -= k * _PIO2_TAIL
-    cos_r, sin_r = np.cos(r), np.sin(r, out=r)
-    # Re[i^k z] for z = e^{ir} (re + i im)
-    z_re = cos_r * re
-    z_re -= sin_r * im
-    z_im = np.multiply(cos_r, im, out=cos_r)
-    z_im += np.multiply(sin_r, re, out=sin_r)
-    quadrant = _QUADRANT[:, k.astype(np.intp) & 3]
-    z_re *= quadrant[0]
-    z_im *= quadrant[1]
-    np.subtract(z_re, z_im, out=out)
+    # both read before out (which may be x) is written
+    re *= np.cos(x)
+    im *= np.sin(x)
+    np.subtract(re, im, out=out)
     out /= root
     return out
 
@@ -365,8 +317,8 @@ def kernel_matrix(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (under 1 MB) beside the matrix, and agrees with radial_kernel on the
     same products within 1e-12 of max(|K_n|, min(1, x^(-(n-1)/2))) (2.6e-13
     measured up to x = 830): the fit error (at most 4.5e-14) plus a phase
-    error of a few ulps of x, the rounding of x that radial_kernel's own
-    argument reduction carries too.  It runs on the calling thread."""
+    error of a few ulps of x, the rounding of x that radial_kernel's cos and
+    sin of x carry too.  It runs on the calling thread."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return _kernel_rows(n, a, b, _table_plan(n, a, b), 0, a.size)
 
@@ -631,18 +583,19 @@ def hankel_phase_coeffs(n: int) -> np.ndarray:
 _HANKEL_FIT_NODES = 128
 
 
-# the trapezoid rule of `_hankel_zeta` on v = 0, 0.4, ..., 6.4: its integrand
-# is analytic in the strip |Im v| < sqrt(x) (>= 2.8 on x >= x_min), which
-# puts the rule's error near 1e-16 at this step, and e^(-v^2) v^4 < 1e-15
-# beyond the last node
-_LAPLACE_STEP = 0.4
-_LAPLACE_NODES = 17
+# the trapezoid rule of `_hankel_zeta` on v = 0, 0.16, ..., 6.4: its
+# integrand is analytic in the strip |Im v| < sqrt(x) (>= 1 on x >= 1, the
+# split's range), which puts the rule's error near rounding at this step, and
+# e^(-v^2) v^4 < 1e-15 beyond the last node
+_LAPLACE_STEP = 0.16
+_LAPLACE_NODES = 41
 
 
 def _hankel_zeta(n: int, x: np.ndarray) -> np.ndarray:
     """zeta(x) = H1_nu(x) sqrt(pi x/2) e^{-i(x - nu pi/2 - pi/4)}, nu = (n-2)/2,
-    at x >= HANKEL_X_MIN, without a Bessel library (within 6e-16 of 30-digit
-    mpmath at the fit nodes for n = 2..6).
+    at x >= 1, without a Bessel library (within 6e-16 of 30-digit mpmath at
+    the fit nodes on x >= HANKEL_X_MIN and 1.1e-14 on [1, 1000] for
+    n = 2..6, the worst at n = 6, x = 1).
 
     Half-integer nu: Hankel's expansion terminates, zeta = sum_k a_k (i/x)^k
     over k <= nu - 1/2, a_k = a_(k-1) (4 nu^2 - (2k-1)^2) / (8k).  Integer nu:

@@ -202,7 +202,8 @@ def test_criterion_7_knapp_probe():
 
 
 def test_criterion_8_oracles():
-    from rsl.bessel import bessel_j, bessel_j_integral
+    from oracles import bessel_j_integral
+    from rsl.bessel import bessel_j
     from rsl.cutoffs import smooth_bump
     from rsl.grids import PhysicalGrid, gauss_panel_grid
     from rsl.propagator import evolve, oracle_wave_cosine_3d

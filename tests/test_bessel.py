@@ -12,7 +12,6 @@ from rsl.bessel import (
     bessel_asymptotic_split,
     bessel_bound_check,
     bessel_j,
-    bessel_j_integral,
     hankel_phase_coeffs,
     kernel_matrix,
     kernel_panels,
@@ -21,6 +20,8 @@ from rsl.bessel import (
 from rsl.errors import DomainError, SmallArgument
 from rsl.grids import PANEL_ORDER, gauss_panel_grid
 from rsl.nonlinear import build_solver_grid
+
+from oracles import bessel_j_integral
 
 
 def test_bessel_j_basics():
@@ -32,6 +33,9 @@ def test_bessel_j_basics():
         bessel_j(0, -1.0)
     with pytest.raises(DomainError):
         bessel_j(-0.75, 1.0)
+    # orders other than (n-2)/2 for an integer n >= 2
+    with pytest.raises(DomainError):
+        bessel_j(0.3, 1.0)
 
 
 def test_bessel_j_against_integral_oracle_frozen():
@@ -78,6 +82,11 @@ def test_split_requires_large_argument():
         bessel_asymptotic_split(3, 0.5)
 
 
+def test_split_rejects_dimensions_beyond_six():
+    with pytest.raises(DomainError):
+        bessel_asymptotic_split(8, 2.0)
+
+
 def test_split_remainder_decay():
     # |E_pm(r)| r^{(n+1)/2} stays bounded on [1, 1000], stable under refinement
     for n in (2, 4, 5):
@@ -112,6 +121,9 @@ def test_radial_kernel_values():
     assert radial_kernel(3, np.pi) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(DomainError):
         radial_kernel(2, -0.5)
+    for n in (0, 1, 2.5):   # dimensions that are not integers >= 2
+        with pytest.raises(DomainError):
+            radial_kernel(n, np.array([0.0, 1.0]))
 
 
 def test_radial_kernel_continuity_at_zero():
@@ -193,12 +205,17 @@ def _mp_zeta(n, x):
 
 def test_hankel_zeta_at_fit_nodes_against_mpmath():
     # the fit's samples: the trapezoid Laplace integral (even n) and the
-    # terminating Hankel sum (odd n) on the 128 Chebyshev nodes
+    # terminating Hankel sum (odd n) on the 128 Chebyshev nodes, and the
+    # split's samples on [1, x_min)
     m = bessel._HANKEL_FIT_NODES
     x = HANKEL_X_MIN / ((np.cos(np.pi / (2 * m) * (2 * np.arange(m) + 1)) + 1.0) / 2.0)
+    near = np.concatenate([np.linspace(1.0, HANKEL_X_MIN, 40, endpoint=False),
+                           [np.nextafter(HANKEL_X_MIN, 0.0)]])
     for n in (2, 3, 4, 5, 6):
         err = np.abs(bessel._hankel_zeta(n, x) - _mp_zeta(n, x))
         assert np.max(err) <= 2e-15, (n, float(x[np.argmax(err)]))
+        err = np.abs(bessel._hankel_zeta(n, near) - _mp_zeta(n, near))
+        assert np.max(err) <= 2e-14, (n, float(near[np.argmax(err)]))
 
 
 def _taylor_in_v(term, terms):
@@ -233,11 +250,11 @@ def test_even_kernels_below_x_min_against_mpmath():
 
 def test_radial_kernel_against_mpmath():
     # 30-digit reference for every backend of radial_kernel (n = 2..6),
-    # at x = 0, on both sides of each series threshold, of x_min and of the
-    # even kernels' argument-reduction limit, and on a log grid
+    # at x = 0, on both sides of each series threshold, of x_min and of
+    # 2^19 pi, and on a log grid
     import mpmath
 
-    cuts = np.array([1e-6, 1e-4, 0.1, HANKEL_X_MIN, bessel._REDUCE_MAX])
+    cuts = np.array([1e-6, 1e-4, 0.1, HANKEL_X_MIN, 2.0 ** 19 * np.pi])
     x = np.concatenate([[0.0], cuts * (1 - 1e-9), cuts * (1 + 1e-9),
                         np.geomspace(1e-9, 1e4, 400), [1e7, 3.3e8]])
     for n in (2, 3, 4, 5, 6):

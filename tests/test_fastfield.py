@@ -154,6 +154,17 @@ for n in (2, 3):
 maximal_check(2.0, range(2, 4))
 """
 
+# J_nu, its envelopes and the asymptotic split, which need no scipy either
+_BESSEL_PATHS = """
+from rsl.bessel import bessel_asymptotic_split, bessel_bound_check, bessel_j
+for nu in (0.0, 0.5, 1.0, 1.5):
+    bessel_j(nu, np.geomspace(1e-3, 1e3, 50))
+bessel_bound_check(0.0, np.geomspace(1e-3, 1e3, 50))
+for n in (2, 3, 4, 5, 6):
+    for r in (1.0, 3.7, 250.0):
+        bessel_asymptotic_split(n, r)
+"""
+
 
 def _fresh_modules(code):
     src = str(Path(rsl.__file__).resolve().parents[1])
@@ -168,10 +179,11 @@ def test_import_skips_scipy_signal_and_integrate():
     # importing the package stays cheap: it loads no scipy module at all, and
     # every n = 2..5 path the benchmark runs (kernel matrices on the table
     # and the pointwise path, a sampler slice, the three Picard solvers, the
-    # dense transforms and the maximal check) still loads none; scipy.special
-    # is imported on first use by the n >= 6 kernels and the oracles only
+    # dense transforms and the maximal check) still loads none, nor do
+    # bessel_j, bessel_bound_check and the split; scipy.special is imported
+    # on first use by the n >= 6 kernels only
     assert _fresh_modules("import rsl") == "[]"
-    assert _fresh_modules("import rsl\n" + _BENCH_PATHS) == "[]"
+    assert _fresh_modules("import rsl\n" + _BENCH_PATHS + _BESSEL_PATHS) == "[]"
 
 
 CATALOG_CASES = [

@@ -1,6 +1,7 @@
 """Module boundaries of the rsl package: a module uses only the public
-names of another rsl module, and none imports a thread or process pool.
-Read from the import statements with `ast`, so nothing is imported or run."""
+names of another rsl module, none imports a thread or process pool, and
+scipy is imported in one place only.  Read from the import statements with
+`ast`, so nothing is imported or run."""
 
 import ast
 from pathlib import Path
@@ -32,14 +33,19 @@ def test_no_private_names_across_modules():
 THREAD_MODULES = ("threading", "concurrent.futures", "multiprocessing")
 
 
+def _import_names(node):
+    """Every absolute module name that the statement `node` imports."""
+    if isinstance(node, ast.Import):
+        yield from (alias.name for alias in node.names)
+    elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+        yield node.module
+        yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
 def _imported_modules(path):
     """Every absolute module name that `path` imports."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
-            yield node.module
-            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        yield from _import_names(node)
 
 
 def test_no_thread_or_process_pools():
@@ -47,3 +53,21 @@ def test_no_thread_or_process_pools():
              for path in sorted(SRC.glob("*.py")) for name in _imported_modules(path)
              if any(name == mod or name.startswith(mod + ".") for mod in THREAD_MODULES)}
     assert not found, sorted(found)
+
+
+def _scipy_import_scopes(node, scope="<module>"):
+    """The innermost enclosing function or class (or "<module>") of every
+    statement under `node` that imports scipy."""
+    for child in ast.iter_child_nodes(node):
+        if any(name.split(".")[0] == "scipy" for name in _import_names(child)):
+            yield scope
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _scipy_import_scopes(child, child.name if inner else scope)
+
+
+def test_scipy_only_in_high_dimension_kernels():
+    # the n = 2..5 kernels, bessel_j and the asymptotic split are in-house;
+    # scipy.special serves radial_kernel for n >= 6 only
+    found = [f"{path.name}: {scope}" for path in sorted(SRC.glob("*.py"))
+             for scope in _scipy_import_scopes(ast.parse(path.read_text(), str(path)))]
+    assert found == ["bessel.py: _kernel_chunk"], found
