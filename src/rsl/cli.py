@@ -264,9 +264,11 @@ def _growth(rep, verdict, results) -> tuple:
 
 
 def _experiment(rep, ok, **extra) -> tuple:
-    """A solver experiment: one row per seed run."""
+    """A solver experiment: one row per seed run; the results carry the
+    solver grid's shape (n_t, n_s, n_r) and r_max."""
     return (_verdict(ok),
-            {"all_converged": rep.all_converged, "max_contraction": rep.max_contraction, **extra},
+            {"all_converged": rep.all_converged, "max_contraction": rep.max_contraction,
+             **rep.grid, **extra},
             [dict(r) for r in rep.runs])
 
 

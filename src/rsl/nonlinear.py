@@ -144,29 +144,40 @@ class SolverGrid:
         return real_matmul(phys, self.anal, self.anal_weights)
 
 
-def build_solver_grid(
-    n: int,
-    band: tuple,
-    p: float,
-    T: float,
-    group_speed: float,
-    r_margin: float = 60.0,
-) -> SolverGrid:
-    """Grids Nyquist-matched to (p+1) times the data band.
+# build_solver_grid's two reaches past the group-speed front 1.15 T v
+R_TAIL = 20.0
+FREQ_REACH_MARGIN = 60.0
 
-    The radius grid resolves oscillation up to 1.1 (p+1) s_max; the
-    frequency grid extends to 1.1 (p+1) s_max (recorded truncation band) and
-    resolves the kernel oscillation at the largest radius, at a phase of 4
-    radians per panel.  Both directions use composite Gauss-Legendre panels,
-    so the analysis/synthesis round trip is accurate to ~1e-10 on
-    band-limited data (uniform trapezoid would leave an O(dr^2) boundary
-    term at r = 0).
+
+def build_solver_grid(n: int, band: tuple, p: float, T: float, group_speed: float) -> SolverGrid:
+    """Grids Nyquist-matched to (p+1) times the data band [s_lo, s_hi].
+
+    Radius grid: r_max = 1.15 T v + R_TAIL / s_lo, the group-speed front
+    plus the physical tail of the data.  The data envelope's exp(-1/u)
+    transitions live on a log scale in s, so that tail is a length in
+    units of 1/s_lo and the grid is scale-covariant.  R_TAIL = 20 is the
+    smallest tail, in steps of 2.5, that holds the solution norms of the
+    bench problems at T = 4 within 1e-8 relative of a grid with tail 90
+    (17.5 leaves NLW at 1.1e-8).  The grid resolves oscillation up to
+    1.1 (p+1) s_hi at a phase of 4 radians per panel.
+
+    Frequency grid: up to 1.1 (p+1) s_hi (the recorded truncation band),
+    resolving the kernel oscillation out to its own reach
+    1.15 T v + FREQ_REACH_MARGIN at 4 radians per panel; it does not follow
+    the radius grid, so the frequency and time nodes do not move with
+    R_TAIL.
+
+    Both directions use composite Gauss-Legendre panels, so the
+    analysis/synthesis round trip is accurate to ~1e-10 on band-limited
+    data (uniform trapezoid would leave an O(dr^2) boundary term at r = 0).
+    The bench NLS grid (n = 2, s = -1/10, T = 4) is 1,230 x 930.
     """
     s_lo_d, s_hi_d = band
     s_hi = (p + 1.0) * s_hi_d * 1.1
     s_lo = s_lo_d / 8.0
-    r_max = 1.15 * T * group_speed + r_margin
-    n_pan_s = int(np.ceil((s_hi - s_lo) * r_max / 4.0)) + 2
+    front = 1.15 * T * group_speed
+    r_max = front + R_TAIL / s_lo_d
+    n_pan_s = int(np.ceil((s_hi - s_lo) * (front + FREQ_REACH_MARGIN) / 4.0)) + 2
     n_pan_r = int(np.ceil(r_max * s_hi / 4.0)) + 2
     nt = int(np.ceil(T * (p + 1.0) * max(abs(s_hi_d) ** 2, 1.0) * 8.0 / np.pi)) + 1
     return SolverGrid.on(n, gauss_panel_grid(s_lo, s_hi, n_pan_s),
@@ -179,6 +190,10 @@ def build_solver_grid(
 
 @dataclass(frozen=True)
 class PicardTrace:
+    """A solve's iterate and difference norms and verdicts; `meta` records
+    the data band, T, the pair, the grid shape (n_t, n_s, n_r) and r_max,
+    the outermost radius node."""
+
     iterate_norms: tuple
     diff_norms: tuple
     contraction_factor: float
@@ -321,7 +336,8 @@ def picard_solve(
             drift = float(np.max(np.abs(masses - masses[0])) / masses[0])
     trace = PicardTrace(
         tuple(iterate_norms), tuple(diff_norms), contraction, converged, drift,
-        {"band": band, "T": T, "pair": qr},
+        {"band": band, "T": T, "pair": qr, "grid_shape": (t.size, s.size, grid.r.size),
+         "r_max": float(grid.r[-1])},
     )
     fld = SolverField(PhysicalGrid(grid.r, t), phys, problem.n, source="duhamel",
                       problem=problem, solver_grid=grid, coeff=coeff)
@@ -423,6 +439,7 @@ class ExperimentReport:
     all_converged: bool
     max_contraction: float
     max_mass_drift: float   # 0.0 for nlw, which has no mass law
+    grid: dict              # the first seed's grid_shape and r_max (PicardTrace.meta)
 
 
 def check_nls_range(n: int, s_sch) -> Fraction:
@@ -458,10 +475,12 @@ def _run_seeds(kind: str, params: dict, pairs: PairSelection, seeds: Sequence[in
     row(seed, problem, field, trace): no field or diagnostic outlives it."""
     runs = []
     grid = None
+    grid_meta = {}
     for seed in seeds:
         problem = draw(np.random.default_rng(seed), 1 if seed % 2 == 0 else -1)
         fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=EXPERIMENT_MAX_ITER)
         grid = fld.solver_grid
+        grid_meta = grid_meta or {key: trace.meta[key] for key in ("grid_shape", "r_max")}
         runs.append(row(seed, problem, fld, trace))
         del fld
     return ExperimentReport(
@@ -469,6 +488,7 @@ def _run_seeds(kind: str, params: dict, pairs: PairSelection, seeds: Sequence[in
         all(r["converged"] for r in runs),
         max(r["contraction"] for r in runs),
         max(r.get("mass_drift", 0.0) for r in runs),
+        grid_meta,
     )
 
 

@@ -339,8 +339,10 @@ def _scaled_error(n, a, b):
 
 
 KERNEL_GRIDS = {
-    # the bench picard NLS kernel (frequency x radius) at T = 4
+    # the bench picard NLS kernel (frequency x radius) at T = 4 on a radius
+    # grid of margin 60 past the group-speed front, and on its own radius grid
     "gauss x gauss": (_gauss(0.0625, 6.2, 123), _gauss(1e-9, 78.4, 124)),
+    "bench picard": (_gauss(0.0625, 6.2, 123), _gauss(1e-9, 58.4, 93)),
     "uniform x gauss": (np.linspace(0.0, 60.0, 1201), _gauss(0.25, 4.5, 80)),
     "gauss x uniform": (_gauss(0.25, 4.5, 80), np.linspace(0.0, 60.0, 1201)),
     # partial last panels on both sides
@@ -400,7 +402,7 @@ def test_kernel_panels_keep_every_entry(n, a, b):
 
 
 def test_picard_grid_reaches_radial_kernel_below_x_min_only(monkeypatch):
-    # the bench picard NLS grid (1,230 x 1,240): 7.5% of its entries have
+    # the bench picard NLS grid (1,230 x 930): 9.7% of its entries have
     # s r < x_min; the table path serves the rest, so a regression in the
     # panel detection shows here and not only as a slower bench
     pts = []
@@ -411,5 +413,5 @@ def test_picard_grid_reaches_radial_kernel_below_x_min_only(monkeypatch):
 
     monkeypatch.setattr(bessel, "radial_kernel", counting)
     grid = build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 4.0, 4.0)
-    assert grid.kernel.shape == (1230, 1240)
+    assert grid.kernel.shape == (1230, 930)
     assert 0 < sum(pts) <= 0.15 * grid.kernel.size, sum(pts) / grid.kernel.size

@@ -422,8 +422,13 @@ SOLVE_COLUMNS = {
 
 @pytest.mark.parametrize("command", SOLVE_COLUMNS)
 def test_solve_data_csv_columns(command, tmp_path):
-    # each experiment's run dict keys, in order, are its data.csv columns
+    # each experiment's run dict keys, in order, are its data.csv columns;
+    # the solver grid's shape (n_t, n_s, n_r) and r_max go to report.json
     assert run([command, "--seeds", "0..1", "--T", "2"], tmp_path, "cols") in (0, 1)
     rows = (tmp_path / "cols" / "data.csv").read_text().splitlines()
     assert rows[0] == SOLVE_COLUMNS[command]
     assert len(rows) == 3
+    results = json.loads((tmp_path / "cols" / "report.json").read_text())["results"]
+    n_t, n_s, n_r = results["grid_shape"]
+    assert n_t >= 65 and n_s % 10 == 0 and n_r % 10 == 0
+    assert 0 < results["r_max"] < 1.15 * 2.0 * 4.0 + 40.0

@@ -7,11 +7,13 @@ import pytest
 
 import rsl.nonlinear as nonlinear
 from rsl.admissibility import choose_pairs_nls, choose_pairs_nlw, s0
-from rsl.dispersion import get_symbol
+from rsl.dispersion import fractional_symbol, get_symbol
 from rsl.errors import DomainError, OutOfRangeS, OutOfRangeSigma
-from rsl.grids import PhysicalGrid
+from rsl.grids import PhysicalGrid, gauss_panel_grid
 from rsl.nonlinear import (
+    DATA_BAND,
     NonlinearProblem,
+    SolverGrid,
     build_solver_grid,
     check_fnls_range,
     check_nls_range,
@@ -39,6 +41,19 @@ def _speed(prob):
     return prob.generator_symbol().sup_dphi(0.5, 2.0)
 
 
+def _front(T, group_speed):
+    """The group-speed front 1.15 T v that both solver-grid reaches start from."""
+    return 1.15 * T * group_speed
+
+
+def _with_radius(grid, p, r_max):
+    """`grid`'s frequency and time nodes with a radius grid reaching r_max,
+    panelled by build_solver_grid's rule for the data band DATA_BAND."""
+    s_hi = (p + 1.0) * DATA_BAND[1] * 1.1
+    rgrid = gauss_panel_grid(1e-9, r_max, int(np.ceil(r_max * s_hi / 4.0)) + 2)
+    return SolverGrid.on(2, grid.freq, rgrid, grid.t)
+
+
 def test_random_profile_normalization():
     rng = np.random.default_rng(1)
     prof = random_band_profile(2, rng, s_norm=-0.1, target=1e-3)
@@ -62,13 +77,73 @@ def test_solver_grid_round_trip():
     den = np.sqrt(np.sum(grid.freq.weights * np.abs(h) ** 2 * grid.freq.nodes))
     assert num / den < 2e-3
     assert np.max(np.abs(phys[0, -3:])) < 1e-4 * np.max(np.abs(phys))
-    # enlarging the radial domain drives the round trip down (truncation tail)
-    wide = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, 4.0, r_margin=180.0)
+    # enlarging the radial domain by 120 on the same frequency grid drives
+    # the round trip down (truncation tail)
+    r_max = _front(8.0, 4.0) + nonlinear.R_TAIL / DATA_BAND[0]
+    wide = _with_radius(grid, P_NLS, r_max + 120.0)
     h2 = prof.fn(wide.freq.nodes)
     back2 = wide.to_frequency(wide.to_physical(h2[None, :]))[0]
     num2 = np.sqrt(np.sum(wide.freq.weights * np.abs(back2 - h2) ** 2 * wide.freq.nodes))
     den2 = np.sqrt(np.sum(wide.freq.weights * np.abs(h2) ** 2 * wide.freq.nodes))
     assert num2 / den2 < 0.2 * num / den
+
+
+# the bench's picard configurations at T = 4: (experiment, arguments, seeds)
+BENCH_EXPERIMENTS = {
+    "nls": (nls_small_data_experiment, (2, Fraction(-1, 10), 1e-3), [0, 1]),
+    "fnls": (fnls_experiment, (2, 1.5, 1.5, 0.0, 1e-3), [0]),
+    "nlw": (nlw_small_data_experiment, (2, Fraction(3, 10), 1e-3), [0, 1]),
+}
+
+
+def _bench_runs():
+    return {kind: exp(*args, seeds=seeds, T=4.0).runs
+            for kind, (exp, args, seeds) in BENCH_EXPERIMENTS.items()}
+
+
+def test_radius_tail_converged(monkeypatch):
+    # the radius grid's tail R_TAIL / s_lo against twice that tail on the same
+    # frequency and time nodes: the solution norms hold 1e-8 relative and the
+    # FNLS conservation drifts 3 significant digits
+    runs = _bench_runs()
+    build = nonlinear.build_solver_grid
+
+    def doubled_tail(n, band, p, T, group_speed):
+        r_max = _front(T, group_speed) + 2.0 * nonlinear.R_TAIL / band[0]
+        return _with_radius(build(n, band, p, T, group_speed), p, r_max)
+
+    monkeypatch.setattr(nonlinear, "build_solver_grid", doubled_tail)
+    wide = _bench_runs()
+    for kind in ("nls", "nlw"):
+        for got, ref in zip(runs[kind], wide[kind]):
+            assert got["converged"] and ref["converged"]
+            rel = abs(got["solution_norm"] - ref["solution_norm"]) / ref["solution_norm"]
+            assert rel <= 1e-8, (kind, got["seed"], rel)
+    for got, ref in zip(runs["fnls"], wide["fnls"]):
+        for key in ("mass_drift", "energy_drift"):
+            assert math.isclose(got[key], ref[key], rel_tol=5e-4), (key, got[key], ref[key])
+
+
+@pytest.mark.parametrize("T", [4.0, 8.0, 16.0])
+@pytest.mark.parametrize("kind", BENCH_EXPERIMENTS)
+def test_frequency_and_time_nodes_keep_their_reach(kind, T):
+    # the frequency panels resolve the reach 1.15 T v + 60 whatever the
+    # radius grid's tail, so the frequency and time nodes are those of the
+    # one-reach rule r_max = 1.15 T v + 60, bit for bit
+    p = {"nls": P_NLS, "fnls": 1.5, "nlw": float(choose_pairs_nlw(2, Fraction(3, 10)).p)}[kind]
+    symbol = {"nls": get_symbol("schrodinger"), "fnls": fractional_symbol(1.5),
+              "nlw": get_symbol("wave")}[kind]
+    v = symbol.sup_dphi(*DATA_BAND)
+    grid = build_solver_grid(2, DATA_BAND, p, T, v)
+    s_hi = (p + 1.0) * DATA_BAND[1] * 1.1
+    s_lo = DATA_BAND[0] / 8.0
+    reach = _front(T, v) + 60.0
+    freq = gauss_panel_grid(s_lo, s_hi, int(np.ceil((s_hi - s_lo) * reach / 4.0)) + 2)
+    nt = int(np.ceil(T * (p + 1.0) * max(DATA_BAND[1] ** 2, 1.0) * 8.0 / np.pi)) + 1
+    assert np.array_equal(grid.freq.nodes, freq.nodes)
+    assert np.array_equal(grid.freq.weights, freq.weights)
+    assert np.array_equal(grid.t, np.linspace(0.0, T, max(nt, 65)))
+    assert grid.r[-1] < _front(T, v) + nonlinear.R_TAIL / DATA_BAND[0] < reach
 
 
 def test_real_transforms_match_complex_product():
