@@ -312,10 +312,13 @@ def kernel_matrix(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Other n and arguments without panel structure take the pointwise path
     for every entry, evaluated in place over the outer product (one array
-    of the matrix's size, no temporary beside it).  The table path holds
-    three tiles' worth of KERNEL_TILE floats and one column block's tables
-    (under 1 MB) beside the matrix, and agrees with radial_kernel on the
-    same products within 1e-12 of max(|K_n|, min(1, x^(-(n-1)/2))) (2.6e-13
+    of the matrix's size, no temporary beside it).  Beside the matrix the
+    table path holds one tile's complex amplitude (at most 2 KERNEL_TILE
+    floats, 1 MiB), which then also takes the tile's products x and, a
+    KERNEL_CHUNK of them at a time, those below x_min; one column block's
+    tables (PANEL_ORDER P complex numbers a column, 0.45 MB at P = 11 and
+    TABLE_COLS columns); and P floats a grid node (the powers sigma).  It
+    agrees with radial_kernel on the same products within 1e-12 of max(|K_n|, min(1, x^(-(n-1)/2))) (2.6e-13
     measured up to x = 830): the fit error (at most 4.5e-14) plus a phase
     error of a few ulps of x, the rounding of x that radial_kernel's cos and
     sin of x carry too.  It runs on the calling thread."""
@@ -439,21 +442,25 @@ class _TablePlan:
     def fill(self, s_lo: int, s_hi: int, o: np.ndarray, target: np.ndarray) -> None:
         """target[i, j] = K_n(nodes[s_lo + i] o[j]) tile by tile, for s_lo a
         multiple of tile_nodes and o starting at a multiple of cols of the
-        other argument; two buffers serve every tile."""
+        other argument; one buffer serves every tile."""
         L, x_min = PANEL_ORDER, HANKEL_X_MIN
         s_max = self.nodes.max()
         tile_max = min(self.tile_nodes, s_hi - s_lo) * min(self.cols, o.size)
-        amp = np.empty(2 * tile_max)   # a tile's complex amplitude
-        prod = np.empty(tile_max)      # a tile's products x
+        # a tile's complex amplitude; once the tile's table values are
+        # written, its products x and their entries below x_min
+        amp = np.empty(2 * tile_max)
+        # tile rows per gather of those entries: about one KERNEL_CHUNK
+        rows = max(1, KERNEL_CHUNK // min(self.cols, o.size))
         for j0 in range(0, o.size, self.cols):
             oc = o[j0:j0 + self.cols]
+            w = f = None   # release the previous block's tables first
             w, f = self._column_tables(j0, oc, oc * s_max >= x_min)
             for p0 in range(s_lo, s_hi, self.tile_nodes):
                 p1 = min(p0 + self.tile_nodes, s_hi)
                 s = self.nodes[p0:p1]
                 tile = target[p0 - s_lo:p1 - s_lo, j0:j0 + oc.size]
                 if s.max() * oc.max() < x_min:
-                    x = np.multiply.outer(s, oc, out=prod[:tile.size].reshape(tile.shape))
+                    x = np.multiply.outer(s, oc, out=amp[:tile.size].reshape(tile.shape))
                     tile[...] = radial_kernel(self.n, x, out=x)
                     continue
                 full = (p1 - p0) // L * L
@@ -462,10 +469,12 @@ class _TablePlan:
                 if full < p1 - p0:
                     self._table(p0 + full, p1 - p0 - full, oc, w, f, tile[full:], amp)
                 if s.min() * oc.min() < x_min:
-                    x = np.multiply.outer(s, oc, out=prod[:tile.size].reshape(tile.shape))
-                    small = x < x_min
-                    xs = x[small]
-                    tile[small] = radial_kernel(self.n, xs, out=xs)
+                    x = np.multiply.outer(s, oc, out=amp[:tile.size].reshape(tile.shape))
+                    for r0 in range(0, x.shape[0], rows):
+                        xr, tr = x[r0:r0 + rows], tile[r0:r0 + rows]
+                        small = xr < x_min
+                        xs = xr[small]
+                        tr[small] = radial_kernel(self.n, xs, out=xs)
 
     def _column_tables(self, j0: int, o: np.ndarray, keep: np.ndarray):
         """(W, f) for the column block o from column j0: W (PANEL_ORDER, P,

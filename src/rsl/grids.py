@@ -84,10 +84,12 @@ def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_panel_grid(lo: float, hi: float, n_panels: int) -> FrequencyGrid:
-    """Composite Gauss-Legendre panels; panel edges split [lo, hi] uniformly
-    so dyadic rescaling maps node sets exactly onto each other."""
-    x, w = gauss_legendre(PANEL_ORDER)
+def gauss_panel_grid(lo: float, hi: float, n_panels: int,
+                     order: int = PANEL_ORDER) -> FrequencyGrid:
+    """Composite Gauss-Legendre panels of `order` nodes; panel edges split
+    [lo, hi] uniformly so dyadic rescaling maps node sets exactly onto each
+    other."""
+    x, w = gauss_legendre(order)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2
     half = (edges[1:] - edges[:-1]) / 2

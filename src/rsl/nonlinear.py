@@ -147,6 +147,10 @@ class SolverGrid:
 # build_solver_grid's two reaches past the group-speed front 1.15 T v
 R_TAIL = 20.0
 FREQ_REACH_MARGIN = 60.0
+# its radius panels: Gauss-Legendre nodes per panel and the kernel phase
+# s_hi x (panel width) one panel spans
+R_PANEL_ORDER = 20
+R_PANEL_PHASE = 12.0
 
 
 def build_solver_grid(n: int, band: tuple, p: float, T: float, group_speed: float) -> SolverGrid:
@@ -159,18 +163,23 @@ def build_solver_grid(n: int, band: tuple, p: float, T: float, group_speed: floa
     smallest tail, in steps of 2.5, that holds the solution norms of the
     bench problems at T = 4 within 1e-8 relative of a grid with tail 90
     (17.5 leaves NLW at 1.1e-8).  The grid resolves oscillation up to
-    1.1 (p+1) s_hi at a phase of 4 radians per panel.
+    1.1 (p+1) s_hi with panels of R_PANEL_ORDER = 20 nodes spanning
+    R_PANEL_PHASE = 12 radians each: a Gauss rule gains accuracy per node
+    as its order rises, and these panels hold the bench problems' solution
+    norms within 2.6e-9 (T = 4) and 1.1e-9 (T = 16) of 10-node panels at 2
+    radians.  At 16 radians NLS errs by 2.0e-8 at T = 16: |u|^p u is not
+    smooth where the field vanishes.
 
     Frequency grid: up to 1.1 (p+1) s_hi (the recorded truncation band),
     resolving the kernel oscillation out to its own reach
-    1.15 T v + FREQ_REACH_MARGIN at 4 radians per panel; it does not follow
-    the radius grid, so the frequency and time nodes do not move with
-    R_TAIL.
+    1.15 T v + FREQ_REACH_MARGIN with 10-node panels at 4 radians each; it
+    does not follow the radius grid, so the frequency and time nodes do
+    not move with R_TAIL or the radius panels.
 
     Both directions use composite Gauss-Legendre panels, so the
     analysis/synthesis round trip is accurate to ~1e-10 on band-limited
     data (uniform trapezoid would leave an O(dr^2) boundary term at r = 0).
-    The bench NLS grid (n = 2, s = -1/10, T = 4) is 1,230 x 930.
+    The bench NLS grid (n = 2, s = -1/10, T = 4) is 1,230 x 660.
     """
     s_lo_d, s_hi_d = band
     s_hi = (p + 1.0) * s_hi_d * 1.1
@@ -178,10 +187,11 @@ def build_solver_grid(n: int, band: tuple, p: float, T: float, group_speed: floa
     front = 1.15 * T * group_speed
     r_max = front + R_TAIL / s_lo_d
     n_pan_s = int(np.ceil((s_hi - s_lo) * (front + FREQ_REACH_MARGIN) / 4.0)) + 2
-    n_pan_r = int(np.ceil(r_max * s_hi / 4.0)) + 2
+    n_pan_r = int(np.ceil(r_max * s_hi / R_PANEL_PHASE)) + 2
     nt = int(np.ceil(T * (p + 1.0) * max(abs(s_hi_d) ** 2, 1.0) * 8.0 / np.pi)) + 1
     return SolverGrid.on(n, gauss_panel_grid(s_lo, s_hi, n_pan_s),
-                         gauss_panel_grid(1e-9, r_max, n_pan_r), np.linspace(0.0, T, max(nt, 65)))
+                         gauss_panel_grid(1e-9, r_max, n_pan_r, R_PANEL_ORDER),
+                         np.linspace(0.0, T, max(nt, 65)))
 
 
 # --------------------------------------------------------------------------

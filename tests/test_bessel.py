@@ -324,8 +324,8 @@ def test_radial_kernel_rejects_bad_out():
             radial_kernel(2, x, out=out)
 
 
-def _gauss(lo, hi, panels):
-    return gauss_panel_grid(lo, hi, panels).nodes
+def _gauss(lo, hi, panels, order=PANEL_ORDER):
+    return gauss_panel_grid(lo, hi, panels, order).nodes
 
 
 def _scaled_error(n, a, b):
@@ -339,10 +339,11 @@ def _scaled_error(n, a, b):
 
 
 KERNEL_GRIDS = {
-    # the bench picard NLS kernel (frequency x radius) at T = 4 on a radius
-    # grid of margin 60 past the group-speed front, and on its own radius grid
+    # the bench picard NLS kernel (frequency x radius) at T = 4 on a 10-node
+    # radius grid of margin 60 past the group-speed front, and on its own
+    # radius grid of 20-node panels (not a PANEL_ORDER composite)
     "gauss x gauss": (_gauss(0.0625, 6.2, 123), _gauss(1e-9, 78.4, 124)),
-    "bench picard": (_gauss(0.0625, 6.2, 123), _gauss(1e-9, 58.4, 93)),
+    "bench picard": (_gauss(0.0625, 6.2, 123), _gauss(1e-9, 58.4, 33, order=20)),
     "uniform x gauss": (np.linspace(0.0, 60.0, 1201), _gauss(0.25, 4.5, 80)),
     "gauss x uniform": (_gauss(0.25, 4.5, 80), np.linspace(0.0, 60.0, 1201)),
     # partial last panels on both sides
@@ -402,9 +403,11 @@ def test_kernel_panels_keep_every_entry(n, a, b):
 
 
 def test_picard_grid_reaches_radial_kernel_below_x_min_only(monkeypatch):
-    # the bench picard NLS grid (1,230 x 930): 9.7% of its entries have
-    # s r < x_min; the table path serves the rest, so a regression in the
-    # panel detection shows here and not only as a slower bench
+    # the bench picard NLS grid (1,230 x 660): 9.7% of its entries have
+    # s r < x_min; the table path, along the 10-node frequency grid (the
+    # 20-node radius grid is not a PANEL_ORDER composite), serves the rest,
+    # so a regression in the panel detection shows here and not only as a
+    # slower bench
     pts = []
 
     def counting(n, x, out=None):
@@ -413,5 +416,6 @@ def test_picard_grid_reaches_radial_kernel_below_x_min_only(monkeypatch):
 
     monkeypatch.setattr(bessel, "radial_kernel", counting)
     grid = build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 4.0, 4.0)
-    assert grid.kernel.shape == (1230, 930)
+    assert grid.kernel.shape == (1230, 660)
+    assert bessel._table_plan(2, grid.freq.nodes, grid.r).axis == 0
     assert 0 < sum(pts) <= 0.15 * grid.kernel.size, sum(pts) / grid.kernel.size

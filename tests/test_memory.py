@@ -56,7 +56,7 @@ def test_dense_oracle_products_stream():
 
 
 def test_solver_grid_holds_one_kernel_matrix():
-    # criterion 11's NLS grid at T = 16 (2,070 x 1,790, 29.6 MB): the kernel is
+    # criterion 11's NLS grid at T = 16 (2,070 x 1,220, 20.2 MB): the kernel is
     # filled in place, with no outer-product temporary and no weighted copy
     grid, peak = _peak(lambda: build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 16.0, 4.0))
     assert np.shares_memory(grid.synth, grid.anal)
@@ -65,11 +65,12 @@ def test_solver_grid_holds_one_kernel_matrix():
 
 def test_nls_experiment_peak():
     # the bench's NLS experiment (n = 2, s = -1/10, T = 4, four seeds): a
-    # 1,230 x 930 kernel (9.2 MB), (116 x 1,230)-sample frequency
-    # trajectories (2.3 MB each) and (116 x 930)-sample fields (1.7 MB each).
-    # It peaks at 22.6 MB.  On the 1,230 x 1,240 grid of a fixed 60-unit
-    # radius margin it peaked at 26.1 MB with one free-group table per grid,
-    # and at 37.6 MB when every seed built its own linear trajectory.
+    # 1,230 x 660 kernel (6.5 MB), (116 x 1,230)-sample frequency
+    # trajectories (2.3 MB each) and (116 x 660)-sample fields (1.2 MB each).
+    # It peaks at 18.2 MB.  On the 1,230 x 930 grid of 10-node radius panels
+    # it peaked at 22.6 MB, on the 1,230 x 1,240 grid of a fixed 60-unit
+    # radius margin at 26.1 MB with one free-group table per grid, and at
+    # 37.6 MB when every seed built its own linear trajectory.
     rep, peak = _peak(lambda: nls_small_data_experiment(2, Fraction(-1, 10), 1e-3,
                                                         seeds=range(4), T=4.0))
     assert rep.all_converged
@@ -102,7 +103,7 @@ def test_counterexample_wave_peak():
 @pytest.mark.parametrize("line, array", [
     ("norm-sweep --T0 4e5", "band 0 inner kernel"),      # 3.4M x 160, 4.3 GB
     ("propagate --k 8", "band 8 inner kernel"),          # 1.1M x 160, 1.4 GB
-    ("solve-nls --T 512", "solver kernel"),              # 37,080 x 37,150, 11.0 GB
+    ("solve-nls --T 512", "solver kernel"),              # 37,080 x 24,800, 7.4 GB
     ("maximal --k 13..14", "maximal band 13 block"),     # 32 x 2.1M, 1.6 GB with magnitudes
     ("maximal --k 14..15", "maximal band 14 block"),     # 32 x 4.2M complex, 2.15 GB
 ])

@@ -46,11 +46,12 @@ def _front(T, group_speed):
     return 1.15 * T * group_speed
 
 
-def _with_radius(grid, p, r_max):
+def _with_radius(grid, p, r_max, order=nonlinear.R_PANEL_ORDER, phase=nonlinear.R_PANEL_PHASE):
     """`grid`'s frequency and time nodes with a radius grid reaching r_max,
-    panelled by build_solver_grid's rule for the data band DATA_BAND."""
+    panelled for the data band DATA_BAND by build_solver_grid's rule
+    (panels of `order` nodes spanning `phase` radians of kernel phase)."""
     s_hi = (p + 1.0) * DATA_BAND[1] * 1.1
-    rgrid = gauss_panel_grid(1e-9, r_max, int(np.ceil(r_max * s_hi / 4.0)) + 2)
+    rgrid = gauss_panel_grid(1e-9, r_max, int(np.ceil(r_max * s_hi / phase)) + 2, order)
     return SolverGrid.on(2, grid.freq, rgrid, grid.t)
 
 
@@ -101,27 +102,48 @@ def _bench_runs():
             for kind, (exp, args, seeds) in BENCH_EXPERIMENTS.items()}
 
 
-def test_radius_tail_converged(monkeypatch):
-    # the radius grid's tail R_TAIL / s_lo against twice that tail on the same
-    # frequency and time nodes: the solution norms hold 1e-8 relative and the
-    # FNLS conservation drifts 3 significant digits
-    runs = _bench_runs()
-    build = nonlinear.build_solver_grid
-
-    def doubled_tail(n, band, p, T, group_speed):
-        r_max = _front(T, group_speed) + 2.0 * nonlinear.R_TAIL / band[0]
-        return _with_radius(build(n, band, p, T, group_speed), p, r_max)
-
-    monkeypatch.setattr(nonlinear, "build_solver_grid", doubled_tail)
-    wide = _bench_runs()
+def _assert_bench_runs_agree(runs, ref_runs):
+    """The solution norms within 1e-8 relative and the FNLS conservation
+    drifts to 3 significant digits."""
     for kind in ("nls", "nlw"):
-        for got, ref in zip(runs[kind], wide[kind]):
+        for got, ref in zip(runs[kind], ref_runs[kind]):
             assert got["converged"] and ref["converged"]
             rel = abs(got["solution_norm"] - ref["solution_norm"]) / ref["solution_norm"]
             assert rel <= 1e-8, (kind, got["seed"], rel)
-    for got, ref in zip(runs["fnls"], wide["fnls"]):
+    for got, ref in zip(runs["fnls"], ref_runs["fnls"]):
         for key in ("mass_drift", "energy_drift"):
             assert math.isclose(got[key], ref[key], rel_tol=5e-4), (key, got[key], ref[key])
+
+
+def _bench_runs_on(monkeypatch, radius_grid):
+    """The bench runs on build_solver_grid's frequency and time nodes with
+    the radius grid radius_grid(solver grid, p, front, tail), from the
+    solver grid's front 1.15 T v and tail R_TAIL / s_lo."""
+    build = nonlinear.build_solver_grid
+
+    def rebuilt(n, band, p, T, group_speed):
+        return radius_grid(build(n, band, p, T, group_speed), p, _front(T, group_speed),
+                           nonlinear.R_TAIL / band[0])
+
+    with monkeypatch.context() as m:
+        m.setattr(nonlinear, "build_solver_grid", rebuilt)
+        return _bench_runs()
+
+
+def test_radius_tail_converged(monkeypatch):
+    # the radius grid's tail R_TAIL / s_lo against twice that tail on the same
+    # frequency and time nodes and the same panel rule
+    wide = _bench_runs_on(monkeypatch, lambda grid, p, front, tail: _with_radius(
+        grid, p, front + 2.0 * tail))
+    _assert_bench_runs_agree(_bench_runs(), wide)
+
+
+def test_radius_panels_converged(monkeypatch):
+    # the solver's 20-node radius panels at 12 radians against 10-node
+    # panels at 2 radians on the same reach, frequency and time nodes
+    fine = _bench_runs_on(monkeypatch, lambda grid, p, front, tail: _with_radius(
+        grid, p, front + tail, order=10, phase=2.0))
+    _assert_bench_runs_agree(_bench_runs(), fine)
 
 
 @pytest.mark.parametrize("T", [4.0, 8.0, 16.0])
