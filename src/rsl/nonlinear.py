@@ -202,7 +202,10 @@ def build_solver_grid(n: int, band: tuple, p: float, T: float, group_speed: floa
 class PicardTrace:
     """A solve's iterate and difference norms and verdicts; `meta` records
     the data band, T, the pair, the grid shape (n_t, n_s, n_r) and r_max,
-    the outermost radius node."""
+    the outermost radius node.  `contraction_factor` is the largest ratio
+    of successive differences, the first being ||a1 - a0|| / ||a0|| (the
+    iteration starts from the zero trajectory); 0.0 when no iteration ran
+    (mu = 0)."""
 
     iterate_norms: tuple
     diff_norms: tuple
@@ -333,11 +336,10 @@ def picard_solve(
             raise NonContraction(f"diff norms non-decreasing: {diff_norms[-3:]}")
     if coeff is None:
         coeff = with_linear(np.zeros((t.size, s.size), dtype=complex))
-    factors = [
-        diff_norms[i + 1] / diff_norms[i]
-        for i in range(len(diff_norms) - 1)
-        if diff_norms[i] > 0
-    ]
+    # the differences start from ||a0 - 0|| = iterate_norms[0]: the first
+    # iterate a0 = Phi(0) is one step from the zero trajectory
+    steps = iterate_norms[:1] + diff_norms
+    factors = [steps[i + 1] / steps[i] for i in range(len(diff_norms)) if steps[i] > 0]
     contraction = float(np.max(factors)) if factors else 0.0
     drift = 0.0
     if not wave:

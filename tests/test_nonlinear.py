@@ -293,6 +293,15 @@ def _nlw_problem(seed=0, delta=1e-3, real_valued=True, mu=1):
     return NonlinearProblem("nlw", 2, float(pairs.p), mu=mu, data=d0, data_velocity=d1), pairs
 
 
+def test_one_iteration_solve_reports_its_contraction():
+    # small NLW data converge after one iteration; the contraction still
+    # counts the first ratio ||a1 - a0|| / ||a0 - 0||
+    prob, pairs = _nlw_problem()
+    _, trace = picard_solve(prob, pairs, 4.0)
+    assert trace.converged and len(trace.diff_norms) == 1
+    assert trace.contraction_factor == trace.diff_norms[0] / trace.iterate_norms[0] > 0.0
+
+
 def test_nlw_linear_matches_dense_evolve():
     # at scale 0 the solver's field is the free wave cos(ts) h0 + sin(ts)/s h1,
     # i.e. Re e^{its}(h0 - i h1/s), which evolve computes by dense quadrature
