@@ -318,10 +318,11 @@ def kernel_matrix(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     KERNEL_CHUNK of them at a time, those below x_min; one column block's
     tables (PANEL_ORDER P complex numbers a column, 0.45 MB at P = 11 and
     TABLE_COLS columns); and P floats a grid node (the powers sigma).  It
-    agrees with radial_kernel on the same products within 1e-12 of max(|K_n|, min(1, x^(-(n-1)/2))) (2.6e-13
-    measured up to x = 830): the fit error (at most 4.5e-14) plus a phase
-    error of a few ulps of x, the rounding of x that radial_kernel's cos and
-    sin of x carry too.  It runs on the calling thread."""
+    agrees with radial_kernel on the same products within 1e-12 of
+    max(|K_n|, min(1, x^(-(n-1)/2))) (2.6e-13 measured up to x = 830): the
+    fit error (at most 4.5e-14) plus a phase error of a few ulps of x, the
+    rounding of x that radial_kernel's cos and sin of x carry too.  It runs
+    on the calling thread."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return _kernel_rows(n, a, b, _table_plan(n, a, b), 0, a.size)
 
