@@ -145,12 +145,6 @@ def random_band_amplitude(n: int, k: int, rng: np.random.Generator) -> Callable:
     return amp
 
 
-@dataclass(frozen=True)
-class DataPolicy:
-    kind: str = "canonical"
-    seed: int = 0
-
-
 # --------------------------------------------------------------------------
 # predicted rates
 # --------------------------------------------------------------------------
@@ -191,9 +185,11 @@ def measure_frequency_norms(
     T0: float = 64.0,
     max_doublings: int = 2,
     config: SamplerConfig = DEFAULT_SAMPLER,
-    data_policy: DataPolicy = DataPolicy(),
+    seed: Optional[int] = None,
 ) -> dict:
-    """Whole-space L^q_{t,x} norms of the band-k evolution for each k.
+    """Whole-space L^q_{t,x} norms of the band-k evolution for each k, on
+    the canonical datum (seed None) or on `random_band_amplitude` data drawn
+    band after band from one generator seeded with `seed`.
 
     Windows are scale-aware, |t| <= T0 2^(-m(k) k), then doubled by the
     adaptive rule; scale covariance of window and grids is what makes the
@@ -204,7 +200,7 @@ def measure_frequency_norms(
     qs = [float(q) for q in qs]
     out = {q: {} for q in qs}
     d = symbol.degree
-    if d is not None and data_policy.kind == "canonical":
+    if d is not None and seed is None:
         # canonical_band_amplitude has unit L^2 norm, so h_k(2^k s) =
         # 2^(-kn/2) h_0(s); substituting s -> 2^k s in
         # F_k(t, r) = int h_k(s) e^{i t c s^d} K_n(s r) s^(n-1) ds gives
@@ -227,10 +223,10 @@ def measure_frequency_norms(
                     octave_powers=tuple(p * f**q for p in b.octave_powers),
                 )
         return out
-    rng = np.random.default_rng(data_policy.seed)
+    rng = None if seed is None else np.random.default_rng(seed)
     for k in k_range:
         m = regime_exponents(symbol, k).m
-        if data_policy.kind == "canonical":
+        if rng is None:
             amp = canonical_band_amplitude(n, k)
         else:
             amp = random_band_amplitude(n, k, rng)

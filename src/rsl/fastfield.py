@@ -73,7 +73,7 @@ from .transform import radial_norm
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    phase_step: float = PHASE_STEP  # phase per Gauss panel, in (0, PHASE_STEP]
+    phase_step: float = PHASE_STEP  # 0.9 phase_step per uniform node step; in (0, PHASE_STEP]
     dr_frac: float = 6.0          # radius nodes per kernel oscillation
     dt_frac: float = 3.0          # Gauss-Legendre time nodes per envelope beat
     nt_octave_cap: int = 24       # most Gauss-Legendre time nodes per octave

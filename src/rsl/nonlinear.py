@@ -50,8 +50,8 @@ from .bessel import kernel_matrix, real_matmul
 from .cutoffs import smooth_bump
 from .dispersion import DispersionSymbol, fractional_symbol, get_symbol
 from .errors import DomainError, NonContraction, OutOfRangeS, OutOfRangeSigma
-from .grids import (FrequencyGrid, PhysicalGrid, gauss_panel_grid, require_array_limit,
-                    trapezoid_weights, uniform_grid)
+from .grids import (FrequencyGrid, PhysicalGrid, gauss_panel_grid, panel_grid,
+                    require_array_limit, trapezoid_weights, uniform_grid)
 from .propagator import SpaceTimeField, duhamel_coefficients
 from .transform import RadialProfile, radial_norm, spacetime_norm, sphere_area
 
@@ -147,8 +147,8 @@ class SolverGrid:
 # build_solver_grid's two reaches past the group-speed front 1.15 T v
 R_TAIL = 20.0
 FREQ_REACH_MARGIN = 60.0
-# its radius panels: Gauss-Legendre nodes per panel and the kernel phase
-# s_hi x (panel width) one panel spans
+# its radius panels, a measured exception to grids.PANEL_PHASE: Gauss-Legendre
+# nodes per panel and the kernel phase s_hi x (panel width) one panel spans
 R_PANEL_ORDER = 20
 R_PANEL_PHASE = 12.0
 
@@ -172,7 +172,7 @@ def build_solver_grid(n: int, band: tuple, p: float, T: float, group_speed: floa
 
     Frequency grid: up to 1.1 (p+1) s_hi (the recorded truncation band),
     resolving the kernel oscillation out to its own reach
-    1.15 T v + FREQ_REACH_MARGIN with 10-node panels at 4 radians each; it
+    1.15 T v + FREQ_REACH_MARGIN with `grids.panel_grid`'s 4-radian panels; it
     does not follow the radius grid, so the frequency and time nodes do
     not move with R_TAIL or the radius panels.
 
@@ -186,11 +186,10 @@ def build_solver_grid(n: int, band: tuple, p: float, T: float, group_speed: floa
     s_lo = s_lo_d / 8.0
     front = 1.15 * T * group_speed
     r_max = front + R_TAIL / s_lo_d
-    n_pan_s = int(np.ceil((s_hi - s_lo) * (front + FREQ_REACH_MARGIN) / 4.0)) + 2
     n_pan_r = int(np.ceil(r_max * s_hi / R_PANEL_PHASE)) + 2
     nt = int(np.ceil(T * (p + 1.0) * max(abs(s_hi_d) ** 2, 1.0) * 8.0 / np.pi)) + 1
-    return SolverGrid.on(n, gauss_panel_grid(s_lo, s_hi, n_pan_s),
-                         gauss_panel_grid(1e-9, r_max, n_pan_r, R_PANEL_ORDER),
+    freq = panel_grid(s_lo, s_hi, front + FREQ_REACH_MARGIN, "solver frequency grid")
+    return SolverGrid.on(n, freq, gauss_panel_grid(1e-9, r_max, n_pan_r, R_PANEL_ORDER),
                          np.linspace(0.0, T, max(nt, 65)))
 
 

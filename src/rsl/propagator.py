@@ -39,14 +39,7 @@ from .bessel import complex_rows, kernel_panels, real_rows
 from .cutoffs import dyadic_cutoff
 from .dispersion import DispersionSymbol
 from .errors import SplitDomainError
-from .grids import (
-    PHASE_STEP,
-    FrequencyGrid,
-    PhysicalGrid,
-    band_edges,
-    band_grid,
-    require_resolution,
-)
+from .grids import FrequencyGrid, PhysicalGrid, band_edges, panel_grid, require_resolution
 from .transform import RadialProfile
 
 
@@ -74,7 +67,6 @@ def _integration_grid(
     profile: RadialProfile,
     k: Optional[int],
     grid: PhysicalGrid,
-    phase_step: float,
 ) -> tuple[FrequencyGrid, np.ndarray]:
     """Frequency quadrature satisfying the Nyquist rule for the whole (t, r)
     extent, together with the projected integrand samples."""
@@ -83,12 +75,12 @@ def _integration_grid(
     if k is not None:
         lo, hi = band_edges(k)
         budget = t_max * symbol.sup_dphi(lo, hi) + r_max
-        fg = band_grid(k, budget, phase_step)
+        fg = panel_grid(lo, hi, budget, f"band {k}")
         return fg, profile.at(fg.nodes) * dyadic_cutoff(k, fg.nodes)
     # un-projected path: integrate on the profile's own grid, checking resolution
     fg = profile.grid
     lo, hi = fg.span
-    require_resolution(fg, t_max * symbol.sup_dphi(lo, hi) + r_max, phase_step)
+    require_resolution(fg, t_max * symbol.sup_dphi(lo, hi) + r_max)
     return fg, profile.values
 
 
@@ -97,10 +89,9 @@ def evolve(
     profile: RadialProfile,
     k: Optional[int],
     grid: PhysicalGrid,
-    phase_step: float = PHASE_STEP,
 ) -> SpaceTimeField:
     """S_phi(t) P_k u0 on the physical grid (k=None skips the projection)."""
-    fg, vals = _integration_grid(symbol, profile, k, grid, phase_step)
+    fg, vals = _integration_grid(symbol, profile, k, grid)
     s, rows = _multiplier(symbol, fg, vals, grid.t_nodes, profile.n)
     out = np.empty((grid.t_nodes.size, grid.r_nodes.size), dtype=complex)
     for cols, kernel in kernel_panels(profile.n, grid.r_nodes, s):
@@ -125,7 +116,7 @@ def main_error_split(
 ) -> tuple[SpaceTimeField, SpaceTimeField]:
     """(M, E) with M from the two leading kernel oscillations and E the exact
     residual; requires r s >= 1 on every quadrature pair."""
-    fg, vals = _integration_grid(symbol, profile, k, grid, PHASE_STEP)
+    fg, vals = _integration_grid(symbol, profile, k, grid)
     n = profile.n
     s, rows = _multiplier(symbol, fg, vals, grid.t_nodes, n)
     r = grid.r_nodes

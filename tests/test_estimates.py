@@ -273,14 +273,12 @@ def test_fit_reliability_flag():
 
 
 def test_random_data_policy_runs():
-    from rsl.estimates import DataPolicy, measure_frequency_norms
+    from rsl.estimates import measure_frequency_norms
 
-    res = measure_frequency_norms(SCH, 2, [4.0], [0], T0=16.0, max_doublings=0,
-                                  data_policy=DataPolicy("random", seed=11))
+    res = measure_frequency_norms(SCH, 2, [4.0], [0], T0=16.0, max_doublings=0, seed=11)
     assert res[4.0][0].norm > 0
     # determinism under the recorded seed
-    res2 = measure_frequency_norms(SCH, 2, [4.0], [0], T0=16.0, max_doublings=0,
-                                   data_policy=DataPolicy("random", seed=11))
+    res2 = measure_frequency_norms(SCH, 2, [4.0], [0], T0=16.0, max_doublings=0, seed=11)
     assert res2[4.0][0].norm == res[4.0][0].norm
 
 
@@ -315,12 +313,16 @@ def test_homogeneous_rescale_matches_direct_bands(name, n):
             assert (got.converged, got.nonconvergent) == (ref.converged, ref.nonconvergent)
 
 
-@pytest.mark.parametrize("name, policy, measured", [
+# the data of each case: the canonical datum (seed None) or random data
+DATA_SEEDS = {"canonical": None, "random": 0}
+
+
+@pytest.mark.parametrize("name, data, measured", [
     ("schrodinger", "canonical", [0]),
     ("klein-gordon", "canonical", [-1, 0, 1]),
     ("schrodinger", "random", [-1, 0, 1]),
 ])
-def test_band_measurements_per_sweep(name, policy, measured, monkeypatch):
+def test_band_measurements_per_sweep(name, data, measured, monkeypatch):
     # the rescale applies to homogeneous symbols with canonical data only
     import rsl.estimates as est
 
@@ -332,7 +334,7 @@ def test_band_measurements_per_sweep(name, policy, measured, monkeypatch):
 
     monkeypatch.setattr(est, "band_norm_adaptive", counted)
     res = est.measure_frequency_norms(get_symbol(name), 2, [4.0], [-1, 0, 1], T0=2.0,
-                                      max_doublings=0, data_policy=est.DataPolicy(policy))
+                                      max_doublings=0, seed=DATA_SEEDS[data])
     assert seen == measured
     assert sorted(res[4.0]) == [-1, 0, 1]
 

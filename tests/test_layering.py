@@ -71,3 +71,21 @@ def test_scipy_only_in_high_dimension_kernels():
     found = [f"{path.name}: {scope}" for path in sorted(SRC.glob("*.py"))
              for scope in _scipy_import_scopes(ast.parse(path.read_text(), str(path)))]
     assert found == ["bessel.py: _kernel_chunk"], found
+
+
+def _phase_step_parameters(path):
+    """The name of every function in `path` with a `phase_step` parameter."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            if any(arg.arg == "phase_step" for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)):
+                yield getattr(node, "name", "<lambda>")
+
+
+def test_phase_step_only_sizes_uniform_steps():
+    # the refinement level of the uniform node steps; Gauss panels span
+    # grids.PANEL_PHASE, which no caller sets (SamplerConfig.phase_step is a
+    # field, refined by criterion 12, not a parameter)
+    found = sorted(f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+                   for name in _phase_step_parameters(path))
+    assert found == ["fastfield.py: band_plan", "grids.py: node_phase"], found

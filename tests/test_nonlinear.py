@@ -9,7 +9,7 @@ import rsl.nonlinear as nonlinear
 from rsl.admissibility import choose_pairs_nls, choose_pairs_nlw, s0
 from rsl.dispersion import fractional_symbol, get_symbol
 from rsl.errors import DomainError, OutOfRangeS, OutOfRangeSigma
-from rsl.grids import PhysicalGrid, gauss_panel_grid
+from rsl.grids import PhysicalGrid, gauss_panel_grid, panel_grid
 from rsl.nonlinear import (
     DATA_BAND,
     NonlinearProblem,
@@ -151,7 +151,8 @@ def test_radius_panels_converged(monkeypatch):
 def test_frequency_and_time_nodes_keep_their_reach(kind, T):
     # the frequency panels resolve the reach 1.15 T v + 60 whatever the
     # radius grid's tail, so the frequency and time nodes are those of the
-    # one-reach rule r_max = 1.15 T v + 60, bit for bit
+    # one-reach rule r_max = 1.15 T v + 60, bit for bit, and the frequency
+    # grid is grids.panel_grid's for that reach
     p = {"nls": P_NLS, "fnls": 1.5, "nlw": float(choose_pairs_nlw(2, Fraction(3, 10)).p)}[kind]
     symbol = {"nls": get_symbol("schrodinger"), "fnls": fractional_symbol(1.5),
               "nlw": get_symbol("wave")}[kind]
@@ -164,6 +165,9 @@ def test_frequency_and_time_nodes_keep_their_reach(kind, T):
     nt = int(np.ceil(T * (p + 1.0) * max(DATA_BAND[1] ** 2, 1.0) * 8.0 / np.pi)) + 1
     assert np.array_equal(grid.freq.nodes, freq.nodes)
     assert np.array_equal(grid.freq.weights, freq.weights)
+    ruled = panel_grid(s_lo, s_hi, reach, "solver frequency grid")
+    assert np.array_equal(grid.freq.nodes, ruled.nodes)
+    assert np.array_equal(grid.freq.weights, ruled.weights)
     assert np.array_equal(grid.t, np.linspace(0.0, T, max(nt, 65)))
     assert grid.r[-1] < _front(T, v) + nonlinear.R_TAIL / DATA_BAND[0] < reach
 

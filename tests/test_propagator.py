@@ -1,12 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from rsl.admissibility import choose_pairs_nlw
 from rsl.cutoffs import smooth_bump
-from rsl.dispersion import get_symbol
+from rsl.dispersion import fractional_symbol, get_symbol
 from rsl.errors import QuadratureUnderresolved, SplitDomainError
 from rsl.fastfield import SamplerConfig
-from rsl.grids import (PHASE_STEP, PhysicalGrid, band_grid, gauss_panel_grid, require_resolution,
-                       trapezoid_weights, uniform_grid)
+from rsl.grids import (PANEL_ORDER, PhysicalGrid, band_edges, gauss_panel_grid, panel_grid,
+                       require_resolution, trapezoid_weights, uniform_grid)
+from rsl.nonlinear import DATA_BAND, FREQ_REACH_MARGIN, build_solver_grid
 from rsl.propagator import (
     duhamel_coefficients,
     evolve,
@@ -97,11 +101,15 @@ def test_scaling_covariance_pure_power():
 
 
 def test_nyquist_robustness():
+    # the projected path's panel grid against the projected profile sampled
+    # on four times as many panels
     prof = canonical_band_profile(2, 0)
     r = np.linspace(1e-6, 20.0, 150)
     grid = PhysicalGrid(r, np.array([0.0, 2.0]))
-    base = evolve(SCH, prof, 0, grid, np.pi / 4)
-    fine = evolve(SCH, prof, 0, grid, np.pi / 8)
+    base = evolve(SCH, prof, 0, grid)
+    coarse = panel_grid(*band_edges(0), 2.0 * SCH.sup_dphi(*band_edges(0)) + 20.0, "band 0")
+    panels = gauss_panel_grid(*band_edges(0), 4 * coarse.nodes.size // PANEL_ORDER)
+    fine = evolve(SCH, profile_from_fn(project(prof, 0).fn, panels, 2), None, grid)
     scale = np.max(np.abs(base.values))
     assert np.max(np.abs(base.values - fine.values)) / scale < 1e-6
 
@@ -109,7 +117,7 @@ def test_nyquist_robustness():
 def test_refinement_limit_raises():
     prof = canonical_band_profile(2, 0)
     r = np.linspace(1e-6, 20.0, 8)
-    # |t| <= 1e6 needs 76M band-grid nodes, past grids.NODE_LIMIT
+    # |t| <= 1e6 needs 15M band-grid nodes, past grids.NODE_LIMIT
     with pytest.raises(QuadratureUnderresolved, match="band 0"):
         evolve(SCH, prof, 0, PhysicalGrid(r, np.array([0.0, 1e6])))
 
@@ -122,20 +130,43 @@ def test_underresolved_profile_grid_raises():
         evolve(SCH, prof, None, PhysicalGrid(np.array([5.0]), np.array([40.0])))
 
 
-@pytest.mark.parametrize("phase_step", [PHASE_STEP, np.pi / 8])
-def test_band_grid_passes_require_resolution(phase_step):
-    for k, rate in ((-3, 0.5), (0, 208.0), (2, 4000.0), (5, 31.0)):
-        require_resolution(band_grid(k, rate, phase_step), rate, phase_step)
+def _band(k, rate):
+    return panel_grid(*band_edges(k), rate, f"band {k}"), rate
+
+
+def _solver(symbol, p, T):
+    """build_solver_grid's frequency grid for the data band at time T (n = 2)
+    and the phase rate of its reach."""
+    v = symbol.sup_dphi(*DATA_BAND)
+    return build_solver_grid(2, DATA_BAND, p, T, v).freq, 1.15 * T * v + FREQ_REACH_MARGIN
+
+
+P_NLW = float(choose_pairs_nlw(2, Fraction(3, 10)).p)
+# band grids of the dense path (band 40 at a rate far below 1 rad per unit
+# s), and the solver frequency grids of the bench (T = 4) and criterion 11
+# (T = 16) problems
+PANEL_GRID_CASES = {
+    "band-3": lambda: _band(-3, 0.5),
+    "band0": lambda: _band(0, 208.0),
+    "band2": lambda: _band(2, 4000.0),
+    "band5": lambda: _band(5, 31.0),
+    "band40": lambda: _band(40, 208.0 * 2.0**-40),
+    **{f"{kind}-T{T:g}": (lambda sym=sym, p=p, T=T: _solver(sym, p, T))
+       for kind, sym, p in (("nls", SCH, 20.0 / 11.0), ("fnls", fractional_symbol(1.5), 1.5),
+                            ("nlw", get_symbol("wave"), P_NLW))
+       for T in (4.0, 16.0)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PANEL_GRID_CASES))
+def test_panel_grid_passes_require_resolution(case):
+    require_resolution(*PANEL_GRID_CASES[case]())
 
 
 @pytest.mark.parametrize("phase_step", [0.0, -0.1, np.pi / 2])
 def test_phase_step_outside_range_raises(phase_step):
-    grid = PhysicalGrid(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="phase step"):
         SamplerConfig(phase_step=phase_step)
-    for k in (0, None):
-        with pytest.raises(ValueError, match="phase step"):
-            evolve(SCH, canonical_band_profile(2, 0), k, grid, phase_step)
 
 
 def test_split_reassembly_and_domain():

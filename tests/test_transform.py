@@ -4,7 +4,7 @@ import pytest
 from rsl.bessel import kernel_matrix
 from rsl.cutoffs import smooth_bump
 from rsl.errors import NonPositiveSample, QuadratureUnderresolved
-from rsl.grids import FrequencyGrid, gauss_panel_grid, trapezoid_weights, uniform_grid
+from rsl.grids import FrequencyGrid, PhysicalGrid, gauss_panel_grid, trapezoid_weights, uniform_grid
 from rsl.transform import (
     RadialProfile,
     canonical_band_amplitude,
@@ -33,6 +33,20 @@ def test_frequency_grid_invariants():
         FrequencyGrid(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         FrequencyGrid(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("build, match", [
+    # one weight for five nodes, which a weighted sum would broadcast
+    (lambda: FrequencyGrid(np.linspace(0.5, 2.0, 5), np.ones(1)), "shape"),
+    (lambda: FrequencyGrid(np.array([0.5, np.nan, 2.0]), np.ones(3)), "finite"),
+    (lambda: FrequencyGrid(np.array([0.5, 1.0, np.inf]), np.ones(3)), "finite"),
+    (lambda: FrequencyGrid(np.array([0.5, 1.0, 2.0]), np.array([1.0, np.nan, 1.0])), "finite"),
+    (lambda: PhysicalGrid([1.0, np.nan, 3.0], [0.0, 1.0]), "finite"),
+    (lambda: PhysicalGrid([1.0, 2.0, 3.0], [0.0, np.inf]), "finite"),
+], ids=["weights-shape", "nan-node", "inf-node", "nan-weight", "nan-radius", "inf-time"])
+def test_malformed_grid_raises(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_l2_norm_convention():
