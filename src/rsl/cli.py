@@ -265,7 +265,8 @@ def _growth(rep, verdict, results) -> tuple:
 
 def _experiment(rep, ok, **extra) -> tuple:
     """A solver experiment: one row per seed run; the results carry the
-    solver grid's shape (n_t, n_s, n_r) and r_max."""
+    solver grid's shape (n_t, n_s, n_r), r_max and time panels
+    (nonlinear.GRID_META)."""
     return (_verdict(ok),
             {"all_converged": rep.all_converged, "max_contraction": rep.max_contraction,
              **rep.grid, **extra},

@@ -51,6 +51,10 @@ class DispersionSymbol:
     def has_curvature(self) -> bool:
         return self.alpha1 is not None and self.alpha2 is not None
 
+    def sup_phi(self, lo: float, hi: float) -> float:
+        s = np.linspace(lo, hi, 257)
+        return float(np.max(np.abs(self.phi(s))))
+
     def sup_dphi(self, lo: float, hi: float) -> float:
         s = np.linspace(lo, hi, 257)
         return float(np.max(np.abs(self.dphi(s))))

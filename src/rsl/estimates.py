@@ -51,8 +51,8 @@ from .fastfield import (
     chirp_z,
     octave_ladder,
 )
-from .grids import (band_edges, require_array_limit, require_node_limit, trapezoid_weights,
-                    uniform_grid)
+from .grids import (band_edges, require_array_limit, require_node_limit, time_panel_grid,
+                    trapezoid_weights, uniform_grid)
 from .nonlinear import SolverGrid
 from .propagator import duhamel_coefficients
 from .transform import canonical_band_amplitude, spacetime_norm, sphere_area
@@ -762,7 +762,9 @@ def retarded_strichartz_check(
 
     Forcing and response are synthesized on one nonlinear.SolverGrid: a
     uniform frequency grid (at most 0.5 rad of time phase per step) and a
-    uniform radius grid, both with trapezoid weights."""
+    uniform radius grid, both with trapezoid weights, and the Picard
+    solver's time panels at the phase rate sup|phi| (its rule at p = 0),
+    with their Lobatto weights and Duhamel table."""
     q, r = (parse_exponent(pair[0]), parse_exponent(pair[1]))
     qt, rt = (parse_exponent(pair_t[0]), parse_exponent(pair_t[1]))
     family = "wave" if symbol.name == "wave" else "schrodinger"
@@ -779,13 +781,14 @@ def retarded_strichartz_check(
     lo, hi = band_edges(k)
     sup_dp = symbol.sup_dphi(lo, hi)
     r_max = 1.1 * T * sup_dp + 60.0
+    t_nodes, _ = time_panel_grid(T, symbol.sup_phi(lo, hi), "retarded check time grid")
     grid = SolverGrid.on(
         n, uniform_grid(lo, hi, max(int((hi - lo) * T * sup_dp / 0.5), 512)),
-        uniform_grid(1e-6, r_max, int(r_max / (np.pi / (6.0 * hi))) + 2),
-        np.linspace(0.0, T, 384))
-    s, t_nodes = grid.freq.nodes, grid.t
+        uniform_grid(1e-6, r_max, int(r_max / (np.pi / (6.0 * hi))) + 2), t_nodes)
+    s = grid.freq.nodes
     omega = symbol.phi(s)
-    wt = trapezoid_weights(t_nodes)
+    wt = grid.time_weights
+    table = grid.duhamel_table(omega)
     qtd, rtd = float(dual(qt)), float(dual(rt))
     ratios = []
     for trial in range(trials):
@@ -793,7 +796,7 @@ def retarded_strichartz_check(
         width = 2.0 ** (trial % 4)
         env = np.exp(-((t_nodes - T / 4.0) ** 2) / (2 * width**2))
         fvals = env[:, None] * amp(s)[None, :]
-        coeff = duhamel_coefficients(omega, t_nodes, fvals)
+        coeff = duhamel_coefficients(t_nodes, fvals, table)
         num = spacetime_norm(grid.to_physical(coeff), grid.anal_weights, wt, n,
                              float(q), float(r))
         den = spacetime_norm(grid.to_physical(fvals), grid.anal_weights, wt, n, qtd, rtd)

@@ -8,6 +8,11 @@ Oscillatory grids follow two rules: a uniform node step carries at most
 node_phase(PHASE_STEP) = 0.707 rad, and a 10-node panel of `panel_grid`
 spans PANEL_PHASE = 4 rad, so its largest node step (0.1489 of the panel)
 carries 0.596 rad and passes `require_resolution`.
+
+Time grids of the Picard solver and the retarded check are composite
+Gauss-Lobatto panels (`time_panel_grid`): TIME_PANEL_ORDER nodes a panel,
+adjacent panels sharing their end nodes, each panel spanning at most
+TIME_PANEL_PHASE rad of the caller's phase rate.
 """
 
 from __future__ import annotations
@@ -27,6 +32,14 @@ PANEL_ORDER = 10
 # within 2.6e-11 of 1-rad panels on the canonical band evolutions, 2.1e-9
 # of 2-rad ones on the Picard bench norms
 PANEL_PHASE = 4.0
+# Gauss-Lobatto nodes per time panel, and the phase T phase_rate / panels
+# one time panel of `time_panel_grid` spans at most: the Picard solution
+# norms of the bench problems hold within 1e-8 relative of 10-node panels
+# at a quarter of the width (1.3e-9 at T = 4, 4.2e-10 at T = 16, NLW the
+# worst).  At 6 rad NLW errs by 4.9e-8 at T = 4, in the time quadrature of
+# its norm: |u|^q of a real field is not smooth at the field's zeros
+TIME_PANEL_ORDER = 8
+TIME_PANEL_PHASE = 4.0
 PHASE_STEP = np.pi / 4  # a uniform node step carries 0.9 PHASE_STEP of that phase
 NODE_LIMIT = 4_000_000  # nodes of the largest one-dimensional grid
 ARRAY_LIMIT = 2**30     # bytes of the largest array built from two grids
@@ -108,6 +121,61 @@ def gauss_panel_grid(lo: float, hi: float, n_panels: int,
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return FrequencyGrid(nodes, weights)
+
+
+@functools.cache
+def gauss_lobatto(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Lobatto rule of `count` nodes on [-1, 1], (nodes, weights):
+    the ends and the roots of P'_(count-1), with weights
+    2 / (count (count-1) P_(count-1)(x)^2); computed once per count and
+    shared, read-only."""
+    leg = np.polynomial.legendre.Legendre.basis(count - 1)
+    inner = np.sort(leg.deriv().roots().real)
+    inner -= leg.deriv()(inner) / leg.deriv(2)(inner)   # one Newton step
+    x = np.concatenate([[-1.0], inner, [1.0]])
+    w = 2.0 / (count * (count - 1) * leg(x) ** 2)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def lobatto_panels(T: float, n_panels: int,
+                   order: int = TIME_PANEL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """Times 0 = t_0 < ... < t_N = T on `n_panels` equal panels of `order`
+    Gauss-Lobatto nodes, adjacent panels sharing their end node
+    (N = (order - 1) n_panels), with the composite Lobatto weights."""
+    x, w = gauss_lobatto(order)
+    h = T / n_panels
+    edges = np.linspace(0.0, T, n_panels + 1)
+    nodes = np.empty(n_panels * (order - 1) + 1)
+    nodes[:-1] = (edges[:-1, None] + h / 2 * (x[None, :-1] + 1.0)).ravel()
+    nodes[-1] = T
+    weights = np.zeros_like(nodes)
+    weights[:-1].reshape(n_panels, order - 1)[:] = h / 2 * w[:-1]
+    weights[order - 1::order - 1] += h / 2 * w[-1]
+    return nodes, weights
+
+
+def lobatto_panel_count(t: np.ndarray, order: int = TIME_PANEL_ORDER) -> int:
+    """The panel count of times t made by `lobatto_panels(t[-1], count,
+    order)`; raises ValueError for any other times."""
+    t = np.asarray(t, dtype=float)
+    count, rest = divmod(t.size - 1, order - 1)
+    if (t.ndim != 1 or count < 1 or rest or t[0] != 0.0
+            or not np.allclose(t, lobatto_panels(t[-1], count, order)[0],
+                               rtol=0.0, atol=1e-12 * abs(t[-1]))):
+        raise ValueError(f"times are not {order}-node Lobatto panels on [0, T]")
+    return count
+
+
+def time_panel_grid(T: float, phase_rate: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """`lobatto_panels` on [0, T] with ceil(T phase_rate / TIME_PANEL_PHASE)
+    panels of TIME_PANEL_ORDER nodes, for a phase rate `phase_rate`
+    (radians per unit t); the rule has no floor, so it is covariant under
+    (T, phase_rate) -> (T / c, c phase_rate).  Raises
+    QuadratureUnderresolved, naming `what`, past NODE_LIMIT."""
+    n_panels = max(int(np.ceil(T * phase_rate / TIME_PANEL_PHASE)), 1)
+    require_node_limit(n_panels * (TIME_PANEL_ORDER - 1) + 1, what)
+    return lobatto_panels(T, n_panels)
 
 
 def band_edges(k: int) -> tuple[float, float]:

@@ -1,22 +1,28 @@
 """Picard/Duhamel fixed-point solvers for the radial semilinear problems.
 
 All three schemes iterate  a^(m+1) = linear + retarded(forcing(a^m))  in
-frequency space with the one loop `picard_solve`.  The linear group and the
-per-step retarded integrals use the exact multiplier
-(propagator.duhamel_coefficients); the nonlinearity is evaluated pointwise
+frequency space with the one loop `picard_solve`.  Time runs on
+Gauss-Lobatto panels (`grids.time_panel_grid`), sized by the generator: a
+panel spans TIME_PANEL_PHASE rad of (p+1) sup|omega| over the data band.
+The linear group is exact, and the retarded integral integrates the
+forcing's collocation polynomial on each panel against the exact
+multiplier (propagator.duhamel_coefficients), so the fixed point is the
+Lobatto IIIA collocation solution; the nonlinearity is evaluated pointwise
 on a physical radius grid reached through a fixed quadrature
 synthesis/analysis pair.  Because analysis is the weighted adjoint of
 synthesis, the discrete nonlinear mass flux Im <|u|^p u, u> vanishes exactly
-and the measured mass drift isolates the time-integration error.  Both
+and the measured mass drift isolates the time-integration error, which on
+small data is below rounding.  Both
 transforms are real GEMMs against one kernel matrix K_n(s r): a complex
 operand is split into its real and imaginary rows, stacked, weighted,
 multiplied by the kernel (or its transpose view) in one product and
 recombined (`bessel.real_matmul`), so the kernel is never promoted to a
 complex copy and no weighted copy of it exists.
 
-The free group e^{i t omega} on the grid's (t, s) nodes is one table per
-grid and generator (`SolverGrid.free_group`), built on first use: every
-seed's linear part and every scattering pullback on that grid read it.  The
+The free group e^{i t omega} on the grid's (t, s) nodes and the panel
+weights of the retarded integral are each one table per grid and generator
+(`SolverGrid.free_group`, `SolverGrid.duhamel_table`), built on first use:
+every seed's solve and scattering pullback on that grid read them.  The
 data vanish outside their band, so the linear part is added on the band's
 columns only, and the first synthesis contracts those columns alone.  A
 solve holds the table, the current field and the current iterate; the linear
@@ -50,9 +56,10 @@ from .bessel import kernel_matrix, real_matmul
 from .cutoffs import smooth_bump
 from .dispersion import DispersionSymbol, fractional_symbol, get_symbol
 from .errors import DomainError, NonContraction, OutOfRangeS, OutOfRangeSigma
-from .grids import (FrequencyGrid, PhysicalGrid, gauss_panel_grid, panel_grid,
-                    require_array_limit, trapezoid_weights, uniform_grid)
-from .propagator import SpaceTimeField, duhamel_coefficients
+from .grids import (TIME_PANEL_ORDER, FrequencyGrid, PhysicalGrid, gauss_panel_grid,
+                    lobatto_panel_count, lobatto_panels, panel_grid, require_array_limit,
+                    time_panel_grid, trapezoid_weights, uniform_grid)
+from .propagator import SpaceTimeField, duhamel_coefficients, duhamel_table
 from .transform import RadialProfile, radial_norm, spacetime_norm, sphere_area
 
 
@@ -71,8 +78,9 @@ class NonlinearProblem:
     sigma: Optional[float] = None
 
     def generator_symbol(self) -> DispersionSymbol:
-        """The linear group e^{i t omega(s)}; its phi is omega and its
-        sup_dphi over the data band is the group speed."""
+        """The linear group e^{i t omega(s)}; its phi is omega, its sup_phi
+        over the data band sizes the time panels and its sup_dphi there is
+        the group speed."""
         if self.kind == "nls":
             return DispersionSymbol(
                 "nls-generator",
@@ -89,7 +97,9 @@ class NonlinearProblem:
 @dataclass(frozen=True)
 class SolverGrid:
     """Fixed quadrature pair between the frequency and radius grids: one
-    kernel matrix, with the quadrature weights applied to the operands."""
+    kernel matrix, with the quadrature weights applied to the operands; and
+    the times t, `time_order`-node Gauss-Lobatto panels on [0, T]
+    (`grids.lobatto_panels`; other times raise ValueError)."""
 
     freq: FrequencyGrid
     r: np.ndarray
@@ -97,9 +107,24 @@ class SolverGrid:
     kernel: np.ndarray          # (n_s, n_r): K_n(s r)
     synth_weights: np.ndarray   # (n_s,): ws s^(n-1)
     anal_weights: np.ndarray    # (n_r,): wr r^(n-1), the radial measure
-    # free-group tables by generator, filled by free_group; a grid made by
-    # dataclasses.replace (another t, say) starts with none
-    _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    time_order: int = TIME_PANEL_ORDER
+    # free-group and Duhamel tables by generator, filled by free_group and
+    # duhamel_table; a grid made by dataclasses.replace (another t, say)
+    # starts with none
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lobatto_panel_count(self.t, self.time_order)   # other times raise ValueError
+
+    @property
+    def time_panels(self) -> int:
+        """The number of time panels."""
+        return lobatto_panel_count(self.t, self.time_order)
+
+    @property
+    def time_weights(self) -> np.ndarray:
+        """The composite Lobatto weights of the times t."""
+        return lobatto_panels(self.t[-1], self.time_panels, self.time_order)[1]
 
     @property
     def synth(self) -> np.ndarray:
@@ -128,13 +153,27 @@ class SolverGrid:
         generator values omega on the nodes: built on the first call for
         these values and kept with the grid, so the seeds solved on one grid
         and their scattering pullbacks share it."""
-        key = np.asarray(omega, dtype=float).tobytes()
-        table = self._groups.get(key)
+        key = ("group", np.asarray(omega, dtype=float).tobytes())
+        table = self._tables.get(key)
         if table is None:
             require_array_limit((self.t.size, self.freq.nodes.size), 16, "free-group table")
             table = np.exp(1j * np.outer(self.t, omega))
             table.flags.writeable = False
-            self._groups[key] = table
+            self._tables[key] = table
+        return table
+
+    def duhamel_table(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only panel weights (E, W) of `propagator.duhamel_table`
+        for the generator values omega on the nodes and this grid's panel
+        width: built on the first call and kept with the grid, as
+        `free_group` keeps its table."""
+        key = ("duhamel", np.asarray(omega, dtype=float).tobytes())
+        table = self._tables.get(key)
+        if table is None:
+            table = duhamel_table(omega, self.t[-1] / self.time_panels, self.time_order)
+            for part in table:
+                part.flags.writeable = False
+            self._tables[key] = table
         return table
 
     def to_physical(self, coeff: np.ndarray) -> np.ndarray:
@@ -153,7 +192,8 @@ R_PANEL_ORDER = 20
 R_PANEL_PHASE = 12.0
 
 
-def build_solver_grid(n: int, band: tuple, p: float, T: float, group_speed: float) -> SolverGrid:
+def build_solver_grid(n: int, band: tuple, p: float, T: float,
+                      generator: DispersionSymbol) -> SolverGrid:
     """Grids Nyquist-matched to (p+1) times the data band [s_lo, s_hi].
 
     Radius grid: r_max = 1.15 T v + R_TAIL / s_lo, the group-speed front
@@ -180,17 +220,23 @@ def build_solver_grid(n: int, band: tuple, p: float, T: float, group_speed: floa
     analysis/synthesis round trip is accurate to ~1e-10 on band-limited
     data (uniform trapezoid would leave an O(dr^2) boundary term at r = 0).
     The bench NLS grid (n = 2, s = -1/10, T = 4) is 1,230 x 660.
+
+    Time: `grids.time_panel_grid` at the phase rate (p+1) sup|omega| of the
+    generator over the data band (the fastest oscillation of |u|^p u), so
+    the bench NLS / FNLS / NLW grids have 85 / 57 / 57 times at T = 4.  The
+    rule is covariant under the critical scaling (T, band) ->
+    (T / lam^a, lam band), a = 2, sigma, 1.  The generator's group speed
+    v = sup|omega'| sets both spatial reaches.
     """
     s_lo_d, s_hi_d = band
     s_hi = (p + 1.0) * s_hi_d * 1.1
     s_lo = s_lo_d / 8.0
-    front = 1.15 * T * group_speed
+    front = 1.15 * T * generator.sup_dphi(*band)
     r_max = front + R_TAIL / s_lo_d
     n_pan_r = int(np.ceil(r_max * s_hi / R_PANEL_PHASE)) + 2
-    nt = int(np.ceil(T * (p + 1.0) * max(abs(s_hi_d) ** 2, 1.0) * 8.0 / np.pi)) + 1
     freq = panel_grid(s_lo, s_hi, front + FREQ_REACH_MARGIN, "solver frequency grid")
-    return SolverGrid.on(n, freq, gauss_panel_grid(1e-9, r_max, n_pan_r, R_PANEL_ORDER),
-                         np.linspace(0.0, T, max(nt, 65)))
+    t, _ = time_panel_grid(T, (p + 1.0) * generator.sup_phi(*band), "solver time grid")
+    return SolverGrid.on(n, freq, gauss_panel_grid(1e-9, r_max, n_pan_r, R_PANEL_ORDER), t)
 
 
 # --------------------------------------------------------------------------
@@ -200,11 +246,18 @@ def build_solver_grid(n: int, band: tuple, p: float, T: float, group_speed: floa
 @dataclass(frozen=True)
 class PicardTrace:
     """A solve's iterate and difference norms and verdicts; `meta` records
-    the data band, T, the pair, the grid shape (n_t, n_s, n_r) and r_max,
-    the outermost radius node.  `contraction_factor` is the largest ratio
-    of successive differences, the first being ||a1 - a0|| / ||a0|| (the
-    iteration starts from the zero trajectory); 0.0 when no iteration ran
-    (mu = 0)."""
+    the data band, T, the pair, the grid shape (n_t, n_s, n_r), r_max (the
+    outermost radius node), and the time rule's inputs: the panel count,
+    the Lobatto nodes per panel and the phase (p+1) sup|omega| T / panels
+    one panel spans (at most grids.TIME_PANEL_PHASE on build_solver_grid's
+    grids).  `contraction_factor` is the largest ratio of successive
+    differences, the first being ||a1 - a0|| / ||a0|| (the iteration starts
+    from the zero trajectory); 0.0 when no iteration ran (mu = 0).
+    `mass_drift` is max |m(t) - m(0)| / m(0) over `_drift_rows`.  On small
+    data it sits at its rounding floor, a few ulps of the mass (below 3e-15
+    on the bench problems at T = 4 and 16), so its digits are noise; larger
+    data show the collocation's own drift above it (5.2e-13 at
+    delta = 0.3, T = 8)."""
 
     iterate_norms: tuple
     diff_norms: tuple
@@ -276,7 +329,7 @@ def picard_solve(
     band = (float(problem.data.grid.nodes[0]), float(problem.data.grid.nodes[-1]))
     generator = problem.generator_symbol()
     if grid is None:
-        grid = build_solver_grid(problem.n, band, problem.p, T, generator.sup_dphi(*band))
+        grid = build_solver_grid(problem.n, band, problem.p, T, generator)
     s = grid.freq.nodes
     omega = generator.phi(s)
     h0 = _wave_initial_state(problem, s) if wave else problem.data.at(s)
@@ -298,7 +351,8 @@ def picard_solve(
         return grid.to_physical(a.imag / s if wave else a)
 
     qr = (float(pairs.q), float(pairs.r))
-    wt = trapezoid_weights(t)
+    wt = grid.time_weights
+    table = grid.duhamel_table(omega)
 
     def resolution_norm(phys):
         return spacetime_norm(phys, grid.anal_weights, wt, problem.n, *qr)
@@ -319,7 +373,7 @@ def picard_solve(
             break
         forcing = gain * grid.to_frequency(np.abs(phys) ** problem.p * phys)
         coeff = None      # release the previous iterate before the next one
-        coeff = with_linear(duhamel_coefficients(omega, t, forcing))
+        coeff = with_linear(duhamel_coefficients(t, forcing, table))
         del forcing
         phys_new = synthesize(coeff)
         diff = resolution_norm(phys_new - phys)
@@ -348,7 +402,9 @@ def picard_solve(
     trace = PicardTrace(
         tuple(iterate_norms), tuple(diff_norms), contraction, converged, drift,
         {"band": band, "T": T, "pair": qr, "grid_shape": (t.size, s.size, grid.r.size),
-         "r_max": float(grid.r[-1])},
+         "r_max": float(grid.r[-1]), "time_panels": grid.time_panels,
+         "time_panel_order": grid.time_order,
+         "time_panel_phase": (problem.p + 1.0) * generator.sup_phi(*band) * T / grid.time_panels},
     )
     fld = SolverField(PhysicalGrid(grid.r, t), phys, problem.n, source="duhamel",
                       problem=problem, solver_grid=grid, coeff=coeff)
@@ -450,7 +506,7 @@ class ExperimentReport:
     all_converged: bool
     max_contraction: float
     max_mass_drift: float   # 0.0 for nlw, which has no mass law
-    grid: dict              # the first seed's grid_shape and r_max (PicardTrace.meta)
+    grid: dict              # the first seed's GRID_META entries of PicardTrace.meta
 
 
 def check_nls_range(n: int, s_sch) -> Fraction:
@@ -478,6 +534,10 @@ def check_fnls_range(n: int, sigma: float, p: float) -> None:
         raise OutOfRangeSigma(f"critical scheme needs p >= 2 sigma / n, got p={p}")
 
 
+# the PicardTrace.meta entries an experiment reports for its grid
+GRID_META = ("grid_shape", "r_max", "time_panels", "time_panel_order", "time_panel_phase")
+
+
 def _run_seeds(kind: str, params: dict, pairs: PairSelection, seeds: Sequence[int],
                T: float, draw: Callable, row: Callable) -> ExperimentReport:
     """The seed loop of every experiment.  Each seed draws its problem with
@@ -491,7 +551,7 @@ def _run_seeds(kind: str, params: dict, pairs: PairSelection, seeds: Sequence[in
         problem = draw(np.random.default_rng(seed), 1 if seed % 2 == 0 else -1)
         fld, trace = picard_solve(problem, pairs, T, grid=grid, max_iter=EXPERIMENT_MAX_ITER)
         grid = fld.solver_grid
-        grid_meta = grid_meta or {key: trace.meta[key] for key in ("grid_shape", "r_max")}
+        grid_meta = grid_meta or {key: trace.meta[key] for key in GRID_META}
         runs.append(row(seed, problem, fld, trace))
         del fld
     return ExperimentReport(
@@ -586,11 +646,12 @@ def fnls_experiment(n: int, sigma: float, p: float, s: float, delta: float,
     def row(seed, problem, fld, trace):
         grid = fld.solver_grid
         rows = _drift_rows(grid.t)
-        # energy: ||u||_{H^(sigma/2)-dot}^2 - mu/(p+2) ||u||_{L^(p+2)}^(p+2)
+        # the Hamiltonian of i u_t = -D^sigma u + mu |u|^p u (d|u|^(p+2)/d u-bar
+        # = (p+2)/2 |u|^p u): ||u||_{H^(sigma/2)-dot}^2 - 2 mu/(p+2) ||u||_{L^(p+2)}^(p+2)
         kin = radial_norm(fld.coeff[rows], grid.freq.weights * grid.freq.nodes ** (sigma + n - 1),
                           n, 2) ** 2
-        pot = mu / (p + 2.0) * radial_norm(fld.values[rows], grid.anal_weights,
-                                            n, p + 2.0) ** (p + 2.0)
+        pot = 2.0 * mu / (p + 2.0) * radial_norm(fld.values[rows], grid.anal_weights,
+                                                  n, p + 2.0) ** (p + 2.0)
         energy = kin - pot
         e_drift = float(np.max(np.abs(energy - energy[0])) / max(abs(energy[0]), 1e-300))
         diag = scattering_state(fld, s)
@@ -601,6 +662,7 @@ def fnls_experiment(n: int, sigma: float, p: float, s: float, delta: float,
             "mass_drift": trace.mass_drift,
             "energy_drift": e_drift,
             "energy_positive": bool(np.all(energy > 0)),
+            "solution_norm": trace.iterate_norms[-1],
             "final_deviation": diag.deviation[-2] if len(diag.deviation) > 1 else 0.0,
         }
 

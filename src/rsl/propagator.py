@@ -19,9 +19,11 @@ main/error decomposition F = M + E with
 and E carrying the r^(-(n+1)/2)-size residual kernels.  M + E reproduces the
 direct evaluation exactly up to rounding because the kernel split is exact.
 
-`duhamel_coefficients` gives the frequency-side retarded term with the
-multiplier integrated exactly over each time step; its callers (the Picard
-solvers and the retarded-estimate check) synthesize the field themselves.
+`duhamel_coefficients` gives the frequency-side retarded term on
+Gauss-Lobatto time panels: the forcing's collocation polynomial on each
+panel is integrated against the exact multiplier, with the weights of
+`duhamel_table`.  Its callers (the Picard solvers and the retarded-estimate
+check) synthesize the field themselves.
 
 A `SpaceTimeField` holds samples only.  Its norms are reductions of the
 sample array (`transform.radial_norm` per time slice, `transform.spacetime_norm`
@@ -34,12 +36,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bessel import complex_rows, kernel_panels, real_rows
 from .cutoffs import dyadic_cutoff
 from .dispersion import DispersionSymbol
 from .errors import SplitDomainError
-from .grids import FrequencyGrid, PhysicalGrid, band_edges, panel_grid, require_resolution
+from .grids import (TIME_PANEL_ORDER, FrequencyGrid, PhysicalGrid, band_edges, gauss_legendre,
+                    gauss_lobatto, lobatto_panel_count, panel_grid, require_resolution)
 from .transform import RadialProfile
 
 
@@ -151,42 +155,80 @@ def oracle_wave_cosine_3d(g: Callable, t: float, r) -> np.ndarray:
     return (a + b) / (2.0 * r)
 
 
-def _etd_coeffs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A(z) = (e^z (z-1) + 1)/z^2 and B(z) = (e^z - 1 - z)/z^2 with stable
-    series for |z| small; these integrate a linear-in-time forcing against
-    the exact multiplier over one step."""
-    z = np.asarray(z, dtype=complex)
-    out_a = np.empty_like(z)
-    out_b = np.empty_like(z)
-    small = np.abs(z) < 1e-4
-    zs = z[small]
-    out_a[small] = 0.5 + zs / 3.0 + zs**2 / 8.0 + zs**3 / 30.0
-    out_b[small] = 0.5 + zs / 6.0 + zs**2 / 24.0 + zs**3 / 120.0
-    zl = z[~small]
-    ez = np.exp(zl)
-    out_a[~small] = (ez * (zl - 1.0) + 1.0) / zl**2
-    out_b[~small] = (ez - 1.0 - zl) / zl**2
-    return out_a, out_b
+# Gauss-Legendre nodes per Lobatto node gap in the exact Duhamel weights,
+# plus one per DUHAMEL_GAP_PHASE rad of |omega| times the widest gap
+DUHAMEL_GAUSS = 8
+DUHAMEL_GAP_PHASE = 1.0
+
+
+def duhamel_table(omega: np.ndarray, h: float,
+                  order: int = TIME_PANEL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """The exact exponential collocation weights of a time panel [a, a + h]
+    with `order` Gauss-Lobatto nodes tau_j, for the generator values omega:
+    (E, W) with E[j] = e^{i omega (tau_j - a)}, shape (order, n_s), and
+
+        W[j, k] = int_a^{tau_j} e^{i omega (tau_j - tau)} L_k(tau) dtau,
+
+    shape (order, order, n_s), L_k the Lagrange basis on the nodes.  Each
+    gap between neighbouring nodes is integrated by Gauss-Legendre (its
+    phase on the widest gap sets the node count) and the gaps are chained,
+    W[j] = e^{i omega (tau_j - tau_(j-1))} W[j-1] + int over the gap, so
+    the weights hold to rounding for every omega h, omega = 0 included."""
+    omega = np.asarray(omega, dtype=float)
+    x, _ = gauss_lobatto(order)
+    u = (x + 1.0) / 2.0                       # the nodes on the unit panel
+    bary = 1.0 / np.prod(u[:, None] - u[None, :] + np.eye(order), axis=1)
+    gaps = np.diff(u)
+    count = DUHAMEL_GAUSS + int(np.ceil(np.max(np.abs(omega), initial=0.0) * h
+                                        * gaps.max() / DUHAMEL_GAP_PHASE))
+    y, g = gauss_legendre(count)
+    v = u[:-1, None] + gaps[:, None] * (y[None, :] + 1.0) / 2.0     # (order-1, count)
+    # Lagrange basis at the Gauss nodes (never a Lobatto node), barycentric,
+    # times the Gauss weights of each gap: (order-1, count, order)
+    lag = bary / (v[..., None] - u)
+    lag *= (h * gaps[:, None] / 2.0 * g[None, :] / lag.sum(axis=2))[..., None]
+    kern = np.exp(1j * h * (u[1:, None] - v)[..., None] * omega)      # (order-1, count, n_s)
+    lag = lag.transpose(0, 2, 1)
+    gap_int = np.matmul(lag, kern.real) + 1j * np.matmul(lag, kern.imag)  # (order-1, order, n_s)
+    del kern
+    table = np.zeros((order, order, omega.size), dtype=complex)
+    step = np.exp(1j * h * gaps[:, None] * omega)
+    for j in range(1, order):
+        table[j] = step[j - 1] * table[j - 1] + gap_int[j - 1]
+    return np.exp(1j * h * np.outer(u, omega)), table
 
 
 def duhamel_coefficients(
-    omega: np.ndarray, t_nodes: np.ndarray, forcing: np.ndarray
+    t_nodes: np.ndarray, forcing: np.ndarray, table: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """c(t_i, s) = -i int_0^{t_i} e^{i (t_i - tau) omega(s)} f_hat(tau, s) dtau
-    with f_hat piecewise linear in tau and the multiplier integrated exactly
-    (so constant-in-time forcing gives -i f (e^{i t omega} - 1)/(i omega),
-    with the removable omega = 0 limit).  The step multipliers are computed
-    once per distinct step length."""
-    t = np.asarray(t_nodes, dtype=float)
-    c = np.zeros_like(forcing, dtype=complex)
-    steps = {}
-    for i in range(1, t.size):
-        dt = t[i] - t[i - 1]
-        if dt not in steps:
-            z = 1j * omega * dt
-            steps[dt] = (np.exp(z), *_etd_coeffs(z))
-        ez, a_c, b_c = steps[dt]
-        step = dt * (forcing[i - 1] * a_c + forcing[i] * b_c)
-        c[i] = ez * c[i - 1] - 1j * step
-    return c
+    on the Gauss-Lobatto panels t_nodes (`grids.lobatto_panels`): on each
+    panel [a, b], with f_hat the polynomial through its values on the
+    panel's nodes,
 
+        c(tau_j) = e^{i omega (tau_j - a)} c(a) - i sum_k W_jk(omega) f(tau_k),
+
+    with the exact weights (E, W) = `table` of `duhamel_table` for the
+    generator values omega and the panel width.  Forcing of degree
+    <= order - 1 in tau is integrated exactly.  The sums run over every panel at once, and one
+    scan over the panel ends carries c(a) from panel to panel."""
+    t = np.asarray(t_nodes, dtype=float)
+    forcing = np.asarray(forcing)
+    phase, weights = table
+    order = weights.shape[0]
+    n_panels = lobatto_panel_count(t, order)
+    # the forcing on each panel's nodes, a read-only view: (panels, n_s, order)
+    panels = sliding_window_view(forcing, order, axis=0)[::order - 1]
+    c = np.empty(forcing.shape, dtype=complex)
+    # each panel's rows j < order - 1 (its last row is the next panel's first)
+    # and its end value, from c(a) = 0; then the scan carries c(a)
+    body = c[:-1].reshape(n_panels, order - 1, -1)
+    np.einsum("jks,psk->pjs", weights[:-1], panels, out=body, optimize=True)
+    ends = np.einsum("ks,psk->ps", weights[-1], panels, optimize=True)
+    body *= -1j
+    ends *= -1j
+    for p in range(1, n_panels):
+        ends[p] += phase[-1] * ends[p - 1]
+    body[1:] += phase[:-1] * ends[:-1, None]
+    c[-1] = ends[-1]
+    return c

@@ -17,6 +17,7 @@ from rsl.bessel import (
     kernel_panels,
     radial_kernel,
 )
+from rsl.dispersion import get_symbol
 from rsl.errors import DomainError, SmallArgument
 from rsl.grids import PANEL_ORDER, gauss_panel_grid
 from rsl.nonlinear import build_solver_grid
@@ -415,7 +416,7 @@ def test_picard_grid_reaches_radial_kernel_below_x_min_only(monkeypatch):
         return radial_kernel(n, x, out)
 
     monkeypatch.setattr(bessel, "radial_kernel", counting)
-    grid = build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 4.0, 4.0)
+    grid = build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 4.0, get_symbol("schrodinger"))
     assert grid.kernel.shape == (1230, 660)
     assert bessel._table_plan(2, grid.freq.nodes, grid.r).axis == 0
     assert 0 < sum(pts) <= 0.15 * grid.kernel.size, sum(pts) / grid.kernel.size

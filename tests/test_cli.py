@@ -416,19 +416,23 @@ SOLVE_COLUMNS = {
                  "final_deviation,max_tail_deviation,tail_decreasing",
     "solve-nlw": "seed,mu,converged,contraction,solution_norm,final_deviation,tail_decreasing",
     "solve-fnls": "seed,converged,contraction,mass_drift,energy_drift,energy_positive,"
-                  "final_deviation",
+                  "solution_norm,final_deviation",
 }
 
 
 @pytest.mark.parametrize("command", SOLVE_COLUMNS)
 def test_solve_data_csv_columns(command, tmp_path):
     # each experiment's run dict keys, in order, are its data.csv columns;
-    # the solver grid's shape (n_t, n_s, n_r) and r_max go to report.json
+    # the solver grid's shape (n_t, n_s, n_r), r_max and time panels (count,
+    # Lobatto nodes per panel, phase per panel) go to report.json
     assert run([command, "--seeds", "0..1", "--T", "2"], tmp_path, "cols") in (0, 1)
     rows = (tmp_path / "cols" / "data.csv").read_text().splitlines()
     assert rows[0] == SOLVE_COLUMNS[command]
     assert len(rows) == 3
     results = json.loads((tmp_path / "cols" / "report.json").read_text())["results"]
     n_t, n_s, n_r = results["grid_shape"]
-    assert n_t >= 65 and n_s % 10 == 0 and n_r % 10 == 0
+    panels = results["time_panels"]
+    assert n_t == 7 * panels + 1 and n_s % 10 == 0 and n_r % 10 == 0
+    assert results["time_panel_order"] == 8
+    assert 0 < results["time_panel_phase"] <= 4.0
     assert 0 < results["r_max"] < 1.15 * 2.0 * 4.0 + 40.0

@@ -20,7 +20,7 @@ from rsl.dispersion import get_symbol
 from rsl.errors import QuadratureUnderresolved
 from rsl.estimates import counterexample_wave, maximal_check
 from rsl.fastfield import BandFieldSampler
-from rsl.grids import PhysicalGrid, gauss_panel_grid
+from rsl.grids import PhysicalGrid, gauss_panel_grid, lobatto_panels
 from rsl.nonlinear import SolverGrid, build_solver_grid, nls_small_data_experiment
 from rsl.propagator import evolve
 from rsl.transform import RadialProfile, canonical_band_amplitude, fourier_bessel, profile_from_fn
@@ -61,7 +61,8 @@ def test_solver_grid_holds_one_kernel_matrix():
     # filled in place, with no outer-product temporary and no weighted copy.
     # The n = 2 Hankel fit, made once per process, is made before the trace
     kernel_matrix(2, gauss_panel_grid(0.5, 2.0, 2).nodes, np.array([10.0]))
-    grid, peak = _peak(lambda: build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 16.0, 4.0))
+    grid, peak = _peak(lambda: build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 16.0,
+                                                  get_symbol("schrodinger")))
     assert np.shares_memory(grid.synth, grid.anal)
     assert peak <= 1.1 * grid.synth.nbytes, (peak / MB, grid.synth.nbytes / MB)
 
@@ -128,9 +129,9 @@ def test_maximal_block_holds_its_declared_bytes():
 
 
 def test_free_group_table_past_limit_raises_before_allocating():
-    # 70,000 times x 1,000 nodes: a 1.1 GB complex table
+    # 70,001 times x 1,000 nodes: a 1.1 GB complex table
     grid = SolverGrid.on(2, gauss_panel_grid(0.5, 2.0, 100), gauss_panel_grid(1e-9, 10.0, 4),
-                         np.linspace(0.0, 1.0, 70_000))
+                         lobatto_panels(1.0, 10_000)[0])
 
     def build():
         with pytest.raises(QuadratureUnderresolved, match="free-group table"):

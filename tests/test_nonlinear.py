@@ -9,7 +9,8 @@ import rsl.nonlinear as nonlinear
 from rsl.admissibility import choose_pairs_nls, choose_pairs_nlw, s0
 from rsl.dispersion import fractional_symbol, get_symbol
 from rsl.errors import DomainError, OutOfRangeS, OutOfRangeSigma
-from rsl.grids import PhysicalGrid, gauss_panel_grid, panel_grid
+from rsl.grids import (PhysicalGrid, gauss_panel_grid, lobatto_panels,
+                       panel_grid)
 from rsl.nonlinear import (
     DATA_BAND,
     NonlinearProblem,
@@ -29,16 +30,15 @@ from rsl.propagator import evolve
 from rsl.transform import RadialProfile, sobolev_norm, sphere_area
 
 P_NLS = 20.0 / 11.0  # p at s_sch = -1/10, n = 2
+# s^2 has the NLS generator's |omega| and |omega'|, so build_solver_grid
+# builds the NLS grid from it
+SCH = get_symbol("schrodinger")
 
 
 def _nls_problem(seed=0, delta=1e-3, mu=1):
     rng = np.random.default_rng(seed)
     data = random_band_profile(2, rng, s_norm=-0.1, target=delta)
     return NonlinearProblem("nls", 2, P_NLS, mu=mu, data=data)
-
-
-def _speed(prob):
-    return prob.generator_symbol().sup_dphi(0.5, 2.0)
 
 
 def _front(T, group_speed):
@@ -68,7 +68,7 @@ def test_solver_grid_round_trip():
     # tail (the data envelope decays sub-exponentially), not by quadrature;
     # the solver diagnostics (mass, contraction, deviations) are insensitive
     # to this representation floor
-    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, 4.0)
+    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, SCH)
     rng = np.random.default_rng(2)
     prof = random_band_profile(2, rng, s_norm=0.0, target=1.0)
     h = prof.fn(grid.freq.nodes)
@@ -103,16 +103,17 @@ def _bench_runs():
 
 
 def _assert_bench_runs_agree(runs, ref_runs):
-    """The solution norms within 1e-8 relative and the FNLS conservation
-    drifts to 3 significant digits."""
-    for kind in ("nls", "nlw"):
+    """The solution norms within 1e-8 relative, and the FNLS conservation
+    drifts at their rounding floor on both sides (the time panels conserve
+    mass and energy to rounding, so their digits compare noise)."""
+    for kind in ("nls", "fnls", "nlw"):
         for got, ref in zip(runs[kind], ref_runs[kind]):
             assert got["converged"] and ref["converged"]
             rel = abs(got["solution_norm"] - ref["solution_norm"]) / ref["solution_norm"]
             assert rel <= 1e-8, (kind, got["seed"], rel)
     for got, ref in zip(runs["fnls"], ref_runs["fnls"]):
         for key in ("mass_drift", "energy_drift"):
-            assert math.isclose(got[key], ref[key], rel_tol=5e-4), (key, got[key], ref[key])
+            assert max(got[key], ref[key]) <= 1e-13, (key, got[key], ref[key])
 
 
 def _bench_runs_on(monkeypatch, radius_grid):
@@ -121,8 +122,8 @@ def _bench_runs_on(monkeypatch, radius_grid):
     solver grid's front 1.15 T v and tail R_TAIL / s_lo."""
     build = nonlinear.build_solver_grid
 
-    def rebuilt(n, band, p, T, group_speed):
-        return radius_grid(build(n, band, p, T, group_speed), p, _front(T, group_speed),
+    def rebuilt(n, band, p, T, generator):
+        return radius_grid(build(n, band, p, T, generator), p, _front(T, generator.sup_dphi(*band)),
                            nonlinear.R_TAIL / band[0])
 
     with monkeypatch.context() as m:
@@ -138,6 +139,35 @@ def test_radius_tail_converged(monkeypatch):
     _assert_bench_runs_agree(_bench_runs(), wide)
 
 
+def test_time_panels_converged(monkeypatch):
+    # the solver's 8-node Lobatto panels at 4 rad against an independent
+    # time rule, 10-node panels at a quarter of the width (other nodes,
+    # weights and collocation polynomial), on the same spatial grids
+    fine = _bench_runs_on(monkeypatch, lambda grid, p, front, tail: dataclasses.replace(
+        grid, t=lobatto_panels(grid.t[-1], 4 * grid.time_panels, 10)[0], time_order=10))
+    _assert_bench_runs_agree(_bench_runs(), fine)
+
+
+GENERATORS = {"nls": (SCH, 2.0), "fnls": (fractional_symbol(1.5), 1.5),
+              "nlw": (get_symbol("wave"), 1.0)}
+
+
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_time_panels_scale_covariant(kind):
+    # the critical rescaling (T, band) -> (T / lam^a, lam band) multiplies
+    # sup|omega| by lam^a and keeps the panel count: the times scale by
+    # 1 / lam^a (the time half of the solver's scaling law)
+    symbol, a = GENERATORS[kind]
+    p = {"nls": P_NLS, "fnls": 1.5, "nlw": float(choose_pairs_nlw(2, Fraction(3, 10)).p)}[kind]
+    for T in (4.0, 16.0):
+        grid = build_solver_grid(2, DATA_BAND, p, T, symbol)
+        for lam in (2.0, 0.5, 0.25):
+            band = (lam * DATA_BAND[0], lam * DATA_BAND[1])
+            scaled = build_solver_grid(2, band, p, T / lam ** a, symbol)
+            assert scaled.time_panels == grid.time_panels, (T, lam)
+            np.testing.assert_allclose(scaled.t * lam ** a, grid.t, rtol=1e-14, atol=0.0)
+
+
 def test_radius_panels_converged(monkeypatch):
     # the solver's 20-node radius panels at 12 radians against 10-node
     # panels at 2 radians on the same reach, frequency and time nodes
@@ -150,32 +180,35 @@ def test_radius_panels_converged(monkeypatch):
 @pytest.mark.parametrize("kind", BENCH_EXPERIMENTS)
 def test_frequency_and_time_nodes_keep_their_reach(kind, T):
     # the frequency panels resolve the reach 1.15 T v + 60 whatever the
-    # radius grid's tail, so the frequency and time nodes are those of the
-    # one-reach rule r_max = 1.15 T v + 60, bit for bit, and the frequency
-    # grid is grids.panel_grid's for that reach
+    # radius grid's tail, so the frequency nodes are those of the one-reach
+    # rule r_max = 1.15 T v + 60, bit for bit, and the frequency grid is
+    # grids.panel_grid's for that reach; the times are 8-node Lobatto panels
+    # at 4 rad of (p+1) sup|omega| each
     p = {"nls": P_NLS, "fnls": 1.5, "nlw": float(choose_pairs_nlw(2, Fraction(3, 10)).p)}[kind]
     symbol = {"nls": get_symbol("schrodinger"), "fnls": fractional_symbol(1.5),
               "nlw": get_symbol("wave")}[kind]
     v = symbol.sup_dphi(*DATA_BAND)
-    grid = build_solver_grid(2, DATA_BAND, p, T, v)
+    grid = build_solver_grid(2, DATA_BAND, p, T, symbol)
     s_hi = (p + 1.0) * DATA_BAND[1] * 1.1
     s_lo = DATA_BAND[0] / 8.0
     reach = _front(T, v) + 60.0
     freq = gauss_panel_grid(s_lo, s_hi, int(np.ceil((s_hi - s_lo) * reach / 4.0)) + 2)
-    nt = int(np.ceil(T * (p + 1.0) * max(DATA_BAND[1] ** 2, 1.0) * 8.0 / np.pi)) + 1
+    degree = {"nls": 2.0, "fnls": 1.5, "nlw": 1.0}[kind]
+    panels = int(np.ceil(T * (p + 1.0) * DATA_BAND[1] ** degree / 4.0))
     assert np.array_equal(grid.freq.nodes, freq.nodes)
     assert np.array_equal(grid.freq.weights, freq.weights)
     ruled = panel_grid(s_lo, s_hi, reach, "solver frequency grid")
     assert np.array_equal(grid.freq.nodes, ruled.nodes)
     assert np.array_equal(grid.freq.weights, ruled.weights)
-    assert np.array_equal(grid.t, np.linspace(0.0, T, max(nt, 65)))
+    assert np.array_equal(grid.t, lobatto_panels(T, panels, 8)[0])
+    assert grid.time_panels == panels and grid.t.size == 7 * panels + 1
     assert grid.r[-1] < _front(T, v) + nonlinear.R_TAIL / DATA_BAND[0] < reach
 
 
 def test_real_transforms_match_complex_product():
     # the benchmark's NLS grid; the split real GEMMs against the complex
     # product with the weighted matrices (weights w times synth or anal)
-    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 4.0, 4.0)
+    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 4.0, SCH)
     rng = np.random.default_rng(7)
 
     def operand(cols):
@@ -201,7 +234,7 @@ def test_real_transforms_match_complex_product():
 def test_linear_consistency_bitwise():
     prob = _nls_problem(mu=0)
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
-    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(prob))
+    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
     fld, trace = picard_solve(prob, pairs, 8.0, grid=grid)
     assert trace.converged and trace.contraction_factor == 0.0
     s = grid.freq.nodes
@@ -243,7 +276,7 @@ def test_contraction_monotone_in_amplitude():
     factors = []
     for delta in (0.05, 0.2, 0.8):
         prob = _nls_problem(seed=9, delta=delta)
-        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(prob))
+        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
         _, trace = picard_solve(prob, pairs, 8.0, grid=grid, max_iter=6, tol=1e-12)
         factors.append(trace.contraction_factor)
     assert factors[0] <= factors[1] <= factors[2]
@@ -332,7 +365,7 @@ def test_nlw_energy_conserved():
     # E = 1/2 ||a||^2 - mu/(p+2) ||u||_{p+2}^{p+2} with a = u_t + i s u; the
     # kinetic part alone moves by 3e-6 here, a sign slip in the forcing by 6e-6
     prob, pairs = _nlw_problem(delta=0.3)
-    grid = build_solver_grid(2, (0.5, 2.0), prob.p, 8.0, _speed(prob))
+    grid = build_solver_grid(2, (0.5, 2.0), prob.p, 8.0, prob.generator_symbol())
     fld, trace = picard_solve(prob, pairs, 8.0, grid=grid)
     assert trace.converged
     fgrid, a = fld.solver_grid.freq, fld.coeff
@@ -352,6 +385,14 @@ def test_nlw_complex_data_rejected():
                                data_velocity=prob.data)
     with pytest.raises(DomainError):
         picard_solve(swapped, pairs, 4.0)
+
+
+def test_fnls_energy_is_conserved():
+    # the reported energy is the Hamiltonian kin - 2 mu/(p+2) pot, which the
+    # time panels conserve to rounding; the factor mu/(p+2) read 1.3e-8, the
+    # potential term dispersing
+    rep = fnls_experiment(2, 1.5, 1.5, 0.0, 1e-3, seeds=[0], T=4.0)
+    assert rep.runs[0]["energy_drift"] <= 1e-12, rep.runs[0]["energy_drift"]
 
 
 def test_fnls_experiment_conservation():
@@ -383,15 +424,16 @@ def test_solver_range_rules():
 
 
 def test_mass_drift_improves_under_time_refinement():
-    # halving the time step improves the (already tiny) drift
+    # twice the time panels improve the (already tiny) drift: Lobatto IIIA
+    # collocation does not conserve the mass exactly, and at delta = 0.3 its
+    # drift reads 5.2e-13 on the solver's panels and 2.3e-14 on twice as many
     prob = _nls_problem(seed=5, delta=0.3)
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
     drifts = []
     for boost in (1, 2):
-        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(prob))
+        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
         if boost == 2:
-            t_fine = np.linspace(grid.t[0], grid.t[-1], 2 * grid.t.size - 1)
-            grid = dataclasses.replace(grid, t=t_fine)
+            grid = dataclasses.replace(grid, t=lobatto_panels(8.0, 2 * grid.time_panels)[0])
         _, trace = picard_solve(prob, pairs, 8.0, grid=grid, max_iter=6)
         drifts.append(trace.mass_drift)
     assert drifts[1] <= drifts[0]
@@ -444,13 +486,15 @@ def test_seeds_on_one_grid_match_fresh_grids():
     # every seed: two seeds on one grid equal each seed on a grid of its own
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
     probs = [_nls_problem(seed=seed, delta=0.3, mu=mu) for seed, mu in ((5, 1), (6, -1))]
-    shared = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(probs[0]))
+    shared = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, probs[0].generator_symbol())
     on_shared = [_solve_record(prob, pairs, shared) for prob in probs]
     omega = probs[0].generator_symbol().phi(shared.freq.nodes)
     assert shared.free_group(omega) is shared.free_group(omega)
     assert not shared.free_group(omega).flags.writeable
+    assert shared.duhamel_table(omega) is shared.duhamel_table(omega)
+    assert not any(part.flags.writeable for part in shared.duhamel_table(omega))
     for prob, (fld, trace, diag) in zip(probs, on_shared):
-        fresh = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(prob))
+        fresh = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
         ref_fld, ref_trace, ref_diag = _solve_record(prob, pairs, fresh)
         assert trace == ref_trace
         assert np.array_equal(fld.values, ref_fld.values)
@@ -460,16 +504,17 @@ def test_seeds_on_one_grid_match_fresh_grids():
 
 
 def test_table_does_not_outlive_its_time_grid():
-    # a grid made by dataclasses.replace with another t builds its own table,
-    # even after a solve filled the original grid's
+    # a grid made by dataclasses.replace with another t (twice the panels)
+    # builds its own free-group and Duhamel tables, even after a solve
+    # filled the original grid's
     prob = _nls_problem(seed=5, delta=0.3)
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
 
     def grid():
-        return build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(prob))
+        return build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
 
     coarse = grid()
-    t_fine = np.linspace(coarse.t[0], coarse.t[-1], 2 * coarse.t.size - 1)
+    t_fine = lobatto_panels(8.0, 2 * coarse.time_panels)[0]
     _solve_record(prob, pairs, coarse)
     fld, trace, diag = _solve_record(prob, pairs, dataclasses.replace(coarse, t=t_fine))
     ref_fld, ref_trace, ref_diag = _solve_record(prob, pairs, dataclasses.replace(grid(), t=t_fine))
@@ -486,7 +531,7 @@ def test_band_limited_first_synthesis():
     # most over seeds 0, 2, 5 and T = 8, 16 (bitwise at T = 4)
     prob = _nls_problem(seed=2, mu=0)
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
-    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, _speed(prob))
+    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
     fld, _ = picard_solve(prob, pairs, 8.0, grid=grid)
     s = grid.freq.nodes
     h0 = prob.data.at(s)

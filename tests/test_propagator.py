@@ -8,11 +8,13 @@ from rsl.cutoffs import smooth_bump
 from rsl.dispersion import fractional_symbol, get_symbol
 from rsl.errors import QuadratureUnderresolved, SplitDomainError
 from rsl.fastfield import SamplerConfig
-from rsl.grids import (PANEL_ORDER, PhysicalGrid, band_edges, gauss_panel_grid, panel_grid,
-                       require_resolution, trapezoid_weights, uniform_grid)
+from rsl.grids import (PANEL_ORDER, PhysicalGrid, band_edges, gauss_lobatto, gauss_panel_grid,
+                       lobatto_panels, panel_grid, require_resolution, time_panel_grid,
+                       trapezoid_weights, uniform_grid)
 from rsl.nonlinear import DATA_BAND, FREQ_REACH_MARGIN, build_solver_grid
 from rsl.propagator import (
     duhamel_coefficients,
+    duhamel_table,
     evolve,
     main_error_split,
     oracle_wave_cosine_3d,
@@ -138,7 +140,7 @@ def _solver(symbol, p, T):
     """build_solver_grid's frequency grid for the data band at time T (n = 2)
     and the phase rate of its reach."""
     v = symbol.sup_dphi(*DATA_BAND)
-    return build_solver_grid(2, DATA_BAND, p, T, v).freq, 1.15 * T * v + FREQ_REACH_MARGIN
+    return build_solver_grid(2, DATA_BAND, p, T, symbol).freq, 1.15 * T * v + FREQ_REACH_MARGIN
 
 
 P_NLW = float(choose_pairs_nlw(2, Fraction(3, 10)).p)
@@ -218,22 +220,90 @@ def test_main_term_sup_scaling():
 
 def test_duhamel_zero_and_constant_forcing():
     g = uniform_grid(0.5, 2.0, 300)
-    t = np.linspace(0.0, 5.0, 101)
+    t, _ = lobatto_panels(5.0, 4)
     # constant forcing: coefficient -i g (e^{i t phi} - 1) / (i phi), exact
     gv = np.exp(-((g.nodes - 1.2) ** 2) * 8)
-    coeff = duhamel_coefficients(SCH.phi(g.nodes), t, np.tile(gv, (t.size, 1)).astype(complex))
     phi = SCH.phi(g.nodes)
+    coeff = duhamel_coefficients(t, np.tile(gv, (t.size, 1)).astype(complex),
+                                 duhamel_table(phi, 5.0 / 4))
     closed = -1j * gv[None, :] * (np.exp(1j * np.outer(t, phi)) - 1.0) / (1j * phi[None, :])
     assert np.max(np.abs(coeff - closed)) < 1e-12
 
 
 def test_duhamel_degenerate_symbol_node():
-    # omega = 0 node: series limit gives the plain time integral
+    # omega = 0 node: the weights are the plain time integrals of the
+    # Lagrange basis, so constant forcing gives -i t
     omega = np.array([0.0, 1.0])
-    t = np.linspace(0.0, 2.0, 41)
+    t, _ = lobatto_panels(2.0, 3)
     forcing = np.ones((t.size, 2), dtype=complex)
-    coeff = duhamel_coefficients(omega, t, forcing)
+    coeff = duhamel_coefficients(t, forcing, duhamel_table(omega, 2.0 / 3))
     np.testing.assert_allclose(coeff[:, 0], -1j * t, atol=1e-13)
+
+
+def _lagrange(u, k, x):
+    """The k-th Lagrange basis polynomial on the nodes u, at x, by its product."""
+    others = np.delete(u, k)
+    return np.prod((x[:, None] - others) / (u[k] - others), axis=1)
+
+
+def test_duhamel_table_against_gauss_reference():
+    # each weight W_jk = int_0^{tau_j} e^{i omega (tau_j - tau)} L_k(tau) dtau
+    # on one 128-point Gauss rule over [0, tau_j], for |omega h| up to 60
+    # and omega = 0
+    h = 0.75
+    omega = np.concatenate([[0.0], np.linspace(-80.0, 80.0, 97)])
+    phase, table = duhamel_table(omega, h)
+    u = h * (gauss_lobatto(8)[0] + 1.0) / 2.0
+    y, g = np.polynomial.legendre.leggauss(128)
+    ref = np.zeros_like(table)
+    for j in range(1, 8):
+        tau = u[j] * (y + 1.0) / 2.0
+        kern = np.exp(1j * np.outer(u[j] - tau, omega)) * (u[j] / 2.0 * g)[:, None]
+        for k in range(8):
+            ref[j, k] = _lagrange(u, k, tau) @ kern
+    assert np.max(np.abs(table - ref)) <= 1e-13 * h
+    np.testing.assert_allclose(phase, np.exp(1j * np.outer(u, omega)), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_duhamel_exact_for_polynomial_forcing(degree):
+    # forcing tau^degree against -i int_0^t e^{i omega (t - tau)} tau^degree
+    # dtau on a 200-point Gauss rule: exact to rounding up to the panels'
+    # collocation degree 7, and not beyond it
+    omega = np.array([0.0, 0.7, -3.0, 11.0])
+    t, _ = lobatto_panels(3.0, 5)
+    forcing = np.repeat((t ** degree)[:, None], omega.size, axis=1).astype(complex)
+    coeff = duhamel_coefficients(t, forcing, duhamel_table(omega, 3.0 / 5))
+    y, g = np.polynomial.legendre.leggauss(200)
+    tau = np.outer(t, (y + 1.0) / 2.0)                       # (n_t, 200)
+    kern = np.exp(1j * (t[:, None, None] - tau[..., None]) * omega) * tau[..., None] ** degree
+    ref = -1j * np.einsum("g,tgs->ts", g, kern) * t[:, None] / 2.0
+    err = np.max(np.abs(coeff - ref)) / np.max(np.abs(ref))
+    if degree <= 7:
+        assert err <= 1e-13, err
+    else:
+        assert err >= 1e-12, err
+
+
+def test_duhamel_refuses_other_times():
+    # the rule reads the panels off the times: uniform nodes are refused
+    table = duhamel_table(np.array([1.0]), 2.0 / 3)
+    with pytest.raises(ValueError, match="Lobatto panels"):
+        duhamel_coefficients(np.linspace(0.0, 2.0, 22), np.ones((22, 1), dtype=complex), table)
+
+
+def test_time_panel_grid_rule():
+    # ceil(T rate / 4) panels of 8 Lobatto nodes sharing their ends, whose
+    # composite weights integrate polynomials of degree 13 exactly
+    t, w = time_panel_grid(4.0, 7.5, "test")
+    assert t.size == 7 * 8 + 1 and t[0] == 0.0 and t[-1] == 4.0
+    assert np.all(np.diff(t) > 0)
+    for degree in (0, 5, 13):
+        assert abs(np.sum(w * t ** degree) - 4.0 ** (degree + 1) / (degree + 1)) \
+            <= 1e-14 * 4.0 ** (degree + 1)
+    assert time_panel_grid(4.0, 1e-9, "test")[0].size == 8
+    with pytest.raises(QuadratureUnderresolved, match="huge"):
+        time_panel_grid(1.0, 1e9, "huge")
 
 
 def _bump_data(r):
