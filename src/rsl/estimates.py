@@ -51,8 +51,8 @@ from .fastfield import (
     chirp_z,
     octave_ladder,
 )
-from .grids import (band_edges, require_array_limit, require_node_limit, time_panel_grid,
-                    trapezoid_weights, uniform_grid)
+from .grids import (TIME_PANEL_PHASE_REAL, band_edges, require_array_limit, require_node_limit,
+                    time_panel_grid, trapezoid_weights, uniform_grid)
 from .nonlinear import SolverGrid
 from .propagator import duhamel_coefficients
 from .transform import canonical_band_amplitude, spacetime_norm, sphere_area
@@ -763,8 +763,9 @@ def retarded_strichartz_check(
     Forcing and response are synthesized on one nonlinear.SolverGrid: a
     uniform frequency grid (at most 0.5 rad of time phase per step) and a
     uniform radius grid, both with trapezoid weights, and the Picard
-    solver's time panels at the phase rate sup|phi| (its rule at p = 0),
-    with their Lobatto weights and Duhamel table."""
+    solver's time panels at the phase rate sup|phi| (its rule at p = 0) and
+    its 4-rad panel phase for real fields, with their Lobatto weights and
+    Duhamel table."""
     q, r = (parse_exponent(pair[0]), parse_exponent(pair[1]))
     qt, rt = (parse_exponent(pair_t[0]), parse_exponent(pair_t[1]))
     family = "wave" if symbol.name == "wave" else "schrodinger"
@@ -781,7 +782,8 @@ def retarded_strichartz_check(
     lo, hi = band_edges(k)
     sup_dp = symbol.sup_dphi(lo, hi)
     r_max = 1.1 * T * sup_dp + 60.0
-    t_nodes, _ = time_panel_grid(T, symbol.sup_phi(lo, hi), "retarded check time grid")
+    t_nodes, _ = time_panel_grid(T, symbol.sup_phi(lo, hi), TIME_PANEL_PHASE_REAL,
+                                 "retarded check time grid")
     grid = SolverGrid.on(
         n, uniform_grid(lo, hi, max(int((hi - lo) * T * sup_dp / 0.5), 512)),
         uniform_grid(1e-6, r_max, int(r_max / (np.pi / (6.0 * hi))) + 2), t_nodes)

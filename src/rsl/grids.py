@@ -11,8 +11,10 @@ carries 0.596 rad and passes `require_resolution`.
 
 Time grids of the Picard solver and the retarded check are composite
 Gauss-Lobatto panels (`time_panel_grid`): TIME_PANEL_ORDER nodes a panel,
-adjacent panels sharing their end nodes, each panel spanning at most
-TIME_PANEL_PHASE rad of the caller's phase rate.
+adjacent panels sharing their end nodes, each panel spanning at most the
+caller's panel phase of its phase rate: TIME_PANEL_PHASE_COMPLEX = 6 rad
+for the complex NLS and FNLS fields, TIME_PANEL_PHASE_REAL = 4 rad for the
+real NLW field and for the retarded check.
 """
 
 from __future__ import annotations
@@ -32,14 +34,20 @@ PANEL_ORDER = 10
 # within 2.6e-11 of 1-rad panels on the canonical band evolutions, 2.1e-9
 # of 2-rad ones on the Picard bench norms
 PANEL_PHASE = 4.0
-# Gauss-Lobatto nodes per time panel, and the phase T phase_rate / panels
-# one time panel of `time_panel_grid` spans at most: the Picard solution
-# norms of the bench problems hold within 1e-8 relative of 10-node panels
-# at a quarter of the width (1.3e-9 at T = 4, 4.2e-10 at T = 16, NLW the
-# worst).  At 6 rad NLW errs by 4.9e-8 at T = 4, in the time quadrature of
-# its norm: |u|^q of a real field is not smooth at the field's zeros
+# Gauss-Lobatto nodes per time panel of `time_panel_grid`
 TIME_PANEL_ORDER = 8
-TIME_PANEL_PHASE = 4.0
+# the phase T phase_rate / panels one time panel spans at most, by the
+# solved field.  A real field (NLW, u = Im a / s) gets 4 rad: its bench
+# solution norms hold within 1.3e-9 (T = 4) and 4.2e-10 (T = 16) of
+# 10-node panels at a quarter of the width, but at 6 rad they err by
+# 4.9e-8 at T = 4, in the time quadrature of the norm, since |u|^q of a
+# real field is not smooth at the field's zeros (mu = 0 reads the same).
+# The retarded check keeps 4 rad too, which its pinned ratios were
+# measured on.  A complex field (NLS, FNLS) has no such zeros and gets
+# 6 rad: its bench solution norms hold within 1.1e-11 (T = 4) and 4.6e-11
+# (T = 16) of the quarter-width rule
+TIME_PANEL_PHASE_REAL = 4.0
+TIME_PANEL_PHASE_COMPLEX = 6.0
 PHASE_STEP = np.pi / 4  # a uniform node step carries 0.9 PHASE_STEP of that phase
 NODE_LIMIT = 4_000_000  # nodes of the largest one-dimensional grid
 ARRAY_LIMIT = 2**30     # bytes of the largest array built from two grids
@@ -167,13 +175,16 @@ def lobatto_panel_count(t: np.ndarray, order: int = TIME_PANEL_ORDER) -> int:
     return count
 
 
-def time_panel_grid(T: float, phase_rate: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """`lobatto_panels` on [0, T] with ceil(T phase_rate / TIME_PANEL_PHASE)
+def time_panel_grid(T: float, phase_rate: float, panel_phase: float,
+                    what: str) -> tuple[np.ndarray, np.ndarray]:
+    """`lobatto_panels` on [0, T] with ceil(T phase_rate / panel_phase)
     panels of TIME_PANEL_ORDER nodes, for a phase rate `phase_rate`
-    (radians per unit t); the rule has no floor, so it is covariant under
-    (T, phase_rate) -> (T / c, c phase_rate).  Raises
-    QuadratureUnderresolved, naming `what`, past NODE_LIMIT."""
-    n_panels = max(int(np.ceil(T * phase_rate / TIME_PANEL_PHASE)), 1)
+    (radians per unit t) and the phase `panel_phase` one panel spans at
+    most (TIME_PANEL_PHASE_REAL or TIME_PANEL_PHASE_COMPLEX); the rule has
+    no floor, so it is covariant under (T, phase_rate) -> (T / c,
+    c phase_rate).  Raises QuadratureUnderresolved, naming `what`, past
+    NODE_LIMIT."""
+    n_panels = max(int(np.ceil(T * phase_rate / panel_phase)), 1)
     require_node_limit(n_panels * (TIME_PANEL_ORDER - 1) + 1, what)
     return lobatto_panels(T, n_panels)
 

@@ -2,8 +2,11 @@
 
 All three schemes iterate  a^(m+1) = linear + retarded(forcing(a^m))  in
 frequency space with the one loop `picard_solve`.  Time runs on
-Gauss-Lobatto panels (`grids.time_panel_grid`), sized by the generator: a
-panel spans TIME_PANEL_PHASE rad of (p+1) sup|omega| over the data band.
+Gauss-Lobatto panels (`grids.time_panel_grid`), sized by the generator and
+the field: a panel spans at most TIME_PANEL_PHASE_COMPLEX = 6 rad of
+(p+1) sup|omega| over the data band for the complex NLS and FNLS fields,
+and TIME_PANEL_PHASE_REAL = 4 rad for the real NLW field, whose norm's
+time quadrature needs the narrower panels.
 The linear group is exact, and the retarded integral integrates the
 forcing's collocation polynomial on each panel against the exact
 multiplier (propagator.duhamel_coefficients), so the fixed point is the
@@ -56,9 +59,10 @@ from .bessel import kernel_matrix, real_matmul
 from .cutoffs import smooth_bump
 from .dispersion import DispersionSymbol, fractional_symbol, get_symbol
 from .errors import DomainError, NonContraction, OutOfRangeS, OutOfRangeSigma
-from .grids import (TIME_PANEL_ORDER, FrequencyGrid, PhysicalGrid, gauss_panel_grid,
-                    lobatto_panel_count, lobatto_panels, panel_grid, require_array_limit,
-                    time_panel_grid, trapezoid_weights, uniform_grid)
+from .grids import (TIME_PANEL_ORDER, TIME_PANEL_PHASE_COMPLEX, TIME_PANEL_PHASE_REAL,
+                    FrequencyGrid, PhysicalGrid, gauss_panel_grid, lobatto_panel_count,
+                    lobatto_panels, panel_grid, require_array_limit, time_panel_grid,
+                    trapezoid_weights, uniform_grid)
 from .propagator import SpaceTimeField, duhamel_coefficients, duhamel_table
 from .transform import RadialProfile, radial_norm, spacetime_norm, sphere_area
 
@@ -193,7 +197,7 @@ R_PANEL_PHASE = 12.0
 
 
 def build_solver_grid(n: int, band: tuple, p: float, T: float,
-                      generator: DispersionSymbol) -> SolverGrid:
+                      generator: DispersionSymbol, *, real_field: bool) -> SolverGrid:
     """Grids Nyquist-matched to (p+1) times the data band [s_lo, s_hi].
 
     Radius grid: r_max = 1.15 T v + R_TAIL / s_lo, the group-speed front
@@ -222,11 +226,14 @@ def build_solver_grid(n: int, band: tuple, p: float, T: float,
     The bench NLS grid (n = 2, s = -1/10, T = 4) is 1,230 x 660.
 
     Time: `grids.time_panel_grid` at the phase rate (p+1) sup|omega| of the
-    generator over the data band (the fastest oscillation of |u|^p u), so
-    the bench NLS / FNLS / NLW grids have 85 / 57 / 57 times at T = 4.  The
-    rule is covariant under the critical scaling (T, band) ->
-    (T / lam^a, lam band), a = 2, sigma, 1.  The generator's group speed
-    v = sup|omega'| sets both spatial reaches.
+    generator over the data band (the fastest oscillation of |u|^p u), with
+    panels of grids.TIME_PANEL_PHASE_REAL = 4 rad for a real field
+    (`real_field`, NLW) and TIME_PANEL_PHASE_COMPLEX = 6 rad for a complex
+    one (NLS, FNLS); the field type is the problem's, never the symbol's,
+    so callers name it.  The bench NLS / FNLS / NLW grids have
+    57 / 36 / 57 times at T = 4.  The rule is covariant under the critical
+    scaling (T, band) -> (T / lam^a, lam band), a = 2, sigma, 1.  The
+    generator's group speed v = sup|omega'| sets both spatial reaches.
     """
     s_lo_d, s_hi_d = band
     s_hi = (p + 1.0) * s_hi_d * 1.1
@@ -235,7 +242,9 @@ def build_solver_grid(n: int, band: tuple, p: float, T: float,
     r_max = front + R_TAIL / s_lo_d
     n_pan_r = int(np.ceil(r_max * s_hi / R_PANEL_PHASE)) + 2
     freq = panel_grid(s_lo, s_hi, front + FREQ_REACH_MARGIN, "solver frequency grid")
-    t, _ = time_panel_grid(T, (p + 1.0) * generator.sup_phi(*band), "solver time grid")
+    t, _ = time_panel_grid(T, (p + 1.0) * generator.sup_phi(*band),
+                           TIME_PANEL_PHASE_REAL if real_field else TIME_PANEL_PHASE_COMPLEX,
+                           "solver time grid")
     return SolverGrid.on(n, freq, gauss_panel_grid(1e-9, r_max, n_pan_r, R_PANEL_ORDER), t)
 
 
@@ -249,15 +258,16 @@ class PicardTrace:
     the data band, T, the pair, the grid shape (n_t, n_s, n_r), r_max (the
     outermost radius node), and the time rule's inputs: the panel count,
     the Lobatto nodes per panel and the phase (p+1) sup|omega| T / panels
-    one panel spans (at most grids.TIME_PANEL_PHASE on build_solver_grid's
-    grids).  `contraction_factor` is the largest ratio of successive
+    one panel spans (on build_solver_grid's grids at most
+    grids.TIME_PANEL_PHASE_REAL for NLW, TIME_PANEL_PHASE_COMPLEX for NLS and
+    FNLS).  `contraction_factor` is the largest ratio of successive
     differences, the first being ||a1 - a0|| / ||a0|| (the iteration starts
     from the zero trajectory); 0.0 when no iteration ran (mu = 0).
     `mass_drift` is max |m(t) - m(0)| / m(0) over `_drift_rows`.  On small
     data it sits at its rounding floor, a few ulps of the mass (below 3e-15
     on the bench problems at T = 4 and 16), so its digits are noise; larger
-    data show the collocation's own drift above it (5.2e-13 at
-    delta = 0.3, T = 8)."""
+    data show the collocation's own drift above it (6.4e-12 at
+    delta = 0.3, T = 12)."""
 
     iterate_norms: tuple
     diff_norms: tuple
@@ -329,7 +339,7 @@ def picard_solve(
     band = (float(problem.data.grid.nodes[0]), float(problem.data.grid.nodes[-1]))
     generator = problem.generator_symbol()
     if grid is None:
-        grid = build_solver_grid(problem.n, band, problem.p, T, generator)
+        grid = build_solver_grid(problem.n, band, problem.p, T, generator, real_field=wave)
     s = grid.freq.nodes
     omega = generator.phi(s)
     h0 = _wave_initial_state(problem, s) if wave else problem.data.at(s)

@@ -220,15 +220,15 @@ def duhamel_coefficients(
     # the forcing on each panel's nodes, a read-only view: (panels, n_s, order)
     panels = sliding_window_view(forcing, order, axis=0)[::order - 1]
     c = np.empty(forcing.shape, dtype=complex)
-    # each panel's rows j < order - 1 (its last row is the next panel's first)
-    # and its end value, from c(a) = 0; then the scan carries c(a)
-    body = c[:-1].reshape(n_panels, order - 1, -1)
-    np.einsum("jks,psk->pjs", weights[:-1], panels, out=body, optimize=True)
-    ends = np.einsum("ks,psk->ps", weights[-1], panels, optimize=True)
-    body *= -1j
-    ends *= -1j
+    c[0] = 0.0
+    # each panel's rows j >= 1 from c(a) = 0 (row 0 of W vanishes, and its
+    # row j = 0 is c(a) itself); the panel ends are a view of the last row,
+    # and the scan over them carries c(a)
+    rows = c[1:].reshape(n_panels, order - 1, -1)
+    np.einsum("jks,psk->pjs", weights[1:], panels, out=rows, optimize=True)
+    rows *= -1j
+    ends = rows[:, -1]
     for p in range(1, n_panels):
         ends[p] += phase[-1] * ends[p - 1]
-    body[1:] += phase[:-1] * ends[:-1, None]
-    c[-1] = ends[-1]
+    rows[1:, :-1] += phase[1:-1] * ends[:-1, None]
     return c

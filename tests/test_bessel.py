@@ -416,7 +416,8 @@ def test_picard_grid_reaches_radial_kernel_below_x_min_only(monkeypatch):
         return radial_kernel(n, x, out)
 
     monkeypatch.setattr(bessel, "radial_kernel", counting)
-    grid = build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 4.0, get_symbol("schrodinger"))
+    grid = build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 4.0, get_symbol("schrodinger"),
+                             real_field=False)
     assert grid.kernel.shape == (1230, 660)
     assert bessel._table_plan(2, grid.freq.nodes, grid.r).axis == 0
     assert 0 < sum(pts) <= 0.15 * grid.kernel.size, sum(pts) / grid.kernel.size

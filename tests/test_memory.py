@@ -62,19 +62,20 @@ def test_solver_grid_holds_one_kernel_matrix():
     # The n = 2 Hankel fit, made once per process, is made before the trace
     kernel_matrix(2, gauss_panel_grid(0.5, 2.0, 2).nodes, np.array([10.0]))
     grid, peak = _peak(lambda: build_solver_grid(2, (0.5, 2.0), 20.0 / 11.0, 16.0,
-                                                  get_symbol("schrodinger")))
+                                                  get_symbol("schrodinger"), real_field=False))
     assert np.shares_memory(grid.synth, grid.anal)
     assert peak <= 1.1 * grid.synth.nbytes, (peak / MB, grid.synth.nbytes / MB)
 
 
 def test_nls_experiment_peak():
     # the bench's NLS experiment (n = 2, s = -1/10, T = 4, four seeds): a
-    # 1,230 x 660 kernel (6.5 MB), (116 x 1,230)-sample frequency
-    # trajectories (2.3 MB each) and (116 x 660)-sample fields (1.2 MB each).
-    # It peaks at 18.2 MB.  On the 1,230 x 930 grid of 10-node radius panels
-    # it peaked at 22.6 MB, on the 1,230 x 1,240 grid of a fixed 60-unit
-    # radius margin at 26.1 MB with one free-group table per grid, and at
-    # 37.6 MB when every seed built its own linear trajectory.
+    # 1,230 x 660 kernel (6.5 MB), (57 x 1,230)-sample frequency
+    # trajectories (1.1 MB each) and (57 x 660)-sample fields (0.6 MB each).
+    # It peaks at 15.1 MB, and at 17.9 MB on 85 times (4-rad time panels).
+    # On 116 uniform times it peaked at 18.2 MB, on the 1,230 x 930 grid of
+    # 10-node radius panels at 22.6 MB, on the 1,230 x 1,240 grid of a fixed
+    # 60-unit radius margin at 26.1 MB with one free-group table per grid,
+    # and at 37.6 MB when every seed built its own linear trajectory.
     rep, peak = _peak(lambda: nls_small_data_experiment(2, Fraction(-1, 10), 1e-3,
                                                         seeds=range(4), T=4.0))
     assert rep.all_converged

@@ -68,7 +68,7 @@ def test_solver_grid_round_trip():
     # tail (the data envelope decays sub-exponentially), not by quadrature;
     # the solver diagnostics (mass, contraction, deviations) are insensitive
     # to this representation floor
-    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, SCH)
+    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, SCH, real_field=False)
     rng = np.random.default_rng(2)
     prof = random_band_profile(2, rng, s_norm=0.0, target=1.0)
     h = prof.fn(grid.freq.nodes)
@@ -122,9 +122,9 @@ def _bench_runs_on(monkeypatch, radius_grid):
     solver grid's front 1.15 T v and tail R_TAIL / s_lo."""
     build = nonlinear.build_solver_grid
 
-    def rebuilt(n, band, p, T, generator):
-        return radius_grid(build(n, band, p, T, generator), p, _front(T, generator.sup_dphi(*band)),
-                           nonlinear.R_TAIL / band[0])
+    def rebuilt(n, band, p, T, generator, *, real_field):
+        return radius_grid(build(n, band, p, T, generator, real_field=real_field), p,
+                           _front(T, generator.sup_dphi(*band)), nonlinear.R_TAIL / band[0])
 
     with monkeypatch.context() as m:
         m.setattr(nonlinear, "build_solver_grid", rebuilt)
@@ -140,9 +140,10 @@ def test_radius_tail_converged(monkeypatch):
 
 
 def test_time_panels_converged(monkeypatch):
-    # the solver's 8-node Lobatto panels at 4 rad against an independent
-    # time rule, 10-node panels at a quarter of the width (other nodes,
-    # weights and collocation polynomial), on the same spatial grids
+    # the solver's 8-node Lobatto panels (6 rad for NLS and FNLS, 4 rad for
+    # NLW) against an independent time rule, 10-node panels at a quarter of
+    # the width (other nodes, weights and collocation polynomial), on the
+    # same spatial grids
     fine = _bench_runs_on(monkeypatch, lambda grid, p, front, tail: dataclasses.replace(
         grid, t=lobatto_panels(grid.t[-1], 4 * grid.time_panels, 10)[0], time_order=10))
     _assert_bench_runs_agree(_bench_runs(), fine)
@@ -160,10 +161,10 @@ def test_time_panels_scale_covariant(kind):
     symbol, a = GENERATORS[kind]
     p = {"nls": P_NLS, "fnls": 1.5, "nlw": float(choose_pairs_nlw(2, Fraction(3, 10)).p)}[kind]
     for T in (4.0, 16.0):
-        grid = build_solver_grid(2, DATA_BAND, p, T, symbol)
+        grid = build_solver_grid(2, DATA_BAND, p, T, symbol, real_field=kind == "nlw")
         for lam in (2.0, 0.5, 0.25):
             band = (lam * DATA_BAND[0], lam * DATA_BAND[1])
-            scaled = build_solver_grid(2, band, p, T / lam ** a, symbol)
+            scaled = build_solver_grid(2, band, p, T / lam ** a, symbol, real_field=kind == "nlw")
             assert scaled.time_panels == grid.time_panels, (T, lam)
             np.testing.assert_allclose(scaled.t * lam ** a, grid.t, rtol=1e-14, atol=0.0)
 
@@ -183,18 +184,19 @@ def test_frequency_and_time_nodes_keep_their_reach(kind, T):
     # radius grid's tail, so the frequency nodes are those of the one-reach
     # rule r_max = 1.15 T v + 60, bit for bit, and the frequency grid is
     # grids.panel_grid's for that reach; the times are 8-node Lobatto panels
-    # at 4 rad of (p+1) sup|omega| each
+    # spanning 6 rad (NLS, FNLS) or 4 rad (NLW) of (p+1) sup|omega| each
     p = {"nls": P_NLS, "fnls": 1.5, "nlw": float(choose_pairs_nlw(2, Fraction(3, 10)).p)}[kind]
     symbol = {"nls": get_symbol("schrodinger"), "fnls": fractional_symbol(1.5),
               "nlw": get_symbol("wave")}[kind]
     v = symbol.sup_dphi(*DATA_BAND)
-    grid = build_solver_grid(2, DATA_BAND, p, T, symbol)
+    grid = build_solver_grid(2, DATA_BAND, p, T, symbol, real_field=kind == "nlw")
     s_hi = (p + 1.0) * DATA_BAND[1] * 1.1
     s_lo = DATA_BAND[0] / 8.0
     reach = _front(T, v) + 60.0
     freq = gauss_panel_grid(s_lo, s_hi, int(np.ceil((s_hi - s_lo) * reach / 4.0)) + 2)
     degree = {"nls": 2.0, "fnls": 1.5, "nlw": 1.0}[kind]
-    panels = int(np.ceil(T * (p + 1.0) * DATA_BAND[1] ** degree / 4.0))
+    phase = {"nls": 6.0, "fnls": 6.0, "nlw": 4.0}[kind]
+    panels = int(np.ceil(T * (p + 1.0) * DATA_BAND[1] ** degree / phase))
     assert np.array_equal(grid.freq.nodes, freq.nodes)
     assert np.array_equal(grid.freq.weights, freq.weights)
     ruled = panel_grid(s_lo, s_hi, reach, "solver frequency grid")
@@ -208,7 +210,7 @@ def test_frequency_and_time_nodes_keep_their_reach(kind, T):
 def test_real_transforms_match_complex_product():
     # the benchmark's NLS grid; the split real GEMMs against the complex
     # product with the weighted matrices (weights w times synth or anal)
-    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 4.0, SCH)
+    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 4.0, SCH, real_field=False)
     rng = np.random.default_rng(7)
 
     def operand(cols):
@@ -234,7 +236,7 @@ def test_real_transforms_match_complex_product():
 def test_linear_consistency_bitwise():
     prob = _nls_problem(mu=0)
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
-    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
+    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol(), real_field=False)
     fld, trace = picard_solve(prob, pairs, 8.0, grid=grid)
     assert trace.converged and trace.contraction_factor == 0.0
     s = grid.freq.nodes
@@ -276,7 +278,8 @@ def test_contraction_monotone_in_amplitude():
     factors = []
     for delta in (0.05, 0.2, 0.8):
         prob = _nls_problem(seed=9, delta=delta)
-        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
+        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol(),
+                                 real_field=False)
         _, trace = picard_solve(prob, pairs, 8.0, grid=grid, max_iter=6, tol=1e-12)
         factors.append(trace.contraction_factor)
     assert factors[0] <= factors[1] <= factors[2]
@@ -365,7 +368,7 @@ def test_nlw_energy_conserved():
     # E = 1/2 ||a||^2 - mu/(p+2) ||u||_{p+2}^{p+2} with a = u_t + i s u; the
     # kinetic part alone moves by 3e-6 here, a sign slip in the forcing by 6e-6
     prob, pairs = _nlw_problem(delta=0.3)
-    grid = build_solver_grid(2, (0.5, 2.0), prob.p, 8.0, prob.generator_symbol())
+    grid = build_solver_grid(2, (0.5, 2.0), prob.p, 8.0, prob.generator_symbol(), real_field=True)
     fld, trace = picard_solve(prob, pairs, 8.0, grid=grid)
     assert trace.converged
     fgrid, a = fld.solver_grid.freq, fld.coeff
@@ -425,18 +428,22 @@ def test_solver_range_rules():
 
 def test_mass_drift_improves_under_time_refinement():
     # twice the time panels improve the (already tiny) drift: Lobatto IIIA
-    # collocation does not conserve the mass exactly, and at delta = 0.3 its
-    # drift reads 5.2e-13 on the solver's panels and 2.3e-14 on twice as many
+    # collocation does not conserve the mass exactly, and at delta = 0.3,
+    # T = 12 its drift reads 6.4e-12 on the solver's 6-rad panels and 2.8e-14
+    # on twice as many.  The coarse drift stands well above the rounding
+    # floor (at T = 8 both read about 2e-14), so the comparison sees the
+    # collocation error and not noise
     prob = _nls_problem(seed=5, delta=0.3)
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
+    T = 12.0
     drifts = []
     for boost in (1, 2):
-        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
+        grid = build_solver_grid(2, (0.5, 2.0), P_NLS, T, prob.generator_symbol(), real_field=False)
         if boost == 2:
-            grid = dataclasses.replace(grid, t=lobatto_panels(8.0, 2 * grid.time_panels)[0])
-        _, trace = picard_solve(prob, pairs, 8.0, grid=grid, max_iter=6)
+            grid = dataclasses.replace(grid, t=lobatto_panels(T, 2 * grid.time_panels)[0])
+        _, trace = picard_solve(prob, pairs, T, grid=grid, max_iter=6)
         drifts.append(trace.mass_drift)
-    assert drifts[1] <= drifts[0]
+    assert drifts[1] <= 0.1 * drifts[0], drifts
 
 
 def _pulled_back(fld, omega):
@@ -486,7 +493,8 @@ def test_seeds_on_one_grid_match_fresh_grids():
     # every seed: two seeds on one grid equal each seed on a grid of its own
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
     probs = [_nls_problem(seed=seed, delta=0.3, mu=mu) for seed, mu in ((5, 1), (6, -1))]
-    shared = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, probs[0].generator_symbol())
+    shared = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, probs[0].generator_symbol(),
+                               real_field=False)
     on_shared = [_solve_record(prob, pairs, shared) for prob in probs]
     omega = probs[0].generator_symbol().phi(shared.freq.nodes)
     assert shared.free_group(omega) is shared.free_group(omega)
@@ -494,7 +502,8 @@ def test_seeds_on_one_grid_match_fresh_grids():
     assert shared.duhamel_table(omega) is shared.duhamel_table(omega)
     assert not any(part.flags.writeable for part in shared.duhamel_table(omega))
     for prob, (fld, trace, diag) in zip(probs, on_shared):
-        fresh = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
+        fresh = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol(),
+                                  real_field=False)
         ref_fld, ref_trace, ref_diag = _solve_record(prob, pairs, fresh)
         assert trace == ref_trace
         assert np.array_equal(fld.values, ref_fld.values)
@@ -511,7 +520,8 @@ def test_table_does_not_outlive_its_time_grid():
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
 
     def grid():
-        return build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
+        return build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol(),
+                                 real_field=False)
 
     coarse = grid()
     t_fine = lobatto_panels(8.0, 2 * coarse.time_panels)[0]
@@ -531,7 +541,7 @@ def test_band_limited_first_synthesis():
     # most over seeds 0, 2, 5 and T = 8, 16 (bitwise at T = 4)
     prob = _nls_problem(seed=2, mu=0)
     pairs = choose_pairs_nls(2, Fraction(-1, 10), Fraction(-1, 10))
-    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol())
+    grid = build_solver_grid(2, (0.5, 2.0), P_NLS, 8.0, prob.generator_symbol(), real_field=False)
     fld, _ = picard_solve(prob, pairs, 8.0, grid=grid)
     s = grid.freq.nodes
     h0 = prob.data.at(s)
@@ -544,11 +554,18 @@ def test_nlw_field_stays_real():
     # the wave field u = Im(a) / s is real and is kept as float64, not as a
     # complex copy twice its size: the last synthesis, bit for bit
     prob, pairs = _nlw_problem(delta=0.3)
-    fld, trace = picard_solve(prob, pairs, 4.0)
+    T = 4.0
+    fld, trace = picard_solve(prob, pairs, T)
     assert trace.converged and len(trace.diff_norms) > 0
     assert fld.values.dtype == np.float64
     s = fld.solver_grid.freq.nodes
     assert np.array_equal(fld.values, fld.solver_grid.to_physical(fld.coeff.imag / s))
+    # and its solver grid keeps 4-rad time panels, which its norm needs;
+    # build_solver_grid has no default field type to fall back on
+    rate = (prob.p + 1.0) * prob.generator_symbol().sup_phi(*DATA_BAND)
+    assert trace.meta["time_panels"] == math.ceil(T * rate / 4.0)
+    with pytest.raises(TypeError, match="real_field"):
+        build_solver_grid(2, DATA_BAND, prob.p, T, prob.generator_symbol())
 
 
 @pytest.mark.parametrize("experiment, args", [

@@ -136,11 +136,12 @@ def _band(k, rate):
     return panel_grid(*band_edges(k), rate, f"band {k}"), rate
 
 
-def _solver(symbol, p, T):
+def _solver(symbol, p, T, real_field):
     """build_solver_grid's frequency grid for the data band at time T (n = 2)
     and the phase rate of its reach."""
     v = symbol.sup_dphi(*DATA_BAND)
-    return build_solver_grid(2, DATA_BAND, p, T, symbol).freq, 1.15 * T * v + FREQ_REACH_MARGIN
+    grid = build_solver_grid(2, DATA_BAND, p, T, symbol, real_field=real_field)
+    return grid.freq, 1.15 * T * v + FREQ_REACH_MARGIN
 
 
 P_NLW = float(choose_pairs_nlw(2, Fraction(3, 10)).p)
@@ -153,7 +154,7 @@ PANEL_GRID_CASES = {
     "band2": lambda: _band(2, 4000.0),
     "band5": lambda: _band(5, 31.0),
     "band40": lambda: _band(40, 208.0 * 2.0**-40),
-    **{f"{kind}-T{T:g}": (lambda sym=sym, p=p, T=T: _solver(sym, p, T))
+    **{f"{kind}-T{T:g}": (lambda sym=sym, p=p, T=T, kind=kind: _solver(sym, p, T, kind == "nlw"))
        for kind, sym, p in (("nls", SCH, 20.0 / 11.0), ("fnls", fractional_symbol(1.5), 1.5),
                             ("nlw", get_symbol("wave"), P_NLW))
        for T in (4.0, 16.0)},
@@ -293,17 +294,18 @@ def test_duhamel_refuses_other_times():
 
 
 def test_time_panel_grid_rule():
-    # ceil(T rate / 4) panels of 8 Lobatto nodes sharing their ends, whose
-    # composite weights integrate polynomials of degree 13 exactly
-    t, w = time_panel_grid(4.0, 7.5, "test")
+    # ceil(T rate / panel phase) panels of 8 Lobatto nodes sharing their
+    # ends, whose composite weights integrate polynomials of degree 13 exactly
+    t, w = time_panel_grid(4.0, 7.5, 4.0, "test")
     assert t.size == 7 * 8 + 1 and t[0] == 0.0 and t[-1] == 4.0
     assert np.all(np.diff(t) > 0)
     for degree in (0, 5, 13):
         assert abs(np.sum(w * t ** degree) - 4.0 ** (degree + 1) / (degree + 1)) \
             <= 1e-14 * 4.0 ** (degree + 1)
-    assert time_panel_grid(4.0, 1e-9, "test")[0].size == 8
+    assert time_panel_grid(4.0, 7.5, 6.0, "test")[0].size == 7 * 5 + 1
+    assert time_panel_grid(4.0, 1e-9, 4.0, "test")[0].size == 8
     with pytest.raises(QuadratureUnderresolved, match="huge"):
-        time_panel_grid(1.0, 1e9, "huge")
+        time_panel_grid(1.0, 1e9, 4.0, "huge")
 
 
 def _bump_data(r):
