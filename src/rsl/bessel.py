@@ -19,8 +19,10 @@ trapezoid rule for integer nu, the terminating Hankel sum for half-integer
 nu.  The same samples give the split's remainder on r >= 1.
 
 Kernel matrices K_n(a_i b_j) (`kernel_matrix`, `kernel_panels`) split at
-x = x_min the way the sampler splits its radii: `radial_kernel` pointwise
-below it, and above it, for n = 2..5 on a composite grid, the expansion's
+x = x_min for even n, the way the sampler splits its radii, and at
+x = ODD_TABLE_X_MIN = 1 for odd n, whose Hankel expansion terminates and so
+holds exactly below x_min too: `radial_kernel` pointwise below the split,
+and above it, for n = 2..5 on a composite grid, the expansion's
 Re[e^{ix} A] with cos/sin from panel tables by angle addition and the
 rank-P amplitude A as one small real product per panel lane.
 
@@ -303,26 +305,28 @@ def _hankel_kernel(n: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def kernel_matrix(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The matrix K_n(a_i b_j) of two node arrays a, b >= 0, split at
-    x = a_i b_j = HANKEL_X_MIN like the field sampler's radii:
+    x = a_i b_j = x_s: HANKEL_X_MIN for even n, like the field sampler's
+    radii, and ODD_TABLE_X_MIN for odd n, whose expansion is exact:
 
-      x <  x_min  radial_kernel, pointwise;
-      x >= x_min  Re[e^{ix} A(a_i, b_j)] with A the rank-P Hankel amplitude
-                  (the fit of `hankel_phase_coeffs` at KERNEL_HANKEL_DEGREE),
-                  for n = 2..5 when a or b is a composite grid (`_table_plan`).
+      x <  x_s  radial_kernel, pointwise;
+      x >= x_s  Re[e^{ix} A(a_i, b_j)] with A the rank-P Hankel amplitude
+                (the fit of `hankel_phase_coeffs` at KERNEL_HANKEL_DEGREE),
+                for n = 2..5 when a or b is a composite grid (`_table_plan`).
 
     Other n and arguments without panel structure take the pointwise path
     for every entry, evaluated in place over the outer product (one array
     of the matrix's size, no temporary beside it).  Beside the matrix the
     table path holds one tile's complex amplitude (at most 2 KERNEL_TILE
     floats, 1 MiB), which then also takes the tile's products x and, a
-    KERNEL_CHUNK of them at a time, those below x_min; one column block's
+    KERNEL_CHUNK of them at a time, those below x_s; one column block's
     tables (PANEL_ORDER P complex numbers a column, 0.45 MB at P = 11 and
     TABLE_COLS columns); and P floats a grid node (the powers sigma).  It
     agrees with radial_kernel on the same products within 1e-12 of
     max(|K_n|, min(1, x^(-(n-1)/2))) (2.6e-13 measured up to x = 830): the
-    fit error (at most 4.5e-14) plus a phase error of a few ulps of x, the
-    rounding of x that radial_kernel's cos and sin of x carry too.  It runs
-    on the calling thread."""
+    fit error (at most 4.5e-14; for odd n the rounding of the exact 1- or
+    2-term coefficients, which x_min/x <= 8 amplifies on [1, 8)) plus a
+    phase error of a few ulps of x, the rounding of x that radial_kernel's
+    cos and sin of x carry too.  It runs on the calling thread."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return _kernel_rows(n, a, b, _table_plan(n, a, b), 0, a.size)
 
@@ -366,10 +370,11 @@ def _panels(x: np.ndarray):
 
 
 def _table_plan(n: int, a: np.ndarray, b: np.ndarray, keep_tables: bool = False):
-    """The table factorization of K_n(a_i b_j) above x_min, or None.
+    """The table factorization of K_n(a_i b_j) above the split x_s of
+    `_table_split`, or None.
 
     Along a composite grid S (nodes S_kl = P_k + D_l of panel k, lane l) and
-    the other argument o, the Hankel expansion gives for x = S_kl o >= x_min
+    the other argument o, the Hankel expansion gives for x = S_kl o >= x_s
 
         K_n(S_kl o) = Re[ e^{i P_k o} sum_p sigma_p(S_kl) W_lp(o) ],
         sigma_p(s) = s^(-(n-1)/2 - p),
@@ -379,14 +384,14 @@ def _table_plan(n: int, a: np.ndarray, b: np.ndarray, keep_tables: bool = False)
     PANEL_ORDER entries) and the amplitude is one real product per lane.
     S is a if a is composite and at least a quarter as long as b (the
     matrix is then written along its rows), else b; n outside 2..5, a
-    negative node, an empty argument, a matrix with no x >= x_min and
+    negative node, an empty argument, a matrix with no x >= x_s and
     arguments with no panel structure get None.
     With keep_tables a plan along a keeps the W and phase tables of b
     (PANEL_ORDER (P + 1) complex numbers per node of b) for the row slices
     of `kernel_panels`, which all share them."""
     if n not in (2, 3, 4, 5) or a.ndim != 1 or b.ndim != 1 or not a.size * b.size:
         return None
-    if min(a.min(), b.min()) < 0 or a.max() * b.max() < HANKEL_X_MIN:
+    if min(a.min(), b.min()) < 0 or a.max() * b.max() < _table_split(n):
         return None
     pa, pb = _panels(a), _panels(b)
     if pa is not None and (pb is None or 4 * a.size >= b.size):
@@ -421,10 +426,12 @@ class _TablePlan:
         p = np.arange(b.size)
         self.power = -(n - 1) / 2.0 - p
         self.gamma = _SQRT_2_PI * np.exp(-1j * (n - 1) * np.pi / 4.0) * b * HANKEL_X_MIN ** p
-        # nodes whose every product stays below x_min keep sigma = 0 (they
-        # are evaluated pointwise), which also keeps s = 0 out of the powers
+        # nodes whose every product stays below the split keep sigma = 0
+        # (they are evaluated pointwise), which also keeps s = 0 out of the
+        # powers
+        self.split = _table_split(n)
         self.sigma = np.zeros((nodes.size, b.size))
-        keep = nodes * other.max() >= HANKEL_X_MIN
+        keep = nodes * other.max() >= self.split
         self.sigma[keep] = nodes[keep, None] ** self.power
         # a tile's amplitude product, (panels x P) @ (P x 2 cols) per lane,
         # stays within TABLE_MACS; a row panel of `kernel_panels` (quantum
@@ -444,23 +451,23 @@ class _TablePlan:
         """target[i, j] = K_n(nodes[s_lo + i] o[j]) tile by tile, for s_lo a
         multiple of tile_nodes and o starting at a multiple of cols of the
         other argument; one buffer serves every tile."""
-        L, x_min = PANEL_ORDER, HANKEL_X_MIN
+        L, split = PANEL_ORDER, self.split
         s_max = self.nodes.max()
         tile_max = min(self.tile_nodes, s_hi - s_lo) * min(self.cols, o.size)
         # a tile's complex amplitude; once the tile's table values are
-        # written, its products x and their entries below x_min
+        # written, its products x and their entries below the split
         amp = np.empty(2 * tile_max)
         # tile rows per gather of those entries: about one KERNEL_CHUNK
         rows = max(1, KERNEL_CHUNK // min(self.cols, o.size))
         for j0 in range(0, o.size, self.cols):
             oc = o[j0:j0 + self.cols]
             w = f = None   # release the previous block's tables first
-            w, f = self._column_tables(j0, oc, oc * s_max >= x_min)
+            w, f = self._column_tables(j0, oc, oc * s_max >= split)
             for p0 in range(s_lo, s_hi, self.tile_nodes):
                 p1 = min(p0 + self.tile_nodes, s_hi)
                 s = self.nodes[p0:p1]
                 tile = target[p0 - s_lo:p1 - s_lo, j0:j0 + oc.size]
-                if s.max() * oc.max() < x_min:
+                if s.max() * oc.max() < split:
                     x = np.multiply.outer(s, oc, out=amp[:tile.size].reshape(tile.shape))
                     tile[...] = radial_kernel(self.n, x, out=x)
                     continue
@@ -469,18 +476,18 @@ class _TablePlan:
                     self._table(p0, L, oc, w, f, tile[:full], amp)
                 if full < p1 - p0:
                     self._table(p0 + full, p1 - p0 - full, oc, w, f, tile[full:], amp)
-                if s.min() * oc.min() < x_min:
+                if s.min() * oc.min() < split:
                     x = np.multiply.outer(s, oc, out=amp[:tile.size].reshape(tile.shape))
                     for r0 in range(0, x.shape[0], rows):
                         xr, tr = x[r0:r0 + rows], tile[r0:r0 + rows]
-                        small = xr < x_min
+                        small = xr < split
                         xs = xr[small]
                         tr[small] = radial_kernel(self.n, xs, out=xs)
 
     def _column_tables(self, j0: int, o: np.ndarray, keep: np.ndarray):
         """(W, f) for the column block o from column j0: W (PANEL_ORDER, P,
         2 o.size) holds W_lp(o) as interleaved real and imaginary parts, 0
-        where every product with the grid stays below x_min; f is e^{i D'_r o}
+        where every product with the grid stays below the split; f is e^{i D'_r o}
         on the offsets D' of the panel starts' own panels, or None."""
         if self.tables is not None and j0 in self.tables:
             return self.tables[j0]
@@ -516,6 +523,12 @@ class _TablePlan:
         g = g.view(complex)                              # (lanes, m, c)
         g *= e
         np.copyto(np.reshape(tile, (m, lanes, c), copy=False).transpose(1, 0, 2), g.real)
+
+
+def _table_split(n: int) -> float:
+    """The product x below which a kernel matrix entry of K_n is pointwise:
+    HANKEL_X_MIN for even n, ODD_TABLE_X_MIN for odd n."""
+    return ODD_TABLE_X_MIN if n % 2 else HANKEL_X_MIN
 
 
 def _kernel_rows(n: int, a: np.ndarray, b: np.ndarray, plan, lo: int, hi: int) -> np.ndarray:
@@ -563,6 +576,12 @@ def real_matmul(x: np.ndarray, m: np.ndarray, weights=None) -> np.ndarray:
 
 HANKEL_X_MIN = 8.0
 HANKEL_DEGREE = 8
+# the kernel matrices' split for odd n: K_3 and K_5 equal their 1- and
+# 2-term Hankel expansions at every x > 0, so the table path serves them on
+# [1, x_min) too (within 8.3e-14 of 30-digit mpmath there, for n = 5); below
+# 1 the 2-term form cancels like sin x - x cos x, and radial_kernel's
+# series takes over
+ODD_TABLE_X_MIN = 1.0
 # the kernel matrices' fit: 11 terms for even n at max errors 9.8e-15,
 # 1.1e-14 and 1.4e-14 (n = 2, 4, 6), so their table path stays at the
 # rounding of radial_kernel (degree 8 moved criterion 8's complex-Gaussian

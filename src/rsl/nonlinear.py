@@ -112,23 +112,21 @@ class SolverGrid:
     synth_weights: np.ndarray   # (n_s,): ws s^(n-1)
     anal_weights: np.ndarray    # (n_r,): wr r^(n-1), the radial measure
     time_order: int = TIME_PANEL_ORDER
+    # the number of time panels and the composite Lobatto weights of the
+    # times t (read-only), set once from t
+    time_panels: int = field(init=False, repr=False, compare=False)
+    time_weights: np.ndarray = field(init=False, repr=False, compare=False)
     # free-group and Duhamel tables by generator, filled by free_group and
     # duhamel_table; a grid made by dataclasses.replace (another t, say)
     # starts with none
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lobatto_panel_count(self.t, self.time_order)   # other times raise ValueError
-
-    @property
-    def time_panels(self) -> int:
-        """The number of time panels."""
-        return lobatto_panel_count(self.t, self.time_order)
-
-    @property
-    def time_weights(self) -> np.ndarray:
-        """The composite Lobatto weights of the times t."""
-        return lobatto_panels(self.t[-1], self.time_panels, self.time_order)[1]
+        panels = lobatto_panel_count(self.t, self.time_order)   # other times raise ValueError
+        weights = lobatto_panels(self.t[-1], panels, self.time_order)[1]
+        weights.flags.writeable = False
+        object.__setattr__(self, "time_panels", panels)
+        object.__setattr__(self, "time_weights", weights)
 
     @property
     def synth(self) -> np.ndarray:

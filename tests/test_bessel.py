@@ -9,6 +9,7 @@ from rsl import bessel
 from rsl.bessel import (
     HANKEL_X_MIN,
     KERNEL_CHUNK,
+    ODD_TABLE_X_MIN,
     bessel_asymptotic_split,
     bessel_bound_check,
     bessel_j,
@@ -306,13 +307,15 @@ def test_blocked_radial_kernel_is_bitwise_one_block(monkeypatch, split):
         inplace = x[None, :].copy()
         radial_kernel(n, inplace, out=inplace)
         assert np.array_equal(inplace[0], one), n
-    # a kernel matrix on the table path, whose pointwise tiles below x_min
-    # hold more than a chunk of points: each entry there is the one
+    # a kernel matrix on the table path, below the split that kernel_matrix
+    # takes (x_min for even n, whose pointwise tiles hold more than a chunk
+    # of points, and ODD_TABLE_X_MIN for odd n): each entry there is the one
     # radial_kernel gives on the whole outer product
     a, b = _gauss(1e-9, 40.0, 60), _gauss(0.25, 4.0, 50)
     x = np.multiply.outer(a, b)
-    small = x < HANKEL_X_MIN
-    for n in (2, 3, 4, 5):
+    for n, split in ((2, HANKEL_X_MIN), (3, ODD_TABLE_X_MIN), (4, HANKEL_X_MIN),
+                     (5, ODD_TABLE_X_MIN)):
+        small = x < split
         assert bessel._table_plan(n, a, b) is not None
         assert np.array_equal(kernel_matrix(n, a, b)[small], radial_kernel(n, x)[small]), n
 
@@ -368,6 +371,31 @@ def test_kernel_matrix_matches_radial_kernel(n, grids):
     assert _scaled_error(n, a, b) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_odd_kernel_table_against_mpmath(n):
+    # odd n takes the table path down to x = ODD_TABLE_X_MIN, where its
+    # exact 1- or 2-term amplitude (x_min/x up to 8) carries the fit's
+    # rounding: absolute error against 30-digit mpmath on [1, x_min), along
+    # both axes and with a zero radius, which raises no floating-point warning
+    import mpmath
+
+    for a, b, axis in ((np.linspace(0.0, 3.0, 60), _gauss(1e-4, 4.0, 8), 0),
+                       (np.geomspace(0.3, 2.0, 60), _gauss(0.5, 4.0, 8), 1)):
+        assert bessel._table_plan(n, a, b).axis == axis
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = kernel_matrix(n, a, b)
+        x = np.multiply.outer(a, b)
+        mid = (x >= ODD_TABLE_X_MIN) & (x < HANKEL_X_MIN)
+        assert mid.sum() > 1000
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(n - 2) / 2
+            ref = np.array([float(mpmath.besselj(nu, xm) / xm ** nu)
+                            for xm in map(mpmath.mpf, x[mid])])
+        err = np.abs(kernel[mid] - ref)
+        assert np.max(err) <= 1e-13, (n, axis, float(x[mid][np.argmax(err)]))
+
+
 @pytest.mark.parametrize("n, a, b", [
     (2, np.sort(np.random.default_rng(5).uniform(0.0, 30.0, 400)), np.geomspace(0.25, 4.0, 300)),
     (3, np.geomspace(1e-3, 60.0, 500), np.linspace(0.5, 2.0, 301) ** 2),
@@ -421,3 +449,21 @@ def test_picard_grid_reaches_radial_kernel_below_x_min_only(monkeypatch):
     assert grid.kernel.shape == (1230, 660)
     assert bessel._table_plan(2, grid.freq.nodes, grid.r).axis == 0
     assert 0 < sum(pts) <= 0.15 * grid.kernel.size, sum(pts) / grid.kernel.size
+
+
+def test_dense_oracle_grid_reaches_radial_kernel_below_odd_split_only(monkeypatch):
+    # the dense-oracle transform kernel (n = 3, 6,000 radii on 600 profile
+    # nodes): exactly its 2.7% of products below ODD_TABLE_X_MIN reach
+    # radial_kernel (14.7% lie below x_min), so a regression in the odd
+    # split shows here and not only as a slower bench
+    pts = []
+
+    def counting(n, x, out=None):
+        pts.append(np.size(x))
+        return radial_kernel(n, x, out)
+
+    a, b = _gauss(1e-4, 240.0, 600), _gauss(1e-6, 1.0, 60)
+    monkeypatch.setattr(bessel, "radial_kernel", counting)
+    kernel_matrix(3, a, b)
+    below = int(np.count_nonzero(np.multiply.outer(a, b) < ODD_TABLE_X_MIN))
+    assert sum(pts) == below and 0 < below <= 0.03 * a.size * b.size, sum(pts)
