@@ -26,6 +26,14 @@ and above it, for n = 2..5 on a composite grid, the expansion's
 Re[e^{ix} A] with cos/sin from panel tables by angle addition and the
 rank-P amplitude A as one small real product per panel lane.
 
+`kernel_apply` takes one product K_n(a_i b_j) @ v (`transform.fourier_bessel`).
+For odd n on a composite a and an ascending b it never forms the matrix: the
+same factorization contracts v against the column tables first, so only
+e^{i P_k b_j}, one entry per panel start of a, meets a GEMM, and the entries
+below the split go to `radial_kernel`.  Even n (an 11-term amplitude and a
+split at 8) and every other shape contract the matrix's row panels, as the
+many-operand products of `propagator.evolve` do.
+
 The kernels of n = 2..5 are in-house (a Taylor polynomial or a closed form
 below x_min, the same Hankel amplitude above it), and `bessel_j` is
 r^nu K_n(r), so those paths and the split load no scipy module.  Only
@@ -323,10 +331,10 @@ def kernel_matrix(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     TABLE_COLS columns); and P floats a grid node (the powers sigma).  It
     agrees with radial_kernel on the same products within 1e-12 of
     max(|K_n|, min(1, x^(-(n-1)/2))) (2.6e-13 measured up to x = 830): the
-    fit error (at most 4.5e-14; for odd n the rounding of the exact 1- or
-    2-term coefficients, which x_min/x <= 8 amplifies on [1, 8)) plus a
-    phase error of a few ulps of x, the rounding of x that radial_kernel's
-    cos and sin of x carry too.  It runs on the calling thread."""
+    fit error (at most 1.5e-14, none for odd n, whose coefficients are
+    exact) plus a phase error of a few ulps of x, the rounding of x that
+    radial_kernel's cos and sin of x carry too.  It runs on the calling
+    thread."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return _kernel_rows(n, a, b, _table_plan(n, a, b), 0, a.size)
 
@@ -339,7 +347,11 @@ def kernel_panels(n: int, a: np.ndarray, b: np.ndarray):
     of PANEL_ORDER rows), so every entry equals the one
     kernel_matrix(n, a, b) holds."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    plan = _table_plan(n, a, b, keep_tables=True)
+    yield from _row_panels(n, a, b, _table_plan(n, a, b, keep_tables=True))
+
+
+def _row_panels(n: int, a: np.ndarray, b: np.ndarray, plan):
+    """The row panels of `kernel_panels` under `plan`."""
     quantum = 1 if plan is None else plan.quantum
     step = max(1, KERNEL_PANEL // max(b.size, 1) // quantum) * quantum
     for lo in range(0, a.size, step):
@@ -347,7 +359,69 @@ def kernel_panels(n: int, a: np.ndarray, b: np.ndarray):
         yield slice(lo, hi), _kernel_rows(n, a, b, plan, lo, hi)
 
 
+def kernel_apply(n: int, a, b: np.ndarray, v: np.ndarray):
+    """K_n(a_i b_j) @ v for node arrays a, b >= 0 and one complex vector v
+    of b's length, in a's shape (a scalar for a scalar a).
+
+    For odd n, a composite a along which `_table_plan` factorizes (axis 0)
+    and an ascending b, the matrix is never formed.  Row i = P_k + D_l of
+    panel k takes Re sum_p sigma_p(a_i) [E (W_lp v)]_k, with E_kj =
+    e^{i P_k b_j} and W the plan's column tables: E has one entry per panel
+    start and column, a PANEL_ORDER-th of the matrix, and streams in tiles
+    of at most KERNEL_TILE entries through one real GEMM each against the
+    interleaved real and imaginary parts of W v.real and W v.imag.  The
+    products of panel k below the split, all in its columns j < c_k
+    (b ascending), are zeroed in E, where their Hankel terms would grow like
+    x^(-p), and evaluated by `radial_kernel` (`_prefix_apply`).  The odd-n
+    amplitude is exact, so the result agrees with kernel_matrix(n, a, b) @ v
+    to rounding.
+
+    Every other case (even n, whose fit holds only above HANKEL_X_MIN and
+    whose rank-11 amplitude makes the factored product slower than the
+    matrix; a plan along b; b not ascending; no plan) contracts the row
+    panels of `kernel_panels` through `real_matmul`."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    v = np.asarray(v, dtype=complex)
+    rows = a.reshape(-1)
+    plan = _table_plan(n, rows, b, keep_tables=True)
+    if n % 2 and plan is not None and plan.axis == 0 and np.all(b[1:] >= b[:-1]):
+        out = plan.apply(b, v)
+    else:
+        out = np.empty(rows.size, dtype=complex)
+        for sl, kernel in _row_panels(n, rows, b, plan):
+            out[sl] = real_matmul(v, kernel.T)
+    return out.reshape(a.shape)[()]
+
+
+def _prefix_apply(n: int, a: np.ndarray, b: np.ndarray, v: np.ndarray, c: np.ndarray,
+                  out: np.ndarray) -> None:
+    """out[i] += sum_(j < c_i) K_n(a_i b_j) v_j by `radial_kernel`, over rows
+    bucketed by prefix width: a bucket takes the rows whose c_i exceeds
+    PREFIX_BUCKET times its widest, evaluates their rectangle of that width
+    (zeroing the entries past each c_i) and contracts it through
+    `real_matmul`, at most KERNEL_TILE entries (or one row) at a time."""
+    rows = np.flatnonzero(c)
+    rows = rows[np.argsort(-c[rows], kind="stable")]
+    width = c[rows]
+    buf = np.empty(max(KERNEL_TILE, int(c.max())))
+    lo = 0
+    while lo < rows.size:
+        w = int(width[lo])
+        hi = lo + int(np.searchsorted(-width[lo:], -PREFIX_BUCKET * w, side="left"))
+        step = max(1, buf.size // w)
+        for r0 in range(lo, hi, step):
+            r = rows[r0:min(r0 + step, hi)]
+            x = np.multiply.outer(a[r], b[:w], out=buf[:r.size * w].reshape(r.size, w))
+            kernel = radial_kernel(n, x, out=x)
+            kernel[np.arange(w) >= c[r][:, None]] = 0.0
+            out[r] += real_matmul(v[:w], kernel.T)
+        lo = hi
+
+
 KERNEL_TILE = 1 << 16     # points per table tile of a kernel matrix
+# a pointwise bucket of `kernel_apply` holds the rows whose below-split
+# prefix is wider than this fraction of its widest
+PREFIX_BUCKET = 0.75
 TABLE_COLS = 256          # most nodes of the other argument per table tile
 # multiply-adds per amplitude product: below OpenBLAS's threading threshold
 # (2^18), so each product runs on the calling thread without waking a worker
@@ -484,6 +558,78 @@ class _TablePlan:
                         xs = xr[small]
                         tr[small] = radial_kernel(self.n, xs, out=xs)
 
+    def apply(self, o: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """K_n(nodes_i o_j) @ v for odd n along axis 0 and o ascending: the
+        factored product of `kernel_apply`."""
+        L, split, nodes = PANEL_ORDER, self.split, self.nodes
+        # made before the tiles' buffers, so it does not pin the heap above
+        # them when they are freed (0.1 MB of the dense-oracle peak RSS)
+        out = np.empty(nodes.size, dtype=complex)
+        # c_k: panel k's products below the split lie in its columns j < c_k
+        low = np.minimum.reduceat(nodes, np.arange(0, nodes.size, L))
+        with np.errstate(divide="ignore"):
+            c = np.searchsorted(o, split / low)
+        while True:   # a product that rounds below the split joins the prefix
+            short = c < o.size
+            short[short] = low[short] * o[c[short]] < split
+            if not short.any():
+                break
+            c[short] += 1
+        terms = _hankel_phase_coeffs(self.n, KERNEL_HANKEL_DEGREE).size
+        acc = self._phase_product(o, v, c, terms).reshape(-1, terms, 2)[:nodes.size]
+        np.einsum("ip,ips->is", self.sigma[:, :terms], acc, out=out.view(float).reshape(-1, 2))
+        _prefix_apply(self.n, nodes, o, v, np.repeat(c, L)[:nodes.size], out)
+        return out
+
+    def _phase_product(self, o, v, c, terms) -> np.ndarray:
+        """(panels, 2 PANEL_ORDER terms): Re[E (W_lp v.real)] and
+        Re[E (W_lp v.imag)] for lane l and power p, E zeroed on each panel's
+        prefix j < c_k, in E tiles of at most KERNEL_TILE entries (whole
+        outer panels of rows) through one real GEMM each.  Its buffers are
+        freed before `_prefix_apply` makes its own (0.2 MB of the
+        dense-oracle peak RSS)."""
+        L, cols, panels = PANEL_ORDER, self.cols, self.starts.size
+        self.tables = None   # each column block's tables serve one pass
+        tile = L * max(1, KERNEL_TILE // (L * cols))
+        e_buf = np.empty(tile * cols, dtype=complex)
+        q_buf = np.empty(tile // L * cols, dtype=complex)
+        prod = np.empty((tile, 2 * L * terms))
+        acc = np.zeros((panels, 2 * L * terms))
+        for j0 in range(0, o.size, cols):
+            oc, vc = o[j0:j0 + cols], v[j0:j0 + cols]
+            w, f = self._column_tables(j0, oc, oc * self.nodes.max() >= self.split)
+            # G[(j, re/im of E), (l, p, re/im of v)]: Re[E W v] = E.real G[re] + E.imag G[im]
+            wt = w.reshape(L, -1, oc.size, 2)[:, :terms].transpose(2, 3, 0, 1)
+            g = wt[..., None] * np.stack((vc.real, vc.imag), axis=-1)[:, None, None, None]
+            g[:, 1] *= -1.0
+            g = g.reshape(2 * oc.size, -1)
+            for k0 in range(0, panels, tile):
+                k1 = min(k0 + tile, panels)
+                e = self._phases(k0, k1, oc, f, e_buf, q_buf)
+                low_cols = c[k0:k1] - j0
+                if low_cols.max() > 0:
+                    e[np.arange(oc.size) < low_cols[:, None]] = 0.0
+                acc[k0:k1] += np.matmul(e.view(float), g, out=prod[:k1 - k0])
+        return acc
+
+    def _phases(self, k0, k1, o, f, e_buf, q_buf) -> np.ndarray:
+        """e^{i P_k o_j} for the panels k0:k1 (k0 a multiple of PANEL_ORDER)
+        in e_buf, by angle addition when f (`_column_tables`) is given."""
+        L, c = PANEL_ORDER, o.size
+        if f is None:
+            e = e_buf[:(k1 - k0) * c].reshape(k1 - k0, c)
+            e.real = 0.0
+            np.multiply.outer(self.starts[k0:k1], o, out=e.imag)
+            return np.exp(e, out=e)
+        q0, q1 = k0 // L, (k1 - 1) // L + 1
+        q = q_buf[:(q1 - q0) * c].reshape(q1 - q0, c)
+        q.real = 0.0
+        np.multiply.outer(self.outer[0][q0:q1], o, out=q.imag)
+        np.exp(q, out=q)
+        e = e_buf[:(q1 - q0) * L * c].reshape(q1 - q0, L, c)
+        np.multiply(q[:, None], f[None], out=e)
+        return e.reshape(-1, c)[:k1 - k0]
+
     def _column_tables(self, j0: int, o: np.ndarray, keep: np.ndarray):
         """(W, f) for the column block o from column j0: W (PANEL_ORDER, P,
         2 o.size) holds W_lp(o) as interleaved real and imaginary parts, 0
@@ -578,9 +724,9 @@ HANKEL_X_MIN = 8.0
 HANKEL_DEGREE = 8
 # the kernel matrices' split for odd n: K_3 and K_5 equal their 1- and
 # 2-term Hankel expansions at every x > 0, so the table path serves them on
-# [1, x_min) too (within 8.3e-14 of 30-digit mpmath there, for n = 5); below
-# 1 the 2-term form cancels like sin x - x cos x, and radial_kernel's
-# series takes over
+# [1, x_min) too (within 4.2e-16 of 30-digit mpmath there); below 1 the
+# 2-term form cancels like sin x - x cos x, and radial_kernel's series
+# takes over
 ODD_TABLE_X_MIN = 1.0
 # the kernel matrices' fit: 11 terms for even n at max errors 9.8e-15,
 # 1.1e-14 and 1.4e-14 (n = 2, 4, 6), so their table path stays at the
@@ -596,8 +742,9 @@ def hankel_phase_coeffs(n: int) -> np.ndarray:
 
     uniformly on x >= x_min = HANKEL_X_MIN = 8 (max abs error 6.7e-13,
     7.6e-13 and 1.1e-12 for n = 2, 4 and 6 at degree HANKEL_DEGREE = 8,
-    i.e. 9 terms; exact with 1 or 2 terms for odd n, where H1_(n-2)/2 is
-    elementary).  The separable powers (x_min/(rs))^p are what let the
+    i.e. 9 terms).  For odd n, where H1_(n-2)/2 is elementary, they are the
+    exact coefficients of the terminating expansion (1 and i/8 for n = 5, 1
+    for n = 3) at every degree.  The separable powers (x_min/(rs))^p are what let the
     outer-region field sampler evaluate one chirp-Z transform per power
     instead of a dense kernel matrix.  One fit serves this degree and the
     kernel matrices' KERNEL_HANKEL_DEGREE, made once per (n, degree) on
@@ -634,10 +781,9 @@ def _hankel_zeta(n: int, x: np.ndarray) -> np.ndarray:
 
     by the trapezoid rule, whose even integrand needs only v >= 0."""
     if n % 2:
-        zeta = np.ones(x.shape, dtype=complex)
-        term = np.ones(x.shape, dtype=complex)
-        for k in range(1, (n - 1) // 2):
-            term *= ((n - 2) ** 2 - (2 * k - 1) ** 2) / (8.0 * k) * 1j / x
+        terms = _odd_hankel_terms(n, x)
+        zeta = terms[0]
+        for term in terms[1:]:
             zeta += term
         return zeta
     v = _LAPLACE_STEP * np.arange(_LAPLACE_NODES)
@@ -646,6 +792,16 @@ def _hankel_zeta(n: int, x: np.ndarray) -> np.ndarray:
     weight *= np.exp(-v * v) * v ** (n - 2) / math.gamma((n - 1) / 2.0)
     root = np.sqrt(1.0 + 1j * np.multiply.outer(0.5 / x, v * v))
     return (root ** (n - 3) * weight).sum(axis=1)
+
+
+def _odd_hankel_terms(n: int, x: np.ndarray) -> list:
+    """The terms a_k (i/x)^k, k <= nu - 1/2, of zeta's terminating Hankel sum
+    for odd n (half-integer nu = (n-2)/2), a_0 = 1 and
+    a_k = a_(k-1) (4 nu^2 - (2k-1)^2) / (8k)."""
+    terms = [np.ones(x.shape, dtype=complex)]
+    for k in range(1, (n - 1) // 2):
+        terms.append(terms[-1] * (((n - 2) ** 2 - (2 * k - 1) ** 2) / (8.0 * k) * 1j / x))
+    return terms
 
 
 def _shifted_chebyshev(degree: int) -> np.ndarray:
@@ -662,6 +818,11 @@ def _shifted_chebyshev(degree: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _hankel_phase_coeffs(n: int, degree: int) -> np.ndarray:
+    if n % 2:
+        # zeta = sum_k a_k (i/x)^k terminates: b_k = a_k (i/x_min)^k exactly
+        b = np.array(_odd_hankel_terms(n, np.asarray(HANKEL_X_MIN)))
+        b.flags.writeable = False
+        return b
     m = _HANKEL_FIT_NODES
     odd = 2 * np.arange(m) + 1
     w = (np.cos(np.pi / (2 * m) * odd) + 1.0) / 2.0
@@ -669,20 +830,11 @@ def _hankel_phase_coeffs(n: int, degree: int) -> np.ndarray:
     # the discrete Chebyshev projection in u = 2w - 1: T_k(u_j) = cos(k theta_j)
     # are orthogonal on these nodes, so it is the least-squares fit with no
     # linear solve.  k theta_j = pi k (2j + 1) / (2m) is reduced exactly mod
-    # 2 pi, which keeps odd n's zero coefficients at rounding (their 1- or
-    # 2-term prefix then errs by 2.6e-14 at most, not 4.5e-14).  Both sums
-    # are elementwise: a complex BLAS product would page in about 0.1 MB of
-    # BLAS code that the Picard grids never otherwise run
+    # 2 pi.  Both sums are elementwise: a complex BLAS product would page in
+    # about 0.1 MB of BLAS code that the Picard grids never otherwise run
     k = np.arange(degree + 1)
     cheb = (np.cos(np.pi / (2 * m) * (np.outer(k, odd) % (4 * m))) * zeta).sum(axis=1) * (2.0 / m)
     cheb[0] /= 2.0
     b = (cheb[:, None] * _shifted_chebyshev(degree)).sum(axis=0)  # monomials in w = x_min/x
-
-    # truncate to the shortest prefix that still evaluates to ~fit accuracy
-    # (odd n collapses to its exact finite expansion this way); row p of the
-    # cumulative sum is the prefix of p + 1 terms at every node
-    prefix = np.cumsum(b[:, None] * w ** k[:, None], axis=0)
-    err = np.abs(prefix - zeta).max(axis=1)
-    b = b[:int(np.argmax(err <= max(2.0 * err[-1], 2e-11))) + 1]
     b.flags.writeable = False
     return b

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bessel import kernel_panels, real_matmul
+from .bessel import kernel_apply
 from .cutoffs import dyadic_cutoff
 from .grids import FrequencyGrid, band_edges, require_resolution, uniform_grid
 
@@ -130,22 +130,17 @@ def sobolev_norm(profile: RadialProfile, s: float) -> float:
 
 
 def fourier_bessel(profile: RadialProfile, r) -> np.ndarray:
-    """Evaluate T[h](r) by quadrature on the profile's own grid.
+    """Evaluate T[h](r) by quadrature on the profile's own grid, as one
+    `bessel.kernel_apply` product.
 
     The grid must resolve the kernel oscillation at the largest radius
     (`grids.require_resolution` at grids.PHASE_STEP).
     """
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
     g = profile.grid
     if r.size:
         require_resolution(g, float(np.max(r)))
-    w = g.weights * profile.values * g.nodes ** (profile.n - 1)
-    out = np.empty(r.size, dtype=complex)
-    for rows, kernel in kernel_panels(profile.n, r, g.nodes):
-        out[rows] = real_matmul(w, kernel.T)
-    return out[0] if scalar else out
+    return kernel_apply(profile.n, r, g.nodes, g.weights * profile.values * g.nodes ** (profile.n - 1))
 
 
 def canonical_band_amplitude(n: int, k: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -14,6 +14,7 @@ from rsl.bessel import (
     bessel_bound_check,
     bessel_j,
     hankel_phase_coeffs,
+    kernel_apply,
     kernel_matrix,
     kernel_panels,
     radial_kernel,
@@ -153,8 +154,7 @@ def _hankel_fit_errors(degree):
 
 def test_hankel_phase_coeffs_accuracy():
     # the sampler's degree-8 fit: max error 1.1e-12 at n = 6; even n keeps
-    # every term, odd n collapses to the 1 or 2 terms of its exact finite
-    # expansion
+    # every term, odd n takes the 1 or 2 exact terms of its finite expansion
     for n, err, size in _hankel_fit_errors(bessel.HANKEL_DEGREE):
         assert err < 1.2e-12, n
         assert size == (bessel.HANKEL_DEGREE + 1 if n % 2 == 0 else (n - 1) // 2), n
@@ -163,10 +163,10 @@ def test_hankel_phase_coeffs_accuracy():
 
 def test_kernel_matrix_fit_accuracy():
     # the kernel matrices' degree-10 fit (a discrete Chebyshev projection):
-    # 11 terms for even n (max error 1.5e-14), the 1 or 2 of the exact
-    # expansion for odd n (2.6e-14 at most)
+    # 11 terms for even n (max error 1.5e-14), the 1 or 2 exact coefficients
+    # of the terminating expansion for odd n (4.8e-16 against scipy)
     for n, err, size in _hankel_fit_errors(bessel.KERNEL_HANKEL_DEGREE):
-        assert err < (2e-14 if n % 2 == 0 else 5e-14), n
+        assert err < (2e-14 if n % 2 == 0 else 1e-15), n
         assert size == (11 if n % 2 == 0 else (n - 1) // 2), n
 
 
@@ -373,10 +373,11 @@ def test_kernel_matrix_matches_radial_kernel(n, grids):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_odd_kernel_table_against_mpmath(n):
-    # odd n takes the table path down to x = ODD_TABLE_X_MIN, where its
-    # exact 1- or 2-term amplitude (x_min/x up to 8) carries the fit's
-    # rounding: absolute error against 30-digit mpmath on [1, x_min), along
-    # both axes and with a zero radius, which raises no floating-point warning
+    # odd n takes the table path down to x = ODD_TABLE_X_MIN with its exact
+    # 1- or 2-term amplitude: absolute error against 30-digit mpmath on
+    # [1, x_min) (4.2e-16 measured; 8.3e-14 for n = 5 when the amplitude was
+    # fitted), along both axes and with a zero radius, which raises no
+    # floating-point warning
     import mpmath
 
     for a, b, axis in ((np.linspace(0.0, 3.0, 60), _gauss(1e-4, 4.0, 8), 0),
@@ -393,7 +394,107 @@ def test_odd_kernel_table_against_mpmath(n):
             ref = np.array([float(mpmath.besselj(nu, xm) / xm ** nu)
                             for xm in map(mpmath.mpf, x[mid])])
         err = np.abs(kernel[mid] - ref)
-        assert np.max(err) <= 1e-13, (n, axis, float(x[mid][np.argmax(err)]))
+        assert np.max(err) <= 1e-15, (n, axis, float(x[mid][np.argmax(err)]))
+
+
+def _operand(size, seed=7):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def _product_error(out, kernel, v):
+    """max |out - kernel @ v| relative to max (|kernel| @ |v|), the scale of
+    the rounding of any summation order."""
+    return np.max(np.abs(out - kernel @ v)) / np.max(np.abs(kernel) @ np.abs(v))
+
+
+def _factored(n, a, b):
+    """Whether kernel_apply takes the factored product (odd n, a plan along
+    a and b ascending) rather than the row panels of kernel_matrix."""
+    plan = bessel._table_plan(n, a, b)
+    return bool(n % 2 and plan is not None and plan.axis == 0 and np.all(np.diff(b) >= 0))
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("grids", KERNEL_GRIDS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_apply_matches_kernel_matrix(monkeypatch, n, grids, flip):
+    # every kernel grid in both orientations: the reversed grid, partial last
+    # panels and zero nodes on either side; a case that should factor never
+    # reaches the row panels, and one that should not never factors
+    a, b = KERNEL_GRIDS[grids][::-1] if flip else KERNEL_GRIDS[grids]
+    v = _operand(b.size)
+    kernel = kernel_matrix(n, a, b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel_apply took the other path")
+
+    if _factored(n, a, b):
+        monkeypatch.setattr(bessel, "_row_panels", refuse)
+    else:
+        monkeypatch.setattr(bessel._TablePlan, "apply", refuse)
+    out = kernel_apply(n, a, b, v)
+    assert out.shape == a.shape
+    assert _product_error(out, kernel, v) <= 2e-15
+
+
+def test_kernel_apply_factors_the_oracle_transforms():
+    # criterion 8(b)'s transform at bench and criterion size (6,000 x 600 and
+    # 36,000 x 2,000, n = 3) factors; n = 2 on the same grids does not
+    for r_panels, s_panels in ((600, 60), (3600, 200)):
+        a, b = _gauss(1e-4, 240.0, r_panels), _gauss(1e-6, 1.0, s_panels)
+        assert _factored(3, a, b) and not _factored(2, a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_kernel_apply_scalar_and_empty(n):
+    b = _gauss(0.25, 4.5, 8)
+    v = _operand(b.size)
+    out = kernel_apply(n, 1.7, b, v)
+    assert np.ndim(out) == 0
+    assert abs(out - radial_kernel(n, 1.7 * b) @ v) <= 2e-15 * np.abs(v).sum()
+    assert kernel_apply(n, np.empty(0), b, v).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_kernel_apply_keeps_products_below_the_split_out_of_the_tables(n):
+    # a and b down to 1e-6: products as small as 1e-12, and 3,204 products
+    # below the split (down to 5.6e-3) between nodes whose tables are kept,
+    # where the Hankel terms (up to x^(-3) for n = 5) would swamp the sum;
+    # the factored product matches the matrix to rounding and raises no
+    # floating-point warning, so none of them entered E
+    a, b = np.linspace(1e-6, 30.0, 601), np.linspace(1e-6, 6.0, 241)
+    v = _operand(b.size)
+    assert _factored(n, a, b)
+    kept = np.multiply.outer(a * b.max() >= 1.0, b * a.max() >= 1.0)
+    assert np.count_nonzero((np.multiply.outer(a, b) < ODD_TABLE_X_MIN) & kept) > 3000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = kernel_apply(n, a, b, v)
+    assert _product_error(out, kernel_matrix(n, a, b), v) <= 2e-15
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_kernel_apply_across_the_split_against_mpmath(n):
+    # products up to 8, a third to two thirds of them below ODD_TABLE_X_MIN,
+    # summed against 30-digit mpmath kernels
+    import mpmath
+
+    a, b = _gauss(0.05, 4.0, 4), np.linspace(0.05, 2.0, 40)
+    v = _operand(b.size)
+    assert _factored(n, a, b)
+    x = np.multiply.outer(a, b)
+    assert 0.2 < np.mean(x < ODD_TABLE_X_MIN) < 0.8
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(n - 2) / 2
+        kernel = [[mpmath.besselj(nu, xm) / xm ** nu for xm in map(mpmath.mpf, row)]
+                  for row in x]
+        vm = [mpmath.mpc(complex(z)) for z in v]
+        ref = np.array([complex(mpmath.fsum(k * vj for k, vj in zip(row, vm)))
+                        for row in kernel])
+    scale = np.max(np.abs(np.array(kernel, dtype=float)) @ np.abs(v))
+    err = np.max(np.abs(kernel_apply(n, a, b, v) - ref)) / scale
+    assert err <= 2e-15, err
 
 
 @pytest.mark.parametrize("n, a, b", [

@@ -38,12 +38,20 @@ def _peak(fn):
 
 
 def test_dense_oracle_products_stream():
-    # the dense-oracle bench sizes: a 6,000 x 600 Fourier-Bessel kernel
-    # (29 MB as one matrix) and the evolutions of criterion 8
+    # the dense-oracle bench sizes: a 6,000 x 600 Fourier-Bessel product
+    # (29 MB as one kernel matrix; 4.25 MB peak as streamed row panels, 2.1 MB
+    # factored through the 600 x 600 panel phases) and the evolutions of
+    # criterion 8
     rg = gauss_panel_grid(1e-6, 1.0, 60)
     prof = RadialProfile(rg, smooth_bump(2.0 * rg.nodes), 3)
     sf = gauss_panel_grid(1e-4, 240.0, 600)
     fb, peak = _peak(lambda: fourier_bessel(prof, sf.nodes))
+    assert peak <= 4.5 * MB, peak / MB
+    # criterion 8's transform, 36,000 x 2,000 (576 MB as one matrix, 7.2M
+    # panel phases): the phases stream in tiles too (4.8 MB peak)
+    rg_c = gauss_panel_grid(1e-6, 1.0, 200)
+    prof_c = RadialProfile(rg_c, smooth_bump(2.0 * rg_c.nodes), 3)
+    _, peak = _peak(lambda: fourier_bessel(prof_c, gauss_panel_grid(1e-4, 240.0, 3600).nodes))
     assert peak <= 16 * MB, peak / MB
     ghat = RadialProfile(sf, fb, 3)
     grid = PhysicalGrid(np.linspace(0.05, 3.0, 60), np.array([0.5, 2.0]))

@@ -167,8 +167,9 @@ def _whole_matrix_product(prof, r):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_fourier_bessel_matches_whole_matrix_product(n):
-    # the paneled real product (ten panels here) equals the complex product
-    # with the whole kernel matrix to rounding
+    # the real product (ten row panels for even n, the factored product for
+    # odd n) equals the complex product with the whole kernel matrix to
+    # rounding
     g = gauss_panel_grid(0.25, 4.5, 80)
     prof = project(profile_from_fn(lambda s: np.exp(2j * s) / (1 + s), g, n), 0)
     r = np.linspace(0.0, 60.0, 3001)
